@@ -49,7 +49,6 @@ from .bounds import (
 from .diophantine import (
     EquationSolution,
     SolutionConstraints,
-    brute_solutions,
     max_schur_exponent,
     solve_standard_equation,
 )

@@ -268,7 +268,7 @@ def _admissible_m(field) -> list[int]:
             for m in invphi_all(2 * d)
             if m >= 2 and real_cyclo_member(m, field.conductor)
         ]
-    return [m for m in invphi_all(2 * d) if m == 2 or (m > 2 and euler_phi(m) <= 2 * d)]
+    return [m for m in invphi_all(2 * d) if m >= 2]
 
 
 def pgl2_admissible(field) -> tuple[list[GroupFamily], FactoredInteger]:
@@ -281,11 +281,9 @@ def pgl2_admissible(field) -> tuple[list[GroupFamily], FactoredInteger]:
     "unknown" admits the family, keeping the result an upper bound.
     """
     minus1, sqrt5 = _flags(field)
-    fams: list[GroupFamily] = []
-    for m in _admissible_m(field):
-        fams.append(GroupFamily("cyclic", m))
-    for m in _admissible_m(field):
-        fams.append(GroupFamily("dihedral", m))
+    ms = _admissible_m(field)
+    fams = [GroupFamily("cyclic", m) for m in ms]
+    fams += [GroupFamily("dihedral", m) for m in ms]
     if minus1 != "no":
         fams.append(GroupFamily("A4"))
         fams.append(GroupFamily("S4"))

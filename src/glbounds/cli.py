@@ -32,7 +32,6 @@ from .cyclotomic import (
 )
 from .diophantine import SolutionConstraints, solve_standard_equation
 from .exactnum import (
-    ONE,
     DomainError,
     FactoredInteger,
     fi_to_decimal,
@@ -278,10 +277,8 @@ def _cmd_ledger_explain(ns) -> int:
 
 def _cmd_ledger_final(ns) -> int:
     ledger = _load(ns)
-    overrides = {}
-    for nid, value in ns.override or ():
-        overrides[nid] = ONE if value == 0 else FactoredInteger.from_int(value)
-    return _emit_factored(ledger_mod.final_bound(ledger, overrides or None), ns.format)
+    overrides = dict(ns.override or ())
+    return _emit_factored(ledger_mod.final_bound(ledger, overrides), ns.format)
 
 
 def _cmd_ledger_export(ns) -> int:

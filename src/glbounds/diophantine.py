@@ -122,13 +122,3 @@ def max_schur_exponent(
         best = max(best, schur_exponent(n, p, inv))
     return best
 
-
-def brute_solutions(p: int, d: int, m_max: int, e_max: int, t_max: int) -> list[EquationSolution]:
-    """Reference enumeration by exhaustive triple loop, for cross-checks."""
-    out = []
-    for t in range(1, t_max + 1):
-        for m in range(1, m_max + 1):
-            for e in range(1, e_max + 1):
-                if p ** (m - 1) * (p - 1) * e == d * t:
-                    out.append(EquationSolution(m=m, e=e, t=t))
-    return out

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from glbounds.cyclotomic import Conductor
+from glbounds.diophantine import EquationSolution
 from glbounds.ledger import paper_ledger
 
 
@@ -31,3 +32,14 @@ def member_by_cosines(m: int, n: Conductor) -> bool:
         if abs(math.cos(2 * math.pi * a / m) - target) > 1e-9:
             return False
     return True
+
+
+def brute_solutions(p: int, d: int, m_max: int, e_max: int, t_max: int) -> list[EquationSolution]:
+    """Reference enumeration of p^(m-1)(p-1)e = dt by exhaustive triple loop."""
+    out = []
+    for t in range(1, t_max + 1):
+        for m in range(1, m_max + 1):
+            for e in range(1, e_max + 1):
+                if p ** (m - 1) * (p - 1) * e == d * t:
+                    out.append(EquationSolution(m=m, e=e, t=t))
+    return out

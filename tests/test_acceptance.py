@@ -21,12 +21,12 @@ from glbounds.bounds import (
     table,
 )
 from glbounds.cyclotomic import QQ, Conductor, ExactCyclotomic, all_invariants
-from glbounds.diophantine import SolutionConstraints, brute_solutions, solve_standard_equation
+from glbounds.diophantine import SolutionConstraints, solve_standard_equation
 from glbounds.exactnum import FactoredInteger, fi_cmp, is_prime
 from glbounds.ledger import eval_node, final_bound, to_document, verify_ledger
 from glbounds.totient import invphi_max
 
-from conftest import member_by_cosines
+from conftest import brute_solutions, member_by_cosines
 
 
 def fi(n: int) -> FactoredInteger:

@@ -140,6 +140,20 @@ def test_multiple_overrides(capsys):
     assert out.strip().endswith("87 178 291 200")
 
 
+def test_override_unknown_node_is_a_clean_error(capsys):
+    assert main(["ledger", "final", "--override", "no-such-node=5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: override names unknown node 'no-such-node'\n"
+
+
+def test_override_one_is_the_empty_product(capsys):
+    assert main(["ledger", "final", "--override", "g10=1"]) == 0
+    one = capsys.readouterr().out
+    assert main(["ledger", "final", "--override", "g10=0"]) == 0
+    assert one == capsys.readouterr().out
+
+
 def test_color_gating(monkeypatch):
     class Tty(io.StringIO):
         def isatty(self):

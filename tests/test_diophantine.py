@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from glbounds.diophantine import (
     EquationSolution,
     SolutionConstraints,
-    brute_solutions,
     max_schur_exponent,
     solve_standard_equation,
 )
 from glbounds.exactnum import DomainError, is_prime
+
+from conftest import brute_solutions
 
 ODD_PRIMES = [p for p in range(3, 44) if is_prime(p)]
 

@@ -9,6 +9,15 @@ from hypothesis import strategies as st
 from glbounds.exactnum import DomainError
 from glbounds.totient import euler_phi, invphi_all, invphi_max, semicyclic_degree
 
+# phi(n) for n <= 2 * 200**2, the reach of the largest scan below
+_PHI = [0] + [euler_phi(n) for n in range(1, 2 * 200**2 + 1)]
+
+
+def scan_invphi_all(bound: int) -> list[int]:
+    """Reference inverse totient: test every n up to the cutoff 2*bound**2,
+    which is exhaustive because phi(n) >= sqrt(n/2)."""
+    return [n for n in range(1, 2 * bound * bound + 1) if _PHI[n] <= bound]
+
 
 def test_phi_small_values():
     known = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 7: 6, 8: 4, 9: 6,
@@ -37,6 +46,22 @@ def test_invphi_all_is_exhaustive():
         # the phi(n) >= sqrt(n/2) cutoff really is safe: scan twice as far
         for n in range(cutoff + 1, 2 * cutoff + 1):
             assert euler_phi(n) > bound
+
+
+def test_invphi_matches_the_scan():
+    for bound in range(1, 201):
+        want = scan_invphi_all(bound)
+        assert invphi_all(bound) == want, bound
+        assert invphi_max(bound) == want[-1], bound
+
+
+def test_invphi_at_ten_thousand():
+    # 19 452 and 46 410 come from a phi sieve to 10**5; every n >= 10**5
+    # has phi(n) > 18 595 (Rosser-Schoenfeld), so the sieve misses none.
+    hits = invphi_all(10**4)
+    assert len(hits) == 19452
+    assert hits[-1] == invphi_max(10**4) == 46410
+    assert all(euler_phi(n) <= 10**4 for n in hits)
 
 
 def test_invphi_max_fixed_points():
