@@ -328,3 +328,139 @@ def test_paper_ledger_eval_is_deterministic(ledger):
     first = {nid: eval_node(ledger, nid) for nid in ledger.order}
     second = {nid: eval_node(ledger, nid) for nid in ledger.order}
     assert first == second
+
+
+# ------------------------------------------------------- loader messages
+#
+# One case per place the loader raises, in the order the loader checks.
+# The CLI prints these messages verbatim as "error: ...", so the class and
+# the exact text are both part of the interface.
+
+def _edit(nid, kind, declared, edit, **kw):
+    """A one-node document whose node is changed by edit(raw_node)."""
+    raw = node(nid, kind, declared, **kw)
+    edit(raw)
+    return doc(raw)
+
+
+def _set(key, value):
+    return lambda raw: raw.__setitem__(key, value)
+
+
+_NODE_FIELD_LIST = (
+    "['args', 'children', 'citation', 'decimal', 'declared', 'id', 'kind'] "
+    "(+ optional ['note', 'paper_prints'])"
+)
+
+_LOADER_ERRORS = {
+    "unsupported-source": (
+        lambda: 42, SchemaError, "unsupported ledger source <class 'int'>"),
+    "document-not-object": (
+        lambda: __import__("types").MappingProxyType(doc()),
+        SchemaError, "document must be an object"),
+    "unknown-top-level-keys": (
+        lambda: {"schema_version": 1, "nodes": [], "color": "red", "b": 1},
+        SchemaError, "unknown top-level keys ['b', 'color']"),
+    "schema-version": (
+        lambda: {"schema_version": 2, "nodes": []},
+        SchemaError, "schema_version must be 1"),
+    "nodes-not-list": (
+        lambda: {"schema_version": 1, "nodes": "x"}, SchemaError, "nodes must be a list"),
+    "node-not-object": (
+        lambda: doc(1), SchemaError, "node entries must be objects"),
+    "node-fields": (
+        lambda: _edit("c", "Constant", {}, lambda raw: raw.pop("citation")),
+        SchemaError,
+        "node fields must be %s, got ['args', 'children', 'decimal', 'declared', 'id', 'kind']"
+        % _NODE_FIELD_LIST),
+    "empty-id": (
+        lambda: doc(node("", "Constant", {})), SchemaError, "empty node id"),
+    "duplicate-id": (
+        lambda: doc(node("c", "Constant", {}), node("c", "Constant", {})),
+        SchemaError, "duplicate node id 'c'"),
+    "unknown-kind": (
+        lambda: doc(node("x", "Banana", {})), SchemaError, "x: unknown kind 'Banana'"),
+    "args-not-object": (
+        lambda: _edit("c", "Constant", {}, _set("args", [1])),
+        SchemaError, "c: args must be an object"),
+    "args-keys": (
+        lambda: doc(node("m", "Minkowski", {}, args={"n": 1, "d": 2})),
+        SchemaError, "m: Minkowski args must have ['n'], got ['d', 'n']"),
+    "arg-not-positive": (
+        lambda: doc(node("m", "Minkowski", {}, args={"n": 0})),
+        SchemaError, "m: arg 'n' must be a positive integer"),
+    "arg-not-tristate": (
+        lambda: doc(node("g", "Pgl2", {}, args={"degree": 2, "contains_sqrt5": "maybe"})),
+        SchemaError, "g: arg 'contains_sqrt5' must be yes/no/unknown"),
+    "constraints-not-tags": (
+        lambda: doc(node("e", "EquationCase", {},
+                         args={"p": 3, "n": 3, "d": 4, "constraints": "e = 2"})),
+        SchemaError, "e: constraints must be a list of tag strings"),
+    "equation-even-p": (
+        lambda: doc(node("e", "EquationCase", {}, args={"p": 2, "n": 3, "d": 4})),
+        SchemaError, "e: EquationCase needs an odd prime p"),
+    "children-not-ids": (
+        lambda: _edit("p", "Product", {}, _set("children", "a")),
+        SchemaError, "p: children must be a list of ids"),
+    "leaf-with-children": (
+        lambda: doc(node("a", "Constant", {}), node("b", "Constant", {}, children=["a"])),
+        SchemaError, "b: Constant takes no children"),
+    "inner-without-children": (
+        lambda: doc(node("m", "Max", {})), SchemaError, "m: Max needs children"),
+    "declared-not-map": (
+        lambda: _edit("c", "Constant", {}, _set("declared", [[2, 1]])),
+        BadDeclaredValue, "c: declared must be a map prime -> exponent"),
+    "declared-key-not-digits": (
+        lambda: _edit("c", "Constant", {}, _set("declared", {"two": 1})),
+        BadDeclaredValue, "c: declared key 'two' is not a prime string"),
+    "declared-key-not-prime": (
+        lambda: _edit("c", "Constant", {}, _set("declared", {"4": 1})),
+        BadDeclaredValue, "c: declared key 4 is not prime"),
+    "declared-exponent": (
+        lambda: _edit("c", "Constant", {}, _set("declared", {"2": 0})),
+        BadDeclaredValue, "c: declared exponent for 2 must be a positive integer"),
+    "declared-duplicate-prime": (
+        lambda: _edit("c", "Constant", {}, _set("declared", {"2": 1, "02": 1})),
+        BadDeclaredValue, "c: duplicate prime 02 in declared"),
+    "decimal-not-string": (
+        lambda: _edit("c", "Constant", {"2": 3}, _set("decimal", 8)),
+        BadDeclaredValue, "c: decimal must be a string"),
+    "decimal-mismatch": (
+        lambda: _edit("c", "Constant", {"2": 20}, _set("decimal", "1048576")),
+        BadDeclaredValue,
+        "c: decimal '1048576' does not match declared factorization (1 048 576)"),
+    "citation-not-string": (
+        lambda: _edit("c", "Constant", {}, _set("citation", None)),
+        SchemaError, "c: citation must be a string"),
+    "optional-not-string": (
+        lambda: doc(node("c", "Constant", {}, note=5)),
+        SchemaError, "c: note must be a string"),
+    "dangling-child": (
+        lambda: doc(node("m", "Max", {"2": 1}, children=["ghost"])),
+        DanglingChild, "m: child 'ghost' does not exist"),
+    "cycle": (
+        lambda: doc(node("a", "Max", {"2": 1}, children=["b"]),
+                    node("b", "Max", {"2": 1}, children=["a"])),
+        CycleError, "cycle through 'b' and 'a'"),
+    "root-not-node": (
+        lambda: doc(node("c", "Constant", {}), root="missing"),
+        SchemaError, "root 'missing' is not a node id"),
+    "whitelist-not-ids": (
+        lambda: {"schema_version": 1, "nodes": [], "whitelist": "c"},
+        SchemaError, "whitelist must be a list of ids"),
+    "whitelist-unknown-id": (
+        lambda: doc(node("c", "Constant", {}), whitelist=["missing"]),
+        SchemaError, "whitelisted id 'missing' is not a node"),
+    "whitelist-duplicate": (
+        lambda: doc(node("c", "Constant", {}), whitelist=["c", "c"]),
+        SchemaError, "duplicate whitelist entry"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOADER_ERRORS))
+def test_loader_error_class_and_message(case):
+    source, exc, message = _LOADER_ERRORS[case]
+    with pytest.raises(LedgerError) as info:
+        load_ledger(source())
+    assert type(info.value) is exc
+    assert str(info.value) == message
