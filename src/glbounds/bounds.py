@@ -31,13 +31,10 @@ from .exactnum import (
     factorial_valuation,
     fi_mul,
     is_prime,
+    primes_upto,
     valuation_int,
 )
 from .totient import euler_phi, invphi_all, invphi_max
-
-
-def _primes_upto(limit: int):
-    return [p for p in range(2, limit + 1) if is_prime(p)]
 
 
 def _check_n(n: int):
@@ -66,7 +63,7 @@ def minkowski_exponent(n: int, p: int) -> int:
 def minkowski_bound(n: int) -> FactoredInteger:
     _check_n(n)
     out: dict[int, int] = {}
-    for p in _primes_upto(n + 1):
+    for p in primes_upto(n + 1):
         e = minkowski_exponent(n, p)
         if e:
             out[p] = e
@@ -118,7 +115,7 @@ def schur_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
     _check_n(n)
     d = field.degree
     out: dict[int, int] = {}
-    for p in _primes_upto(n * d + 1):
+    for p in primes_upto(n * d + 1):
         e = schur_exponent(n, p, all_invariants(field, p))
         if e:
             out[p] = e
@@ -148,7 +145,7 @@ def serre_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
         return ONE
     cutoff = max(field.degree + 1, invphi_max(n - 1) + 1, n - 1)
     out: dict[int, int] = {}
-    for p in _primes_upto(cutoff):
+    for p in primes_upto(cutoff):
         e = serre_exponent(n, p, all_invariants(field, p))
         if e:
             out[p] = e
@@ -204,7 +201,7 @@ def rough_bound(n: int, d: int) -> FactoredInteger:
     if d < 1:
         raise DomainError("degree d must be >= 1, got %r" % d)
     out: dict[int, int] = {}
-    for p in _primes_upto(n * d + 1):
+    for p in primes_upto(n * d + 1):
         e = rough_exponent(n, d, p)
         if e:
             out[p] = e

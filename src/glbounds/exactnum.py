@@ -7,6 +7,7 @@ expanded to decimal for display.  No floats anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -42,6 +43,18 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def primes_upto(limit: int) -> list[int]:
+    """Primes <= limit, ascending, by the sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p in range(2, limit + 1) if sieve[p]]
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -143,17 +156,44 @@ def fi_div_exact(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
 def fi_cmp(a: FactoredInteger, b: FactoredInteger) -> int:
     """-1, 0 or 1 as a <, =, > b.
 
-    Common prime powers are cancelled first and the residuals compared after
-    exact expansion, so the answer never depends on a rounded logarithm.
+    Common prime powers are cancelled first.  What is left of a is the
+    product of p^(e_a - e_b) over the primes where a has the larger exponent,
+    and what is left of b is the product of the other differences; both
+    residuals are multiplied out as plain ints and compared, so the answer
+    never depends on a rounded logarithm.  The inputs are already valid, so
+    the residuals are not built (and re-validated) as FactoredIntegers.
     """
-    ma, mb = a.as_map(), b.as_map()
-    for p in set(ma) & set(mb):
-        c = min(ma[p], mb[p])
-        ma[p] -= c
-        mb[p] -= c
-    ra = FactoredInteger.from_map(ma).to_int()
-    rb = FactoredInteger.from_map(mb).to_int()
+    rest = dict(a.factors)
+    ra = rb = 1
+    for p, e in b.factors:
+        d = rest.pop(p, 0) - e
+        if d > 0:
+            ra *= p**d
+        elif d < 0:
+            rb *= p ** (-d)
+    for p, e in rest.items():
+        ra *= p**e
     return (ra > rb) - (ra < rb)
+
+
+# Below this many bits str() is used as is: about 600 digits, under the
+# smallest limit sys.set_int_max_str_digits accepts.
+_STR_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """str(n) for n >= 0 of any size: split on a power of ten, then recurse.
+
+    Python refuses str() on ints beyond a digit limit (4300 by default), so
+    big values are cut into halves whose strings it accepts.
+    """
+    bits = n.bit_length()
+    if bits <= _STR_BITS:
+        return str(n)
+    # About half of n's digits; 10^k < n because 301/1000 < log10(2).
+    k = bits * 301 // 2000
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).rjust(k, "0")
 
 
 def fi_to_decimal(a: FactoredInteger, group: bool = False) -> str:
@@ -162,15 +202,11 @@ def fi_to_decimal(a: FactoredInteger, group: bool = False) -> str:
     grouped:  24 103 053 950 976 000
     plain:    24103053950976000
     """
-    s = str(a.to_int())
+    s = _decimal(a.to_int())
     if not group:
         return s
-    chunks = []
-    while len(s) > 3:
-        chunks.append(s[-3:])
-        s = s[:-3]
-    chunks.append(s)
-    return " ".join(reversed(chunks))
+    head = len(s) % 3 or 3
+    return " ".join([s[:head]] + [s[i : i + 3] for i in range(head, len(s), 3)])
 
 
 def fi_to_factored_str(a: FactoredInteger) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping
 
@@ -111,13 +111,24 @@ class LedgerNode:
 
 @dataclass(frozen=True)
 class Ledger:
-    """Validated, immutable DAG.  `order` preserves document order."""
+    """Validated DAG.  `order` preserves document order.
+
+    The document is immutable once loaded, but the ledger memoizes its leaf
+    values: `leaf_values` maps a leaf's id to its recomputed bound, filled on
+    first use.  A leaf's value depends on nothing but its node, so repeated
+    verify / final / what-if calls on one ledger compute each leaf bound
+    once; overrides are applied before the memo is consulted and never
+    enter it.
+    """
 
     schema_version: int
     root: str | None
     whitelist: tuple[str, ...]
     nodes: Mapping[str, LedgerNode]
     order: tuple[str, ...]
+    leaf_values: dict[str, FactoredInteger] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -142,74 +153,66 @@ class VerificationReport:
 
 
 # ------------------------------------------------------------------- loading
-
-def _want(cond: bool, exc: type[LedgerError], msg: str):
-    if not cond:
-        raise exc(msg)
-
+#
+# Each check raises with its message built only on failure: the loader runs
+# dozens of checks per node, and formatting a message costs more than the test.
 
 def _is_int(x) -> bool:
     return type(x) is int
 
 
 def _check_args(node_id: str, kind: str, args) -> dict:
-    _want(isinstance(args, dict), SchemaError, "%s: args must be an object" % node_id)
+    if not isinstance(args, dict):
+        raise SchemaError("%s: args must be an object" % node_id)
     required = _REQUIRED_ARGS[kind]
     optional = _OPTIONAL_ARGS.get(kind, frozenset())
     keys = set(args)
-    _want(
-        required <= keys <= required | optional,
-        SchemaError,
-        "%s: %s args must have %s, got %s"
-        % (node_id, kind, sorted(required), sorted(keys)),
-    )
+    if not required <= keys <= required | optional:
+        raise SchemaError(
+            "%s: %s args must have %s, got %s"
+            % (node_id, kind, sorted(required), sorted(keys))
+        )
     for key in keys - {"constraints", "xi4", "minus1_sum_of_two_squares", "contains_sqrt5"}:
-        _want(
-            _is_int(args[key]) and args[key] >= 1,
-            SchemaError,
-            "%s: arg %r must be a positive integer" % (node_id, key),
-        )
+        if not (_is_int(args[key]) and args[key] >= 1):
+            raise SchemaError("%s: arg %r must be a positive integer" % (node_id, key))
     for key in keys & {"xi4", "minus1_sum_of_two_squares", "contains_sqrt5"}:
-        _want(
-            args[key] in TRISTATE,
-            SchemaError,
-            "%s: arg %r must be yes/no/unknown" % (node_id, key),
-        )
+        if args[key] not in TRISTATE:
+            raise SchemaError("%s: arg %r must be yes/no/unknown" % (node_id, key))
     if "constraints" in keys:
         tags = args["constraints"]
-        _want(
-            isinstance(tags, list) and all(isinstance(t, str) for t in tags),
-            SchemaError,
-            "%s: constraints must be a list of tag strings" % node_id,
-        )
-    if kind == "EquationCase":
-        _want(args["p"] % 2 == 1 and is_prime(args["p"]), SchemaError,
-              "%s: EquationCase needs an odd prime p" % node_id)
+        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+            raise SchemaError("%s: constraints must be a list of tag strings" % node_id)
+    if kind == "EquationCase" and not (args["p"] % 2 == 1 and is_prime(args["p"])):
+        raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
     return dict(args)
 
 
 def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
-    _want(isinstance(raw, dict), BadDeclaredValue,
-          "%s: declared must be a map prime -> exponent" % node_id)
+    if not isinstance(raw, dict):
+        raise BadDeclaredValue("%s: declared must be a map prime -> exponent" % node_id)
     factors: dict[int, int] = {}
     for key, exp in raw.items():
-        _want(isinstance(key, str) and key.isdigit(), BadDeclaredValue,
-              "%s: declared key %r is not a prime string" % (node_id, key))
+        if not (isinstance(key, str) and key.isdigit()):
+            raise BadDeclaredValue("%s: declared key %r is not a prime string" % (node_id, key))
         p = int(key)
-        _want(is_prime(p), BadDeclaredValue,
-              "%s: declared key %s is not prime" % (node_id, key))
-        _want(_is_int(exp) and exp >= 1, BadDeclaredValue,
-              "%s: declared exponent for %s must be a positive integer" % (node_id, key))
-        _want(p not in factors, BadDeclaredValue,
-              "%s: duplicate prime %s in declared" % (node_id, key))
+        if not is_prime(p):
+            raise BadDeclaredValue("%s: declared key %s is not prime" % (node_id, key))
+        if not (_is_int(exp) and exp >= 1):
+            raise BadDeclaredValue(
+                "%s: declared exponent for %s must be a positive integer" % (node_id, key)
+            )
+        if p in factors:
+            raise BadDeclaredValue("%s: duplicate prime %s in declared" % (node_id, key))
         factors[p] = exp
     value = FactoredInteger.from_map(factors)
-    _want(isinstance(decimal, str), BadDeclaredValue,
-          "%s: decimal must be a string" % node_id)
+    if not isinstance(decimal, str):
+        raise BadDeclaredValue("%s: decimal must be a string" % node_id)
     expect = fi_to_decimal(value, group=True)
-    _want(decimal == expect, BadDeclaredValue,
-          "%s: decimal %r does not match declared factorization (%s)"
-          % (node_id, decimal, expect))
+    if decimal != expect:
+        raise BadDeclaredValue(
+            "%s: decimal %r does not match declared factorization (%s)"
+            % (node_id, decimal, expect)
+        )
     return value
 
 
@@ -256,41 +259,52 @@ def load_ledger(source) -> Ledger:
     else:
         raise SchemaError("unsupported ledger source %r" % type(source))
 
-    _want(isinstance(doc, dict), SchemaError, "document must be an object")
-    keys = set(doc)
-    _want(keys <= {"schema_version", "root", "whitelist", "nodes"}, SchemaError,
-          "unknown top-level keys %s" % sorted(keys - {"schema_version", "root", "whitelist", "nodes"}))
-    _want(doc.get("schema_version") == SCHEMA_VERSION, SchemaError,
-          "schema_version must be %d" % SCHEMA_VERSION)
+    if not isinstance(doc, dict):
+        raise SchemaError("document must be an object")
+    extra = set(doc) - {"schema_version", "root", "whitelist", "nodes"}
+    if extra:
+        raise SchemaError("unknown top-level keys %s" % sorted(extra))
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise SchemaError("schema_version must be %d" % SCHEMA_VERSION)
     raw_nodes = doc.get("nodes")
-    _want(isinstance(raw_nodes, list), SchemaError, "nodes must be a list")
+    if not isinstance(raw_nodes, list):
+        raise SchemaError("nodes must be a list")
 
     nodes: dict[str, LedgerNode] = {}
     order: list[str] = []
     for raw in raw_nodes:
-        _want(isinstance(raw, dict), SchemaError, "node entries must be objects")
+        if not isinstance(raw, dict):
+            raise SchemaError("node entries must be objects")
         fields = set(raw)
-        _want(_NODE_FIELDS <= fields <= _NODE_FIELDS | _NODE_OPTIONAL, SchemaError,
-              "node fields must be %s (+ optional %s), got %s"
-              % (sorted(_NODE_FIELDS), sorted(_NODE_OPTIONAL), sorted(fields)))
+        if not _NODE_FIELDS <= fields <= _NODE_FIELDS | _NODE_OPTIONAL:
+            raise SchemaError(
+                "node fields must be %s (+ optional %s), got %s"
+                % (sorted(_NODE_FIELDS), sorted(_NODE_OPTIONAL), sorted(fields))
+            )
         nid = raw["id"]
-        _want(isinstance(nid, str) and nid != "", SchemaError, "empty node id")
-        _want(nid not in nodes, SchemaError, "duplicate node id %r" % nid)
+        if not (isinstance(nid, str) and nid != ""):
+            raise SchemaError("empty node id")
+        if nid in nodes:
+            raise SchemaError("duplicate node id %r" % nid)
         kind = raw["kind"]
-        _want(kind in KINDS, SchemaError, "%s: unknown kind %r" % (nid, kind))
+        if kind not in KINDS:
+            raise SchemaError("%s: unknown kind %r" % (nid, kind))
         args = _check_args(nid, kind, raw["args"])
         children = raw["children"]
-        _want(isinstance(children, list) and all(isinstance(c, str) for c in children),
-              SchemaError, "%s: children must be a list of ids" % nid)
+        if not (isinstance(children, list) and all(isinstance(c, str) for c in children)):
+            raise SchemaError("%s: children must be a list of ids" % nid)
         if kind in LEAF_KINDS:
-            _want(children == [], SchemaError, "%s: %s takes no children" % (nid, kind))
-        else:
-            _want(len(children) >= 1, SchemaError, "%s: %s needs children" % (nid, kind))
+            if children != []:
+                raise SchemaError("%s: %s takes no children" % (nid, kind))
+        elif len(children) < 1:
+            raise SchemaError("%s: %s needs children" % (nid, kind))
         declared = _parse_declared(nid, raw["declared"], raw["decimal"])
         citation = raw["citation"]
-        _want(isinstance(citation, str), SchemaError, "%s: citation must be a string" % nid)
+        if not isinstance(citation, str):
+            raise SchemaError("%s: citation must be a string" % nid)
         for opt in _NODE_OPTIONAL & fields:
-            _want(isinstance(raw[opt], str), SchemaError, "%s: %s must be a string" % (nid, opt))
+            if not isinstance(raw[opt], str):
+                raise SchemaError("%s: %s must be a string" % (nid, opt))
         nodes[nid] = LedgerNode(
             id=nid,
             kind=kind,
@@ -310,15 +324,16 @@ def load_ledger(source) -> Ledger:
     _check_acyclic(nodes)
 
     root = doc.get("root")
-    if root is not None:
-        _want(isinstance(root, str) and root in nodes, SchemaError,
-              "root %r is not a node id" % root)
+    if root is not None and not (isinstance(root, str) and root in nodes):
+        raise SchemaError("root %r is not a node id" % root)
     whitelist = doc.get("whitelist", [])
-    _want(isinstance(whitelist, list) and all(isinstance(w, str) for w in whitelist),
-          SchemaError, "whitelist must be a list of ids")
+    if not (isinstance(whitelist, list) and all(isinstance(w, str) for w in whitelist)):
+        raise SchemaError("whitelist must be a list of ids")
     for wid in whitelist:
-        _want(wid in nodes, SchemaError, "whitelisted id %r is not a node" % wid)
-    _want(len(set(whitelist)) == len(whitelist), SchemaError, "duplicate whitelist entry")
+        if wid not in nodes:
+            raise SchemaError("whitelisted id %r is not a node" % wid)
+    if len(set(whitelist)) != len(whitelist):
+        raise SchemaError("duplicate whitelist entry")
 
     return Ledger(
         schema_version=SCHEMA_VERSION,
@@ -365,38 +380,63 @@ def _eval_leaf(node: LedgerNode) -> FactoredInteger:
     return FactoredInteger.from_map({args["p"]: exponent})
 
 
-def _eval(ledger: Ledger, nid: str, memo: dict, overrides: Mapping[str, FactoredInteger]):
-    if nid in overrides:
-        return overrides[nid]
-    if nid in memo:
-        return memo[nid]
-    node = ledger.nodes[nid]
-    if node.kind in LEAF_KINDS:
-        value = _eval_leaf(node)
-    else:
-        kids = [_eval(ledger, kid, memo, overrides) for kid in node.children]
-        if node.kind == "Product":
-            value = ONE
-            for kid in kids:
-                value = fi_mul(value, kid)
-        elif node.kind in ("Max", "AppendixProp"):
-            value = kids[0]
-            for kid in kids[1:]:
-                if fi_cmp(kid, value) > 0:
-                    value = kid
-        else:  # ScaledProduct
-            value = FactoredInteger.from_int(node.args["num"])
-            for kid in kids:
-                value = fi_mul(value, kid)
-            try:
-                value = fi_div_exact(value, FactoredInteger.from_int(node.args["den"]))
-            except NonDivisible:
-                raise ScaleNotExact(
-                    "%s: %d/%d of the child product is not an integer"
-                    % (nid, node.args["num"], node.args["den"])
-                ) from None
-    memo[nid] = value
-    return value
+def _combine(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
+    """Value of an inner node from its children's values, in child order."""
+    if node.kind == "Product":
+        value = ONE
+        for kid in kids:
+            value = fi_mul(value, kid)
+        return value
+    if node.kind in ("Max", "AppendixProp"):
+        value = kids[0]
+        for kid in kids[1:]:
+            if fi_cmp(kid, value) > 0:
+                value = kid
+        return value
+    # ScaledProduct
+    value = FactoredInteger.from_int(node.args["num"])
+    for kid in kids:
+        value = fi_mul(value, kid)
+    try:
+        return fi_div_exact(value, FactoredInteger.from_int(node.args["den"]))
+    except NonDivisible:
+        raise ScaleNotExact(
+            "%s: %d/%d of the child product is not an integer"
+            % (node.id, node.args["num"], node.args["den"])
+        ) from None
+
+
+def _eval(ledger: Ledger, nid: str, memo: dict[str, FactoredInteger]) -> FactoredInteger:
+    """Value of node nid, evaluating only the nodes it reaches.
+
+    memo holds the values already known to this evaluation; eval_node seeds
+    it with the overrides, so an override wins over everything below it,
+    the ledger's leaf memo included.  An explicit stack visits children left
+    to right before their parent, so depth is bounded by memory, not by the
+    interpreter's recursion limit.
+    """
+    nodes, leaves = ledger.nodes, ledger.leaf_values
+    stack = [nid]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        node = nodes[top]
+        if node.kind in LEAF_KINDS:
+            value = leaves.get(top)
+            if value is None:
+                value = leaves[top] = _eval_leaf(node)
+            memo[top] = value
+            stack.pop()
+            continue
+        pending = [kid for kid in node.children if kid not in memo]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        memo[top] = _combine(node, [memo[kid] for kid in node.children])
+        stack.pop()
+    return memo[nid]
 
 
 def _normalize_overrides(
@@ -428,7 +468,7 @@ def eval_node(
 ) -> FactoredInteger:
     if nid not in ledger.nodes:
         raise LedgerError("no node %r" % nid)
-    return _eval(ledger, nid, {}, _normalize_overrides(ledger, overrides))
+    return _eval(ledger, nid, _normalize_overrides(ledger, overrides))
 
 
 def verify_ledger(ledger: Ledger) -> VerificationReport:
@@ -442,10 +482,10 @@ def verify_ledger(ledger: Ledger) -> VerificationReport:
     rows = []
     for nid in ledger.order:
         node = ledger.nodes[nid]
-        computed = _eval(ledger, nid, memo, {})
+        computed = _eval(ledger, nid, memo)
         if node.kind == "Constant":
             status = "Unchecked"
-        elif fi_cmp(computed, node.declared) == 0:
+        elif computed == node.declared:  # factors tuples are canonical
             status = "Match"
         else:
             status = "Mismatch"
@@ -473,10 +513,11 @@ def explain(ledger: Ledger, nid: str) -> str:
         raise LedgerError("no node %r" % nid)
     memo: dict[str, FactoredInteger] = {}
     lines: list[str] = []
-
-    def render(node_id: str, depth: int):
+    stack = [(nid, 0)]
+    while stack:
+        node_id, depth = stack.pop()
         node = ledger.nodes[node_id]
-        value = _eval(ledger, node_id, memo, {})
+        value = _eval(ledger, node_id, memo)
         lines.append(
             "%s%s [%s] = %s = %s  (%s)"
             % (
@@ -488,10 +529,7 @@ def explain(ledger: Ledger, nid: str) -> str:
                 node.citation,
             )
         )
-        for kid in node.children:
-            render(kid, depth + 1)
-
-    render(nid, 0)
+        stack.extend((kid, depth + 1) for kid in reversed(node.children))
     return "\n".join(lines)
 
 

@@ -15,9 +15,7 @@ only justifies the exhaustive scan the tests keep as the reference.
 
 from __future__ import annotations
 
-import math
-
-from .exactnum import DomainError, factorize
+from .exactnum import DomainError, factorize, primes_upto
 
 
 def euler_phi(n: int) -> int:
@@ -29,22 +27,12 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _primes_upto(limit: int) -> list[int]:
-    """Primes <= limit (>= 1) by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return [p for p in range(2, limit + 1) if sieve[p]]
-
-
 def _invphi(bound: int) -> list[int]:
     if bound < 1:
         raise DomainError("bound must be >= 1, got %r" % bound)
     # (p, phi(p)) for every prime that can divide an n with phi(n) <= bound;
     # phi(p) grows with p, so a search may stop at the first that overshoots.
-    primes = [(p, euler_phi(p)) for p in _primes_upto(bound + 1)]
+    primes = [(p, euler_phi(p)) for p in primes_upto(bound + 1)]
     out = [1]
 
     def extend(n: int, phi_n: int, start: int) -> None:

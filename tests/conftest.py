@@ -43,3 +43,16 @@ def brute_solutions(p: int, d: int, m_max: int, e_max: int, t_max: int) -> list[
                 if p ** (m - 1) * (p - 1) * e == d * t:
                     out.append(EquationSolution(m=m, e=e, t=t))
     return out
+
+
+def decimal_value(text: str) -> int:
+    """int(text) for a decimal string of any length.
+
+    int() refuses strings past the interpreter's digit limit (4300 by
+    default), so the digits are read 1000 at a time.
+    """
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value

@@ -6,8 +6,11 @@ import pathlib
 
 import pytest
 
+from glbounds.bounds import minkowski_bound
 from glbounds.cli import _use_color, build_parser, main
 from glbounds.ledger import dumps_ledger, paper_ledger
+
+from conftest import decimal_value
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -152,6 +155,19 @@ def test_override_one_is_the_empty_product(capsys):
     one = capsys.readouterr().out
     assert main(["ledger", "final", "--override", "g10=0"]) == 0
     assert one == capsys.readouterr().out
+
+
+def test_minkowski_past_the_str_digit_limit(capsys):
+    # 10 746 digits: str(int) alone refuses anything past 4 300
+    want = minkowski_bound(3000).to_int()
+    assert main(["minkowski", "-n", "3000"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    digits = out.strip()
+    assert len(digits) == 10746 and digits.isdigit()
+    assert decimal_value(digits) == want
+    assert main(["minkowski", "-n", "3000", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["decimal"] == digits
 
 
 def test_color_gating(monkeypatch):

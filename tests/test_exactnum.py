@@ -17,9 +17,12 @@ from glbounds.exactnum import (
     fi_to_decimal,
     fi_to_factored_str,
     is_prime,
+    primes_upto,
     valuation,
     valuation_int,
 )
+
+from conftest import decimal_value
 
 positive = st.integers(min_value=1, max_value=10**9)
 
@@ -89,6 +92,31 @@ def test_cmp_beyond_machine_words():
     assert fi_cmp(a, a) == 0
 
 
+# Prime -> exponent maps with exponents up to 200, so values run far past
+# 2**63 and most pairs share some primes but not all.
+big_maps = st.dictionaries(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 43, 97, 101]),
+    st.integers(min_value=0, max_value=200),
+    max_size=6,
+)
+
+
+def _expand(factors: dict[int, int]) -> int:
+    n = 1
+    for p, e in factors.items():
+        n *= p**e
+    return n
+
+
+@given(big_maps, big_maps)
+def test_cmp_matches_integers_on_large_exponents(a, b):
+    x, y = _expand(a), _expand(b)
+    fa, fb = FactoredInteger.from_map(a), FactoredInteger.from_map(b)
+    assert fi_cmp(fa, fb) == (x > y) - (x < y)
+    assert fi_cmp(fb, fa) == (y > x) - (y < x)
+    assert fi_cmp(fa, fa) == 0
+
+
 @given(positive, positive)
 def test_div_exact_inverts_mul(a, b):
     assert fi_div_exact(fi_mul(fi(a), fi(b)), fi(b)) == fi(a)
@@ -120,6 +148,23 @@ def test_grouping_only_inserts_spaces(n):
     assert grouped.replace(" ", "") == str(n)
     for chunk in grouped.split(" ")[1:]:
         assert len(chunk) == 3
+
+
+def test_decimal_past_the_str_digit_limit():
+    # 10^14999 * 7 has 15 000 digits, past the 4 300 that str(int) accepts
+    value = FactoredInteger.from_map({2: 14999, 5: 14999, 7: 1})
+    text = fi_to_decimal(value)
+    assert text == "7" + "0" * 14999
+    grouped = fi_to_decimal(value, group=True)
+    assert grouped == "700" + " 000" * 4999
+    big = FactoredInteger.from_map({3: 20000, 11: 77})
+    assert decimal_value(fi_to_decimal(big)) == 3**20000 * 11**77
+    assert fi_to_decimal(big, group=True).replace(" ", "") == fi_to_decimal(big)
+
+
+def test_primes_upto_matches_is_prime():
+    for limit in (-1, 0, 1, 2, 3, 4, 97, 100, 1000):
+        assert primes_upto(limit) == [p for p in range(2, limit + 1) if is_prime(p)]
 
 
 def test_factored_str():

@@ -284,6 +284,94 @@ def test_round_trip_document():
     assert dumps_ledger(ledger) == dumps_ledger(load_ledger(again))
 
 
+def test_overriding_a_cached_leaf_still_wins():
+    ledger = load_ledger(doc(
+        node("m3", "Minkowski", {"2": 4, "3": 1}, args={"n": 3}),
+        node("two", "Constant", {"2": 1}),
+        node("best", "Max", {"2": 4, "3": 1}, children=["m3", "two"]),
+        root="best",
+    ))
+    assert final_bound(ledger) == fi(48)
+    assert "m3" in ledger.leaf_values
+    assert final_bound(ledger, {"m3": 5}) == fi(5)
+    assert final_bound(ledger, {"m3": 0}) == fi(2)
+    assert eval_node(ledger, "m3", {"m3": 7}) == fi(7)
+    assert ledger.leaf_values["m3"] == fi(48)
+    assert final_bound(ledger) == fi(48)
+
+
+def test_a_failing_leaf_is_not_memoized(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    ledger = load_ledger(doc(node("m", "Minkowski", {"2": 1}, args={"n": 1}), root="m"))
+
+    def broken(n):
+        raise ArithmeticError("transient")
+
+    monkeypatch.setattr(ledger_mod, "minkowski_bound", broken)
+    with pytest.raises(ArithmeticError):
+        final_bound(ledger)
+    assert ledger.leaf_values == {}
+    monkeypatch.undo()
+    assert final_bound(ledger) == fi(2)
+
+
+def test_leaf_memo_is_not_part_of_equality():
+    d = doc(node("m", "Minkowski", {"2": 1}, args={"n": 1}), root="m")
+    warm, cold = load_ledger(d), load_ledger(d)
+    final_bound(warm)
+    assert warm == cold
+    assert "leaf_values" not in repr(warm)
+
+
+def test_deep_chain_evaluates_without_recursion():
+    depth = 3000
+    # Root first, so no evaluation order finds the children already known.
+    chain = [node("p%d" % i, "Product", {"2": 1}, children=["p%d" % (i - 1)])
+             for i in range(depth, 0, -1)]
+    ledger = load_ledger(doc(*chain, node("p0", "Constant", {"2": 1}),
+                             root="p%d" % depth))
+    assert final_bound(ledger) == fi(2)
+    assert eval_node(ledger, "p1500") == fi(2)
+    lines = explain(ledger, "p%d" % depth).splitlines()
+    assert len(lines) == depth + 1
+    assert lines[-1] == "  " * depth + "p0 [Constant] = 2 = 2  (crafted for tests)"
+    rows = verify_ledger(ledger).rows
+    assert [r.status for r in rows] == ["Match"] * depth + ["Unchecked"]
+
+
+def test_evaluation_reaches_only_what_it_needs_left_to_right():
+    ledger = load_ledger(doc(
+        node("ten", "Constant", {"2": 1, "5": 1}),
+        node("bad", "ScaledProduct", {"2": 1}, args={"num": 1, "den": 3}, children=["ten"]),
+        node("worse", "ScaledProduct", {"2": 1}, args={"num": 1, "den": 7}, children=["ten"]),
+        node("good", "Product", {"2": 1, "5": 1}, children=["ten"]),
+        node("both", "Product", {"2": 1}, children=["bad", "worse"]),
+        root="good",
+    ))
+    assert final_bound(ledger) == fi(10)
+    with pytest.raises(ScaleNotExact, match="^bad: "):
+        eval_node(ledger, "both")
+    with pytest.raises(ScaleNotExact, match="^worse: "):
+        eval_node(ledger, "both", {"bad": 1})
+
+
+def test_values_of_fifteen_thousand_digits_load_verify_and_round_trip():
+    huge = {"2": 14999, "5": 14999, "3": 1}  # 3 * 10^14999
+    d = doc(
+        node("big", "Constant", huge),
+        node("same", "Product", huge, children=["big"]),
+        root="same",
+    )
+    assert len(d["nodes"][0]["decimal"].replace(" ", "")) == 15000
+    ledger = load_ledger(d)
+    assert [r.status for r in verify_ledger(ledger).rows] == ["Unchecked", "Match"]
+    assert final_bound(ledger) == ledger.nodes["big"].declared
+    assert to_document(ledger) == d
+    text = dumps_ledger(ledger)
+    assert dumps_ledger(load_ledger(text)) == text
+
+
 # ------------------------------------------------------------ shipped data
 
 def test_paper_ledger_shape(ledger):
@@ -322,6 +410,28 @@ def test_paper_ledger_serialization_is_stable(ledger):
         .read_text("utf-8")
     )
     assert text == packaged
+
+
+def test_each_leaf_bound_is_computed_once_per_ledger(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    calls = []
+    real = ledger_mod.max_schur_exponent
+
+    def counting(p, n, d, *rest, **kw):
+        calls.append((p, n, d))
+        return real(p, n, d, *rest, **kw)
+
+    monkeypatch.setattr(ledger_mod, "max_schur_exponent", counting)
+    fresh = paper_ledger()
+    cases = [nid for nid in fresh.order if fresh.nodes[nid].kind == "EquationCase"]
+    assert cases
+    verify_ledger(fresh)
+    assert final_bound(fresh) == fi(24103053950976000)
+    assert final_bound(fresh, {"g10": 0}) == fi(735746457600)
+    final_bound(fresh, {cases[0]: 1})
+    final_bound(fresh, {"theorem-cr3": 6})
+    assert len(calls) == len(cases)
 
 
 def test_paper_ledger_eval_is_deterministic(ledger):
