@@ -15,9 +15,8 @@ from .exactnum import (
     fi_mul,
     fi_to_decimal,
     fi_to_factored_str,
-    valuation,
 )
-from .totient import euler_phi, invphi_all, invphi_max, semicyclic_degree
+from .totient import euler_phi, invphi_all, invphi_max
 from .cyclotomic import (
     Conductor,
     CycloInvariants,
@@ -27,13 +26,10 @@ from .cyclotomic import (
     all_invariants,
     canonical_conductor,
     contains_root_of_unity,
-    m2_upper_from_ep,
     real_cyclo_member,
-    tq_lower_from_gcd,
 )
 from .bounds import (
     gl2_max_order,
-    max_basket_points,
     minkowski_bound,
     minkowski_exponent,
     pgl2_admissible,

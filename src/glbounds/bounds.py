@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclotomic import (
     CycloInvariants,
@@ -301,17 +300,3 @@ def gl2_max_order(d: int) -> FactoredInteger:
     """
     return fi_mul(FactoredInteger.from_int(invphi_max(d)), pgl2_max_order(d))
 
-
-# ------------------------------------------------------------ basket points
-
-def max_basket_points(budget: Fraction, per_point: Fraction) -> int:
-    """Largest N with per_point * N strictly below budget, in exact rationals."""
-    budget = Fraction(budget)
-    per_point = Fraction(per_point)
-    if budget <= 0 or per_point <= 0:
-        raise DomainError("budget and per-point cost must be positive")
-    q = budget / per_point
-    n = q.numerator // q.denominator
-    if q.denominator == 1:
-        n -= 1
-    return max(n, 0)

@@ -419,10 +419,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return ns.func(ns)
-    except (DomainError, ledger_mod.LedgerError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
+    except (DomainError, ledger_mod.LedgerError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
 

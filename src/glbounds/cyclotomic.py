@@ -105,14 +105,13 @@ class DegreeOnly:
     """A number field known only by degree plus a few tristate facts."""
 
     degree: int
-    xi4_in_k: str = "unknown"
     minus1_sum_of_two_squares: str = "unknown"
     contains_sqrt5: str = "unknown"
 
     def __post_init__(self):
         if self.degree < 1:
             raise DomainError("degree must be >= 1, got %r" % self.degree)
-        for flag in (self.xi4_in_k, self.minus1_sum_of_two_squares, self.contains_sqrt5):
+        for flag in (self.minus1_sum_of_two_squares, self.contains_sqrt5):
             if flag not in TRISTATE:
                 raise DomainError("flag must be yes/no/unknown, got %r" % flag)
 
@@ -203,25 +202,3 @@ def all_invariants(k: ExactCyclotomic, p: int) -> CycloInvariants:
             raise InternalInconsistency("t_2 must be 1 exactly when z_4 in K")
     return CycloInvariants(p=p, t_p=t, m_p=m, e_p=e, xi4_in_k=xi4)
 
-
-def m2_upper_from_ep(e_p: int, xi4_in_k: bool) -> int:
-    """Upper bound for m_2 given e_p of some odd prime.
-
-    2^(m_2 - 1) divides e_p when z_4 in K and 2^(m_2 - 2) divides it
-    otherwise, so m_2 <= v_2(e_p) + 1 resp. + 2.
-    """
-    if e_p < 1:
-        raise DomainError("e_p must be positive, got %r" % e_p)
-    return valuation_int(2, e_p) + (1 if xi4_in_k else 2)
-
-
-def tq_lower_from_gcd(q: int, d: int, e_p: int) -> int:
-    """Lower bound for t_q from (q-1) | d * t_q * gcd-cancellation.
-
-    t_q is divisible by (q-1)/gcd(q-1, d, e_p); only stated for odd q.
-    """
-    if not is_prime(q) or q == 2:
-        raise DomainError("q must be an odd prime, got %r" % q)
-    if d < 1 or e_p < 1:
-        raise DomainError("d and e_p must be positive")
-    return (q - 1) // math.gcd(q - 1, math.gcd(d, e_p))

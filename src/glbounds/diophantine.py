@@ -101,14 +101,11 @@ def max_schur_exponent(
     n: int,
     d: int,
     c: SolutionConstraints | None = None,
-    xi4: str = "unknown",
 ) -> int:
     """Largest schur_exponent(n, p, .) over all admissible (m, e, t).
 
     Odd p only; the p = 2 analysis never goes through this equation.  A
     missing t_max defaults to n since t > n forces exponent 0 anyway.
-    The xi4 flag is accepted for symmetry with the field API but does not
-    influence odd-p exponents.
     """
     if not is_prime(p) or p == 2:
         raise DomainError("p must be an odd prime, got %r" % p)
@@ -118,7 +115,7 @@ def max_schur_exponent(
         c = SolutionConstraints(e_min=c.e_min, t_max=n, extra=c.extra)
     best = 0
     for sol in solve_standard_equation(p, d, c):
-        inv = CycloInvariants(p=p, t_p=sol.t, m_p=sol.m, e_p=sol.e, xi4_in_k=(xi4 == "yes"))
+        inv = CycloInvariants(p=p, t_p=sol.t, m_p=sol.m, e_p=sol.e, xi4_in_k=False)
         best = max(best, schur_exponent(n, p, inv))
     return best
 

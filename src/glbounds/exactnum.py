@@ -219,13 +219,6 @@ def fi_to_factored_str(a: FactoredInteger) -> str:
     return " * ".join(parts)
 
 
-def valuation(p: int, a: FactoredInteger) -> int:
-    """Exponent of the prime p in a."""
-    if not is_prime(p):
-        raise DomainError("%r is not prime" % p)
-    return a.as_map().get(p, 0)
-
-
 def valuation_int(p: int, n: int) -> int:
     """Exponent of p in a plain positive integer."""
     if not is_prime(p):

@@ -88,7 +88,7 @@ _REQUIRED_ARGS = {
 }
 _OPTIONAL_ARGS = {
     "Pgl2": frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"}),
-    "EquationCase": frozenset({"e_min", "t_max", "constraints", "xi4"}),
+    "EquationCase": frozenset({"e_min", "t_max", "constraints"}),
 }
 
 _NODE_FIELDS = frozenset(
@@ -172,10 +172,10 @@ def _check_args(node_id: str, kind: str, args) -> dict:
             "%s: %s args must have %s, got %s"
             % (node_id, kind, sorted(required), sorted(keys))
         )
-    for key in keys - {"constraints", "xi4", "minus1_sum_of_two_squares", "contains_sqrt5"}:
+    for key in keys - {"constraints", "minus1_sum_of_two_squares", "contains_sqrt5"}:
         if not (_is_int(args[key]) and args[key] >= 1):
             raise SchemaError("%s: arg %r must be a positive integer" % (node_id, key))
-    for key in keys & {"xi4", "minus1_sum_of_two_squares", "contains_sqrt5"}:
+    for key in keys & {"minus1_sum_of_two_squares", "contains_sqrt5"}:
         if args[key] not in TRISTATE:
             raise SchemaError("%s: arg %r must be yes/no/unknown" % (node_id, key))
     if "constraints" in keys:
@@ -194,7 +194,13 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
     for key, exp in raw.items():
         if not (isinstance(key, str) and key.isdigit()):
             raise BadDeclaredValue("%s: declared key %r is not a prime string" % (node_id, key))
-        p = int(key)
+        # is_prime's domain ends below 10**8; longer keys are refused unparsed.
+        digits = key.lstrip("0")
+        if len(digits) > 8:
+            raise BadDeclaredValue(
+                "%s: declared key of %d digits is not a prime below 10^8" % (node_id, len(digits))
+            )
+        p = int(digits or "0")
         if not is_prime(p):
             raise BadDeclaredValue("%s: declared key %s is not prime" % (node_id, key))
         if not (_is_int(exp) and exp >= 1):
@@ -287,7 +293,7 @@ def load_ledger(source) -> Ledger:
         if nid in nodes:
             raise SchemaError("duplicate node id %r" % nid)
         kind = raw["kind"]
-        if kind not in KINDS:
+        if not (isinstance(kind, str) and kind in KINDS):
             raise SchemaError("%s: unknown kind %r" % (nid, kind))
         args = _check_args(nid, kind, raw["args"])
         children = raw["children"]
@@ -372,9 +378,7 @@ def _eval_leaf(node: LedgerNode) -> FactoredInteger:
         t_max=args.get("t_max"),
         extra=tuple(args.get("constraints", ())),
     )
-    exponent = max_schur_exponent(
-        args["p"], args["n"], args["d"], c, xi4=args.get("xi4", "unknown")
-    )
+    exponent = max_schur_exponent(args["p"], args["n"], args["d"], c)
     if exponent == 0:
         return ONE
     return FactoredInteger.from_map({args["p"]: exponent})

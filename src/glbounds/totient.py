@@ -62,15 +62,3 @@ def invphi_max(bound: int) -> int:
     """The largest n with phi(n) <= bound."""
     return _invphi(bound)[-1]
 
-
-def semicyclic_degree(n: int) -> int:
-    """Degree of the real subfield Q(z_n + 1/z_n) over Q, i.e. phi(n)/2.
-
-    Only defined for n > 2; below that the subfield is Q itself and the
-    half does not make sense.
-    """
-    if n <= 2:
-        raise DomainError("semicyclic degree needs n > 2, got %r" % n)
-    phi = euler_phi(n)
-    assert phi % 2 == 0
-    return phi // 2

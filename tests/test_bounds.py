@@ -1,14 +1,11 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from glbounds.bounds import (
     gl2_max_order,
-    max_basket_points,
     minkowski_bound,
     minkowski_exponent,
     pgl2_admissible,
@@ -173,12 +170,3 @@ def test_gl2_factorization(d):
     from glbounds.totient import invphi_max
 
     assert gl2_max_order(d) == fi(invphi_max(d)) * pgl2_max_order(d)
-
-
-def test_max_basket_points():
-    assert max_basket_points(Fraction(24), Fraction(3, 2)) == 15
-    assert max_basket_points(Fraction(24), Fraction(3)) == 7
-    assert max_basket_points(Fraction(3), Fraction(1)) == 2
-    assert max_basket_points(Fraction(5, 2), Fraction(1)) == 2
-    with pytest.raises(DomainError):
-        max_basket_points(Fraction(0), Fraction(1))

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import io
 import json
-import pathlib
 
 import pytest
 
@@ -11,58 +10,28 @@ from glbounds.cli import _use_color, build_parser, main
 from glbounds.ledger import dumps_ledger, paper_ledger
 
 from conftest import decimal_value
-
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-
-# argv behind every golden transcript; regen_golden.py rewrites the files
-GOLDEN_CASES = {
-    "minkowski_n12.txt": ["minkowski", "-n", "12"],
-    "minkowski_n12.json": ["minkowski", "-n", "12", "--format", "json"],
-    "schur_n3_c1.txt": ["schur", "-n", "3", "--conductor", "1"],
-    "schur_n3_c12.json": ["schur", "-n", "3", "--conductor", "12", "--format", "json"],
-    "serre_n5_c1.txt": ["serre", "-n", "5", "--conductor", "1"],
-    "rough_n3_d9.txt": ["rough", "-n", "3", "-d", "9"],
-    "table_n3_dmax15.txt": ["table", "-n", "3", "--dmax", "15"],
-    "table_n4_dmax7.txt": ["table", "-n", "4", "--dmax", "7"],
-    "table_n4_dmax7.json": ["table", "-n", "4", "--dmax", "7", "--format", "json"],
-    "invariants_c7_p7.txt": ["invariants", "--conductor", "7", "--prime", "7"],
-    "invariants_c12_p2.txt": ["invariants", "--conductor", "12", "--prime", "2"],
-    "invphi_b12.txt": ["invphi", "-b", "12"],
-    "invphi_b4_all.txt": ["invphi", "-b", "4", "--all"],
-    "invphi_b12.json": ["invphi", "-b", "12", "--format", "json"],
-    "solve_eq_p7_d12_emin3.txt": ["solve-eq", "-p", "7", "-d", "12",
-                                  "--emin", "3", "--tmax", "3"],
-    "solve_eq_p13_d12_emin3.txt": ["solve-eq", "-p", "13", "-d", "12", "--emin", "3"],
-    "pgl2_d1_minus1_no.txt": ["pgl2", "-d", "1", "--minus1-sum-of-two-squares", "no"],
-    "pgl2_d24.txt": ["pgl2", "-d", "24"],
-    "pgl2_d4.json": ["pgl2", "-d", "4", "--format", "json"],
-    "ledger_verify.txt": ["ledger", "verify"],
-    "ledger_eval_sch3_d12_final.txt": ["ledger", "eval", "sch3-d12-final"],
-    "ledger_explain_lemma_del_pezzo.txt": ["ledger", "explain", "lemma-del-pezzo"],
-    "ledger_final.txt": ["ledger", "final"],
-    "ledger_final_g10_zero.txt": ["ledger", "final", "--override", "g10=0"],
-}
+from regen_golden import CASES, GOLDEN
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_transcripts(name, capsys, monkeypatch):
     monkeypatch.setenv("NO_COLOR", "1")
-    assert main(GOLDEN_CASES[name]) == 0
+    assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_every_subcommand_has_a_golden():
-    covered = {argv[0] for argv in GOLDEN_CASES.values()}
-    ledger_sub = {argv[1] for argv in GOLDEN_CASES.values() if argv[0] == "ledger"}
+    covered = {argv[0] for argv in CASES.values()}
+    ledger_sub = {argv[1] for argv in CASES.values() if argv[0] == "ledger"}
     assert covered == {"minkowski", "schur", "serre", "rough", "table",
                        "invariants", "invphi", "solve-eq", "pgl2", "ledger"}
     assert {"verify", "eval", "explain", "final"} <= ledger_sub
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(GOLDEN_CASES) if n.endswith("json")])
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.endswith("json")])
 def test_json_round_trips(name, capsys):
-    assert main(GOLDEN_CASES[name]) == 0
+    assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out.endswith("\n")
     parsed = json.loads(out)
@@ -70,7 +39,7 @@ def test_json_round_trips(name, capsys):
 
 
 def test_no_scientific_notation_anywhere(capsys):
-    for argv in GOLDEN_CASES.values():
+    for argv in CASES.values():
         assert main(argv) == 0
     blob = capsys.readouterr().out
     assert "e+" not in blob and "E+" not in blob
@@ -93,6 +62,17 @@ def test_error_goes_to_stderr(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_unhashable_kind_is_a_clean_error(capsys, tmp_path):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"schema_version": 1, "nodes": [{
+        "id": "x", "kind": [], "args": {}, "children": [], "declared": {},
+        "decimal": "1", "citation": "crafted"}]}), encoding="utf-8")
+    assert main(["ledger", "verify", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: x: unknown kind []\n"
 
 
 def test_verify_exit_three_on_new_mismatch(capsys, tmp_path):

@@ -13,9 +13,7 @@ from glbounds.cyclotomic import (
     canonical_conductor,
     contains_root_of_unity,
     lcm_conductor,
-    m2_upper_from_ep,
     real_cyclo_member,
-    tq_lower_from_gcd,
 )
 from glbounds.exactnum import DomainError
 from glbounds.totient import euler_phi
@@ -85,8 +83,7 @@ def test_degree_only_validation():
         DegreeOnly(degree=0)
     with pytest.raises(DomainError):
         DegreeOnly(degree=2, contains_sqrt5="maybe")
-    d = DegreeOnly(degree=2)
-    assert d.xi4_in_k == "unknown"
+    DegreeOnly(degree=2)
 
 
 def test_invariants_over_q():
@@ -127,28 +124,6 @@ def test_t_p_divides_p_minus_1_times_power(n, p):
     # t_p is the degree of K(z_p)/K, a divisor of phi(p^m_p) at full depth
     assert euler_phi(p ** inv.m_p) % inv.t_p == 0
     assert inv.t_p >= 1 and inv.m_p >= 1 and inv.e_p >= 1
-
-
-def test_m2_upper_from_ep():
-    assert m2_upper_from_ep(2, True) == 2
-    assert m2_upper_from_ep(4, True) == 3
-    assert m2_upper_from_ep(1, False) == 2
-    assert m2_upper_from_ep(2, False) == 3
-    assert m2_upper_from_ep(12, False) == 4
-    with pytest.raises(DomainError):
-        m2_upper_from_ep(0, False)
-
-
-def test_tq_lower_from_gcd():
-    # the two workhorse steps of the degree-12 analysis
-    assert tq_lower_from_gcd(5, 12, 2) == 2
-    assert tq_lower_from_gcd(7, 12, 2) == 3
-    assert tq_lower_from_gcd(3, 12, 2) == 1
-    assert tq_lower_from_gcd(13, 12, 1) == 12
-    with pytest.raises(DomainError):
-        tq_lower_from_gcd(2, 12, 2)
-    with pytest.raises(DomainError):
-        tq_lower_from_gcd(9, 12, 2)
 
 
 def test_real_membership_matches_numeric_galois_orbit():

@@ -18,7 +18,6 @@ from glbounds.exactnum import (
     fi_to_factored_str,
     is_prime,
     primes_upto,
-    valuation,
     valuation_int,
 )
 
@@ -174,11 +173,9 @@ def test_factored_str():
 
 
 def test_valuation():
-    assert valuation(2, fi(48)) == 4
-    assert valuation(7, fi(48)) == 0
     assert valuation_int(3, 162) == 4
     with pytest.raises(DomainError):
-        valuation(6, fi(48))
+        valuation_int(6, 48)
     with pytest.raises(DomainError):
         valuation_int(2, 0)
 

@@ -139,6 +139,9 @@ def test_declared_value_validation():
         load_ledger(doc(raw({"2": 2}, "5")))
     with pytest.raises(BadDeclaredValue):
         load_ledger(doc(raw({"2": 20}, "1048576")))  # grouping is part of the format
+    # the digit limit counts only what follows the leading zeros
+    padded = load_ledger(doc(raw({"0" * 20 + "43": 1, "02": 1}, "86")))
+    assert padded.nodes["c"].declared == fi(86)
 
 
 def test_dangling_child_and_cycle():
@@ -490,12 +493,19 @@ _LOADER_ERRORS = {
         SchemaError, "duplicate node id 'c'"),
     "unknown-kind": (
         lambda: doc(node("x", "Banana", {})), SchemaError, "x: unknown kind 'Banana'"),
+    "kind-not-string": (
+        lambda: _edit("x", "Constant", {}, _set("kind", [])),
+        SchemaError, "x: unknown kind []"),
     "args-not-object": (
         lambda: _edit("c", "Constant", {}, _set("args", [1])),
         SchemaError, "c: args must be an object"),
     "args-keys": (
         lambda: doc(node("m", "Minkowski", {}, args={"n": 1, "d": 2})),
         SchemaError, "m: Minkowski args must have ['n'], got ['d', 'n']"),
+    "equation-xi4": (
+        lambda: doc(node("e", "EquationCase", {},
+                         args={"p": 3, "n": 3, "d": 4, "xi4": "yes"})),
+        SchemaError, "e: EquationCase args must have ['d', 'n', 'p'], got ['d', 'n', 'p', 'xi4']"),
     "arg-not-positive": (
         lambda: doc(node("m", "Minkowski", {}, args={"n": 0})),
         SchemaError, "m: arg 'n' must be a positive integer"),
@@ -523,6 +533,12 @@ _LOADER_ERRORS = {
     "declared-key-not-digits": (
         lambda: _edit("c", "Constant", {}, _set("declared", {"two": 1})),
         BadDeclaredValue, "c: declared key 'two' is not a prime string"),
+    "declared-key-too-long": (
+        lambda: _edit("c", "Constant", {}, _set("declared", {"1" + "0" * 4999: 1})),
+        BadDeclaredValue, "c: declared key of 5000 digits is not a prime below 10^8"),
+    "declared-key-13-digit-prime": (
+        lambda: _edit("c", "Constant", {}, _set("declared", {"1000000000039": 1})),
+        BadDeclaredValue, "c: declared key of 13 digits is not a prime below 10^8"),
     "declared-key-not-prime": (
         lambda: _edit("c", "Constant", {}, _set("declared", {"4": 1})),
         BadDeclaredValue, "c: declared key 4 is not prime"),

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glbounds.exactnum import DomainError
-from glbounds.totient import euler_phi, invphi_all, invphi_max, semicyclic_degree
+from glbounds.totient import euler_phi, invphi_all, invphi_max
 
 # phi(n) for n <= 2 * 200**2, the reach of the largest scan below
 _PHI = [0] + [euler_phi(n) for n in range(1, 2 * 200**2 + 1)]
@@ -81,13 +81,3 @@ def test_invphi_domain():
         invphi_all(0)
     with pytest.raises(DomainError):
         invphi_max(-3)
-
-
-def test_semicyclic_degree():
-    assert semicyclic_degree(5) == 2
-    assert semicyclic_degree(7) == 3
-    assert semicyclic_degree(8) == 2
-    assert semicyclic_degree(4) == 1
-    for n in (1, 2):
-        with pytest.raises(DomainError):
-            semicyclic_degree(n)
