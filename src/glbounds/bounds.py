@@ -14,7 +14,6 @@ A4, S4, A5) filtered by what the field can support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cyclotomic import (
     CycloInvariants,
@@ -27,6 +26,7 @@ from .exactnum import (
     ONE,
     DomainError,
     FactoredInteger,
+    Value,
     factorial_valuation,
     fi_mul,
     is_prime,
@@ -216,12 +216,18 @@ def table(n: int, d_max: int) -> list[tuple[int, FactoredInteger]]:
 
 # ----------------------------------------------------- PGL_2 classification
 
-@dataclass(frozen=True)
-class GroupFamily:
-    """One admissible finite subgroup type of PGL_2 over the field."""
+class GroupFamily(Value):
+    """One admissible finite subgroup type of PGL_2 over the field.
 
-    kind: str  # "cyclic" | "dihedral" | "A4" | "S4" | "A5"
-    m: int = 0  # the m of mu_m / D_2m, 0 for the exceptional types
+    kind is "cyclic", "dihedral", "A4", "S4" or "A5"; m is the m of mu_m or
+    D_2m, and 0 for the exceptional types.
+    """
+
+    __slots__ = _fields = ("kind", "m")
+
+    def __init__(self, kind: str, m: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
 
     @property
     def order(self) -> int:

@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rough)
 
     p = sub.add_parser("table", help="rough-bound table rows d = 1 .. dmax")
-    p.add_argument("-n", type=int, choices=(3, 4), required=True, help="matrix size")
+    p.add_argument("-n", type=_positive_int, required=True, help="matrix size")
     p.add_argument("--dmax", type=_positive_int, required=True, help="largest degree")
     _add_format(p)
     p.set_defaults(func=_cmd_table)

@@ -20,9 +20,8 @@ d = [K : Q].  That identity is re-checked on every construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .exactnum import DomainError, is_prime, valuation_int
+from .exactnum import DomainError, Value, is_prime, valuation_int
 from .totient import euler_phi
 
 TRISTATE = ("yes", "no", "unknown")
@@ -36,16 +35,15 @@ class InternalInconsistency(RuntimeError):
     """An invariant identity failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class Conductor:
+class Conductor(Value):
     """Canonical conductor: 1, or N >= 3 with N not 2 mod 4."""
 
-    value: int
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        n = self.value
-        if n < 1 or (n != 1 and (n < 3 or n % 4 == 2)):
-            raise DomainError("%r is not a canonical conductor" % n)
+    def __init__(self, value: int):
+        if value < 1 or (value != 1 and (value < 3 or value % 4 == 2)):
+            raise DomainError("%r is not a canonical conductor" % value)
+        object.__setattr__(self, "value", value)
 
 
 def canonical_conductor(n: int) -> Conductor:
@@ -89,43 +87,52 @@ def real_cyclo_member(m: int, n: Conductor) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ExactCyclotomic:
+class ExactCyclotomic(Value):
     """K = Q(z_N) for a canonical conductor N."""
 
-    conductor: Conductor
+    __slots__ = _fields = ("conductor",)
+
+    def __init__(self, conductor: Conductor):
+        object.__setattr__(self, "conductor", conductor)
 
     @property
     def degree(self) -> int:
         return euler_phi(self.conductor.value)
 
 
-@dataclass(frozen=True)
-class DegreeOnly:
+class DegreeOnly(Value):
     """A number field known only by degree plus a few tristate facts."""
 
-    degree: int
-    minus1_sum_of_two_squares: str = "unknown"
-    contains_sqrt5: str = "unknown"
+    __slots__ = _fields = ("degree", "minus1_sum_of_two_squares", "contains_sqrt5")
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise DomainError("degree must be >= 1, got %r" % self.degree)
-        for flag in (self.minus1_sum_of_two_squares, self.contains_sqrt5):
+    def __init__(
+        self,
+        degree: int,
+        minus1_sum_of_two_squares: str = "unknown",
+        contains_sqrt5: str = "unknown",
+    ):
+        if degree < 1:
+            raise DomainError("degree must be >= 1, got %r" % degree)
+        for flag in (minus1_sum_of_two_squares, contains_sqrt5):
             if flag not in TRISTATE:
                 raise DomainError("flag must be yes/no/unknown, got %r" % flag)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "minus1_sum_of_two_squares", minus1_sum_of_two_squares)
+        object.__setattr__(self, "contains_sqrt5", contains_sqrt5)
 
 
 QQ = ExactCyclotomic(Conductor(1))
 
 
-@dataclass(frozen=True)
-class CycloInvariants:
-    p: int
-    t_p: int
-    m_p: int
-    e_p: int
-    xi4_in_k: bool
+class CycloInvariants(Value):
+    __slots__ = _fields = ("p", "t_p", "m_p", "e_p", "xi4_in_k")
+
+    def __init__(self, p: int, t_p: int, m_p: int, e_p: int, xi4_in_k: bool):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "t_p", t_p)
+        object.__setattr__(self, "m_p", m_p)
+        object.__setattr__(self, "e_p", e_p)
+        object.__setattr__(self, "xi4_in_k", xi4_in_k)
 
 
 def _adjoined_conductor(k: ExactCyclotomic, p: int) -> Conductor:

@@ -9,22 +9,21 @@ exponent 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bounds import schur_exponent
 from .cyclotomic import CycloInvariants
-from .exactnum import DomainError, is_prime
+from .exactnum import DomainError, Value, is_prime
 
 
-@dataclass(frozen=True)
-class EquationSolution:
-    m: int
-    e: int
-    t: int
+class EquationSolution(Value):
+    __slots__ = _fields = ("m", "e", "t")
+
+    def __init__(self, m: int, e: int, t: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
-class SolutionConstraints:
+class SolutionConstraints(Value):
     """Side conditions for the enumeration.
 
     e_min: lower bound for e (default 1, i.e. no constraint).
@@ -37,17 +36,18 @@ class SolutionConstraints:
              "t >= K"  t at least K
     """
 
-    e_min: int = 1
-    t_max: int | None = None
-    extra: tuple[str, ...] = ()
+    __slots__ = _fields = ("e_min", "t_max", "extra")
 
-    def __post_init__(self):
-        if self.e_min < 1:
-            raise DomainError("e_min must be >= 1, got %r" % self.e_min)
-        if self.t_max is not None and self.t_max < 1:
-            raise DomainError("t_max must be >= 1, got %r" % self.t_max)
-        for tag in self.extra:
+    def __init__(self, e_min: int = 1, t_max: int | None = None, extra: tuple[str, ...] = ()):
+        if e_min < 1:
+            raise DomainError("e_min must be >= 1, got %r" % e_min)
+        if t_max is not None and t_max < 1:
+            raise DomainError("t_max must be >= 1, got %r" % t_max)
+        for tag in extra:
             _parse_tag(tag)  # validate eagerly
+        object.__setattr__(self, "e_min", e_min)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "extra", extra)
 
 
 def _parse_tag(tag: str):

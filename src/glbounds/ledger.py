@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping
 
@@ -23,6 +22,7 @@ from .exactnum import (
     ONE,
     FactoredInteger,
     NonDivisible,
+    Value,
     fi_cmp,
     fi_div_exact,
     fi_mul,
@@ -97,20 +97,33 @@ _NODE_FIELDS = frozenset(
 _NODE_OPTIONAL = frozenset({"paper_prints", "note"})
 
 
-@dataclass(frozen=True)
-class LedgerNode:
-    id: str
-    kind: str
-    args: Mapping[str, object]
-    children: tuple[str, ...]
-    declared: FactoredInteger
-    citation: str
-    paper_prints: str | None = None
-    note: str | None = None
+class LedgerNode(Value):
+    __slots__ = _fields = (
+        "id", "kind", "args", "children", "declared", "citation", "paper_prints", "note"
+    )
+
+    def __init__(
+        self,
+        id: str,
+        kind: str,
+        args: Mapping[str, object],
+        children: tuple[str, ...],
+        declared: FactoredInteger,
+        citation: str,
+        paper_prints: str | None = None,
+        note: str | None = None,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "declared", declared)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "paper_prints", paper_prints)
+        object.__setattr__(self, "note", note)
 
 
-@dataclass(frozen=True)
-class Ledger:
+class Ledger(Value):
     """Validated DAG.  `order` preserves document order.
 
     The document is immutable once loaded, but the ledger memoizes its leaf
@@ -118,31 +131,52 @@ class Ledger:
     first use.  A leaf's value depends on nothing but its node, so repeated
     verify / final / what-if calls on one ledger compute each leaf bound
     once; overrides are applied before the memo is consulted and never
-    enter it.
+    enter it.  The memo is no constructor argument and takes no part in
+    ==, hash or repr.
     """
 
-    schema_version: int
-    root: str | None
-    whitelist: tuple[str, ...]
-    nodes: Mapping[str, LedgerNode]
-    order: tuple[str, ...]
-    leaf_values: dict[str, FactoredInteger] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    _fields = ("schema_version", "root", "whitelist", "nodes", "order")
+    __slots__ = _fields + ("leaf_values",)
+
+    def __init__(
+        self,
+        schema_version: int,
+        root: str | None,
+        whitelist: tuple[str, ...],
+        nodes: Mapping[str, LedgerNode],
+        order: tuple[str, ...],
+    ):
+        object.__setattr__(self, "schema_version", schema_version)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "whitelist", whitelist)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "leaf_values", {})
 
 
-@dataclass(frozen=True)
-class VerificationRow:
-    id: str
-    declared: FactoredInteger
-    computed: FactoredInteger
-    status: str  # Match | Mismatch | Unchecked
-    annotation: str | None = None
+class VerificationRow(Value):
+    __slots__ = _fields = ("id", "declared", "computed", "status", "annotation")
+
+    def __init__(
+        self,
+        id: str,
+        declared: FactoredInteger,
+        computed: FactoredInteger,
+        status: str,  # Match | Mismatch | Unchecked
+        annotation: str | None = None,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "declared", declared)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "annotation", annotation)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    rows: tuple[VerificationRow, ...]
+class VerificationReport(Value):
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[VerificationRow, ...]):
+        object.__setattr__(self, "rows", rows)
 
     def mismatches(self) -> list[VerificationRow]:
         return [r for r in self.rows if r.status == "Mismatch"]
@@ -192,7 +226,8 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
         raise BadDeclaredValue("%s: declared must be a map prime -> exponent" % node_id)
     factors: dict[int, int] = {}
     for key, exp in raw.items():
-        if not (isinstance(key, str) and key.isdigit()):
+        # isdigit alone also accepts non-ASCII digits such as "²", which int() refuses.
+        if not (isinstance(key, str) and key.isascii() and key.isdigit()):
             raise BadDeclaredValue("%s: declared key %r is not a prime string" % (node_id, key))
         # is_prime's domain ends below 10**8; longer keys are refused unparsed.
         digits = key.lstrip("0")

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from glbounds.bounds import minkowski_bound
+from glbounds.bounds import minkowski_bound, table
 from glbounds.cli import _use_color, build_parser, main
+from glbounds.exactnum import fi_to_decimal, fi_to_factored_str
 from glbounds.ledger import dumps_ledger, paper_ledger
 
 from conftest import decimal_value
@@ -73,6 +74,31 @@ def test_unhashable_kind_is_a_clean_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: x: unknown kind []\n"
+
+
+def test_table_takes_any_positive_n(capsys):
+    assert main(["table", "-n", "5", "--dmax", "3"]) == 0
+    want = "".join("%d\t%s\t%s\n" % (d, fi_to_factored_str(v), fi_to_decimal(v, group=True))
+                   for d, v in table(5, 3))
+    assert capsys.readouterr().out == want
+    assert main(["table", "-n", "0", "--dmax", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: glbounds table")
+    assert captured.err.endswith(
+        "error: argument -n: expected a positive integer, got 0\n")
+
+
+def test_non_ascii_declared_key_is_a_clean_error(capsys, tmp_path):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"schema_version": 1, "nodes": [{
+        "id": "x", "kind": "Constant", "args": {}, "children": [],
+        "declared": {"\u00b2": 1}, "decimal": "2", "citation": "crafted"}]}),
+        encoding="utf-8")
+    assert main(["ledger", "verify", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: x: declared key '\u00b2' is not a prime string\n"
 
 
 def test_verify_exit_three_on_new_mismatch(capsys, tmp_path):

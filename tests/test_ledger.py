@@ -533,6 +533,9 @@ _LOADER_ERRORS = {
     "declared-key-not-digits": (
         lambda: _edit("c", "Constant", {}, _set("declared", {"two": 1})),
         BadDeclaredValue, "c: declared key 'two' is not a prime string"),
+    "declared-key-superscript-digit": (
+        lambda: _edit("c", "Constant", {}, _set("declared", {"\u00b2": 1})),
+        BadDeclaredValue, "c: declared key '\u00b2' is not a prime string"),
     "declared-key-too-long": (
         lambda: _edit("c", "Constant", {}, _set("declared", {"1" + "0" * 4999: 1})),
         BadDeclaredValue, "c: declared key of 5000 digits is not a prime below 10^8"),

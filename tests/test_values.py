@@ -8,7 +8,13 @@ is the one slot outside that contract.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +164,15 @@ def test_never_equal_across_classes():
     assert EquationSolution(1, 2, 3) != Shadow(1, 2, 3)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pickle_and_copy_rebuild_an_equal_value(name):
+    cls, args, _, _ = CASES[name]
+    value = cls(*args)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is cls
+        assert twin == value
+
+
 @pytest.mark.parametrize("name", sorted(set(CASES) - UNHASHABLE))
 def test_hash_is_by_fields(name):
     cls, args, _, other = CASES[name]
@@ -197,3 +212,13 @@ def test_leaf_memo_is_per_instance_and_outside_the_contract():
         Ledger(1, None, (), {}, (), leaf_values={})
     with pytest.raises(AttributeError):
         a.leaf_values = {}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site-packages' start-up hooks from importing either first.
+    code = "import sys, glbounds.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n"
