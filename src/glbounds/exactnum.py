@@ -131,14 +131,6 @@ class FactoredInteger(Value):
         object.__setattr__(self, "factors", factors)
         self.__post_init__()  # looked up by name: perfbench/tracer.py wraps it to count
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
-
     def __post_init__(self):
         last = 0
         for p, e in self.factors:

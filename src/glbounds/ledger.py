@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 from typing import Iterable, Mapping
 
 from .cyclotomic import DegreeOnly, QQ, TRISTATE
@@ -607,5 +606,7 @@ def dumps_ledger(ledger: Ledger) -> str:
 
 def paper_ledger() -> Ledger:
     """The ledger distributed with the package."""
+    from importlib import resources  # here, not at the top: ~20 ms, and inspect on 3.12+
+
     text = resources.files("glbounds").joinpath("data/paper_ledger.json").read_text("utf-8")
     return load_ledger(json.loads(text))
