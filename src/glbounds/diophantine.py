@@ -58,15 +58,26 @@ def _parse_tag(tag: str):
     if words == ["e", "odd"]:
         return lambda s: s.e % 2 == 1
     if len(words) == 3 and words[0] == "e" and words[1] == "=":
-        k = int(words[2])
+        k = _tag_constant(tag, words[2])
         return lambda s: s.e == k
     if len(words) == 3 and words[0] == "m" and words[1] == "=":
-        k = int(words[2])
+        k = _tag_constant(tag, words[2])
         return lambda s: s.m == k
     if len(words) == 3 and words[0] == "t" and words[1] == ">=":
-        k = int(words[2])
+        k = _tag_constant(tag, words[2])
         return lambda s: s.t >= k
     raise DomainError("unknown constraint tag %r" % tag)
+
+
+def _tag_constant(tag: str, word: str) -> int:
+    # int() alone also takes signs, underscores and non-ASCII digits, and
+    # raises ValueError past the interpreter's digit limit.
+    if word.isascii() and word.isdigit():
+        try:
+            return int(word)
+        except ValueError:
+            pass
+    raise DomainError("constraint tag %r needs a plain decimal constant" % tag)
 
 
 def solve_standard_equation(p: int, d: int, c: SolutionConstraints) -> list[EquationSolution]:
@@ -104,14 +115,15 @@ def max_schur_exponent(
 ) -> int:
     """Largest schur_exponent(n, p, .) over all admissible (m, e, t).
 
-    Odd p only; the p = 2 analysis never goes through this equation.  A
-    missing t_max defaults to n since t > n forces exponent 0 anyway.
+    Odd p only; the p = 2 analysis never goes through this equation.  t
+    never runs past n, whatever t_max says: t > n forces exponent 0, so a
+    missing or larger t_max means n.
     """
     if not is_prime(p) or p == 2:
         raise DomainError("p must be an odd prime, got %r" % p)
     if c is None:
         c = SolutionConstraints(t_max=n)
-    elif c.t_max is None:
+    elif c.t_max is None or c.t_max > n:
         c = SolutionConstraints(e_min=c.e_min, t_max=n, extra=c.extra)
     best = 0
     for sol in solve_standard_equation(p, d, c):

@@ -101,6 +101,24 @@ def test_non_ascii_declared_key_is_a_clean_error(capsys, tmp_path):
     assert captured.err == "error: x: declared key '\u00b2' is not a prime string\n"
 
 
+def test_bad_constraint_constant_is_a_clean_error(capsys, tmp_path):
+    assert main(["solve-eq", "-p", "7", "-d", "12", "--constraint", "e = x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: constraint tag 'e = x' needs a plain decimal constant\n"
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"schema_version": 1, "nodes": [{
+        "id": "e", "kind": "EquationCase", "args": {"p": 7, "n": 3, "d": 12,
+                                                   "constraints": ["e = x"]},
+        "children": [], "declared": {}, "decimal": "1", "citation": "crafted"}]}),
+        encoding="utf-8")
+    assert main(["ledger", "verify", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: e: constraint tag 'e = x' needs a plain decimal constant\n")
+
+
 def test_verify_exit_three_on_new_mismatch(capsys, tmp_path):
     from glbounds.ledger import to_document
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +130,33 @@ def test_max_schur_exponent_defaults_tmax_to_n():
             assert max_schur_exponent(p, 3, d) == max_schur_exponent(
                 p, 3, d, SolutionConstraints(t_max=3)
             )
+
+
+def test_max_schur_exponent_never_runs_t_past_n():
+    # t > n contributes exponent 0, so any t_max beyond n changes nothing;
+    # unclamped, 10^11 values of t would take hours.
+    start = time.perf_counter()
+    assert max_schur_exponent(3, 2, 2, SolutionConstraints(t_max=10**11)) == (
+        max_schur_exponent(3, 2, 2, SolutionConstraints(t_max=2)))
+    assert time.perf_counter() - start < 1.0
+    for p in (3, 5, 7):
+        for d in (4, 6, 12):
+            for t_max in (4, 7, 30):
+                assert max_schur_exponent(p, 3, d, SolutionConstraints(t_max=t_max)) == (
+                    max_schur_exponent(p, 3, d))
+
+
+@pytest.mark.parametrize("tag", [
+    "e = x", "m = -1", "t >= +2", "e = 1_0", "e = \u0661", "t >= " + "9" * 5000,
+])
+def test_tag_constants_must_be_plain_ascii_decimals(tag):
+    with pytest.raises(DomainError) as info:
+        SolutionConstraints(extra=(tag,))
+    assert str(info.value) == "constraint tag %r needs a plain decimal constant" % tag
+
+
+def test_tag_constants_may_have_leading_zeros():
+    assert triples(sols(7, 12, t_max=3, extra=("e = 02",))) == [(1, 2, 1)]
 
 
 def test_equation_solution_is_plain_data():
