@@ -19,6 +19,7 @@ from .cyclotomic import DegreeOnly, QQ, TRISTATE
 from .diophantine import SolutionConstraints, max_schur_exponent
 from .exactnum import (
     ONE,
+    DomainError,
     FactoredInteger,
     NonDivisible,
     Value,
@@ -125,17 +126,19 @@ class LedgerNode(Value):
 class Ledger(Value):
     """Validated DAG.  `order` preserves document order.
 
-    The document is immutable once loaded, but the ledger memoizes its leaf
-    values: `leaf_values` maps a leaf's id to its recomputed bound, filled on
-    first use.  A leaf's value depends on nothing but its node, so repeated
-    verify / final / what-if calls on one ledger compute each leaf bound
-    once; overrides are applied before the memo is consulted and never
-    enter it.  The memo is no constructor argument and takes no part in
-    ==, hash or repr.
+    The document is immutable once loaded, but the ledger memoizes what it
+    computes: `node_values` maps a node's id to its value without overrides,
+    leaf or inner, filled by whichever evaluation reaches the node first.
+    Repeated verify / final / explain calls on one ledger therefore compute
+    each node once.  A what-if recomputes only the overridden nodes and
+    their ancestors, in a memo of its own, and reads every other node from
+    `node_values`; override-derived values never enter it.  The memo and the
+    parent lists a what-if walks are no constructor arguments and take no
+    part in ==, hash or repr.
     """
 
     _fields = ("schema_version", "root", "whitelist", "nodes", "order")
-    __slots__ = _fields + ("leaf_values",)
+    __slots__ = _fields + ("node_values", "_parents")
 
     def __init__(
         self,
@@ -150,7 +153,8 @@ class Ledger(Value):
         object.__setattr__(self, "whitelist", whitelist)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "leaf_values", {})
+        object.__setattr__(self, "node_values", {})
+        object.__setattr__(self, "_parents", None)  # built by the first what-if
 
 
 class VerificationRow(Value):
@@ -215,6 +219,10 @@ def _check_args(node_id: str, kind: str, args) -> dict:
         tags = args["constraints"]
         if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
             raise SchemaError("%s: constraints must be a list of tag strings" % node_id)
+        try:
+            SolutionConstraints(extra=tuple(tags))  # parses every tag
+        except DomainError as exc:
+            raise SchemaError("%s: %s" % (node_id, exc)) from None
     if kind == "EquationCase" and not (args["p"] % 2 == 1 and is_prime(args["p"])):
         raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
     return dict(args)
@@ -444,35 +452,67 @@ def _combine(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
         ) from None
 
 
-def _eval(ledger: Ledger, nid: str, memo: dict[str, FactoredInteger]) -> FactoredInteger:
+def _dirty(ledger: Ledger, overrides: Mapping[str, FactoredInteger]) -> set[str]:
+    """The overridden nodes and all their ancestors: what a what-if changes."""
+    parents = ledger._parents
+    if parents is None:
+        parents = {}
+        for nid in ledger.order:
+            for kid in ledger.nodes[nid].children:
+                parents.setdefault(kid, []).append(nid)
+        object.__setattr__(ledger, "_parents", parents)
+    dirty = set(overrides)
+    stack = list(dirty)
+    while stack:
+        for parent in parents.get(stack.pop(), ()):
+            if parent not in dirty:
+                dirty.add(parent)
+                stack.append(parent)
+    return dirty
+
+
+def _eval(
+    ledger: Ledger,
+    nid: str,
+    overrides: Mapping[str, FactoredInteger] | None = None,
+) -> FactoredInteger:
     """Value of node nid, evaluating only the nodes it reaches.
 
-    memo holds the values already known to this evaluation; eval_node seeds
-    it with the overrides, so an override wins over everything below it,
-    the ledger's leaf memo included.  An explicit stack visits children left
-    to right before their parent, so depth is bounded by memory, not by the
-    interpreter's recursion limit.
+    Without overrides the evaluation memo is the ledger's node_values.  With
+    overrides it is a dict of this call seeded with them: the overridden
+    nodes and their ancestors are combined there, while every other node is
+    unaffected by the overrides and reads, or fills, node_values.  An
+    explicit stack visits children left to right before their parent, so
+    depth is bounded by memory, not by the interpreter's recursion limit,
+    and a node that raises stores nothing.
     """
-    nodes, leaves = ledger.nodes, ledger.leaf_values
+    nodes, values = ledger.nodes, ledger.node_values
+    if overrides:
+        dirty, memo = _dirty(ledger, overrides), dict(overrides)
+    else:
+        dirty, memo = (), values
     stack = [nid]
     while stack:
         top = stack[-1]
         if top in memo:
             stack.pop()
             continue
-        node = nodes[top]
-        if node.kind in LEAF_KINDS:
-            value = leaves.get(top)
-            if value is None:
-                value = leaves[top] = _eval_leaf(node)
-            memo[top] = value
+        if top not in dirty and top in values:
+            memo[top] = values[top]
             stack.pop()
             continue
-        pending = [kid for kid in node.children if kid not in memo]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        memo[top] = _combine(node, [memo[kid] for kid in node.children])
+        node = nodes[top]
+        if node.kind in LEAF_KINDS:
+            value = _eval_leaf(node)
+        else:
+            pending = [kid for kid in node.children if kid not in memo]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            value = _combine(node, [memo[kid] for kid in node.children])
+        memo[top] = value
+        if top not in dirty:
+            values[top] = value
         stack.pop()
     return memo[nid]
 
@@ -516,11 +556,10 @@ def verify_ledger(ledger: Ledger) -> VerificationReport:
     reported as Unchecked.  A paper_prints entry that differs from the
     declared decimal is surfaced as an annotation on the row.
     """
-    memo: dict[str, FactoredInteger] = {}
     rows = []
     for nid in ledger.order:
         node = ledger.nodes[nid]
-        computed = _eval(ledger, nid, memo)
+        computed = _eval(ledger, nid)
         if node.kind == "Constant":
             status = "Unchecked"
         elif computed == node.declared:  # factors tuples are canonical
@@ -549,13 +588,12 @@ def explain(ledger: Ledger, nid: str) -> str:
     """Indented derivation tree for a node, children in document order."""
     if nid not in ledger.nodes:
         raise LedgerError("no node %r" % nid)
-    memo: dict[str, FactoredInteger] = {}
     lines: list[str] = []
     stack = [(nid, 0)]
     while stack:
         node_id, depth = stack.pop()
         node = ledger.nodes[node_id]
-        value = _eval(ledger, node_id, memo)
+        value = _eval(ledger, node_id)
         lines.append(
             "%s%s [%s] = %s = %s  (%s)"
             % (

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glbounds.exactnum import FactoredInteger, ONE, fi_to_decimal
 from glbounds.ledger import (
+    LEAF_KINDS,
     BadDeclaredValue,
     CycleError,
     DanglingChild,
@@ -295,11 +299,11 @@ def test_overriding_a_cached_leaf_still_wins():
         root="best",
     ))
     assert final_bound(ledger) == fi(48)
-    assert "m3" in ledger.leaf_values
+    assert "m3" in ledger.node_values
     assert final_bound(ledger, {"m3": 5}) == fi(5)
     assert final_bound(ledger, {"m3": 0}) == fi(2)
     assert eval_node(ledger, "m3", {"m3": 7}) == fi(7)
-    assert ledger.leaf_values["m3"] == fi(48)
+    assert ledger.node_values["m3"] == fi(48)
     assert final_bound(ledger) == fi(48)
 
 
@@ -314,7 +318,7 @@ def test_a_failing_leaf_is_not_memoized(monkeypatch):
     monkeypatch.setattr(ledger_mod, "minkowski_bound", broken)
     with pytest.raises(ArithmeticError):
         final_bound(ledger)
-    assert ledger.leaf_values == {}
+    assert ledger.node_values == {}
     monkeypatch.undo()
     assert final_bound(ledger) == fi(2)
 
@@ -323,8 +327,10 @@ def test_leaf_memo_is_not_part_of_equality():
     d = doc(node("m", "Minkowski", {"2": 1}, args={"n": 1}), root="m")
     warm, cold = load_ledger(d), load_ledger(d)
     final_bound(warm)
+    final_bound(warm, {"m": 3})  # builds the parent lists
     assert warm == cold
-    assert "leaf_values" not in repr(warm)
+    assert repr(warm) == repr(cold)
+    assert "node_values" not in repr(warm)
 
 
 def test_deep_chain_evaluates_without_recursion():
@@ -443,6 +449,117 @@ def test_paper_ledger_eval_is_deterministic(ledger):
     assert first == second
 
 
+def test_doubling_one_node_moves_the_root_only_through_g10():
+    warm = paper_ledger()
+    verify_ledger(warm)
+    root = final_bound(warm)
+    moved = [nid for nid in warm.order
+             if final_bound(warm, {nid: 2 * as_int(warm.node_values[nid])}) != root]
+    assert moved == ["g10", "prop-gorenstein-rho1", "theorem-cr3"]
+
+
+# ------------------------------------------------- what-ifs against ints
+#
+# An evaluator of its own, on plain ints: Product multiplies, Max and
+# AppendixProp take the largest child, ScaledProduct divides exactly or
+# fails.  Leaf values come from verify_ledger on a fresh ledger, so what is
+# checked is how what-ifs recombine, not the leaf bounds themselves.
+
+def as_int(value: FactoredInteger) -> int:
+    return math.prod(p ** e for p, e in value.factors)
+
+
+class _Inexact(Exception):
+    pass
+
+
+def _oracle(ledger, leaf_ints, overrides, nid):
+    # An override of 0 stands for the empty product, as in final_bound.
+    memo = {k: v or 1 for k, v in overrides.items()}
+
+    def value(node_id):
+        if node_id not in memo:
+            node = ledger.nodes[node_id]
+            # children left to right, so the first inexact node is the one
+            # final_bound names
+            kids = [value(kid) for kid in node.children]
+            if not kids:
+                memo[node_id] = leaf_ints[node_id]
+            elif node.kind == "Product":
+                memo[node_id] = math.prod(kids)
+            elif node.kind in ("Max", "AppendixProp"):
+                memo[node_id] = max(kids)
+            else:
+                scaled = node.args["num"] * math.prod(kids)
+                if scaled % node.args["den"]:
+                    raise _Inexact(node_id)
+                memo[node_id] = scaled // node.args["den"]
+        return memo[node_id]
+
+    return value(nid)
+
+
+_WARM = paper_ledger()
+_LEAVES = {row.id: as_int(row.computed) for row in verify_ledger(paper_ledger()).rows
+           if _WARM.nodes[row.id].kind in LEAF_KINDS}
+verify_ledger(_WARM)
+_WARM_VALUES = dict(_WARM.node_values)
+_DECLARED = sorted({as_int(n.declared) for n in _WARM.nodes.values()})
+
+
+def test_the_oracle_reproduces_every_node_without_overrides():
+    assert len(_WARM_VALUES) == len(_WARM.order)  # inner nodes are memoized too
+    for nid in _WARM.order:
+        assert _oracle(_WARM, _LEAVES, {}, nid) == as_int(_WARM_VALUES[nid])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(_WARM.order),
+    st.one_of(st.just(0), st.sampled_from(_DECLARED)),
+    min_size=1, max_size=3,
+))
+# Zeroing the child of a ScaledProduct with den 2 leaves an odd product; with
+# both, the first inexact node in child order is the one named.
+@example({"appendix-prop-sch4-7": 0})
+@example({"appendix-prop-sch3-15": 0, "appendix-prop-sch4-7": 0, "g10": 0})
+def test_what_ifs_match_a_plain_int_evaluator(overrides):
+    try:
+        want = _oracle(_WARM, _LEAVES, overrides, _WARM.root)
+    except _Inexact as inexact:
+        with pytest.raises(ScaleNotExact, match="^%s: " % inexact.args[0]):
+            final_bound(_WARM, overrides)
+    else:
+        assert as_int(final_bound(_WARM, overrides)) == want
+    assert _WARM.node_values == _WARM_VALUES
+
+
+def test_a_what_if_recombines_only_the_overridden_ancestors(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    warm = paper_ledger()
+    assert final_bound(warm) == fi(24103053950976000)
+    assert warm.root in warm.node_values and "g10" in warm.node_values
+    ancestors, frontier = set(), {"g10"}
+    while frontier:
+        frontier = {nid for nid in warm.order
+                    if set(warm.nodes[nid].children) & frontier} - ancestors
+        ancestors |= frontier
+    combined = []
+    real = ledger_mod._combine
+
+    def counting(node, kids):
+        combined.append(node.id)
+        return real(node, kids)
+
+    monkeypatch.setattr(ledger_mod, "_combine", counting)
+    before = dict(warm.node_values)
+    assert final_bound(warm, {"g10": 0}) == fi(735746457600)
+    assert final_bound(warm) == fi(24103053950976000)
+    assert sorted(combined) == sorted(ancestors)
+    assert warm.node_values == before
+
+
 # ------------------------------------------------------- loader messages
 #
 # One case per place the loader raises, in the order the loader checks.
@@ -516,6 +633,18 @@ _LOADER_ERRORS = {
         lambda: doc(node("e", "EquationCase", {},
                          args={"p": 3, "n": 3, "d": 4, "constraints": "e = 2"})),
         SchemaError, "e: constraints must be a list of tag strings"),
+    "constraint-tag-unknown": (
+        lambda: doc(node("e", "EquationCase", {},
+                         args={"p": 3, "n": 3, "d": 4, "constraints": ["e even", "bogus"]})),
+        SchemaError, "e: unknown constraint tag 'bogus'"),
+    "constraint-tag-not-decimal": (
+        lambda: doc(node("e", "EquationCase", {},
+                         args={"p": 3, "n": 3, "d": 4, "constraints": ["e = x"]})),
+        SchemaError, "e: constraint tag 'e = x' needs a plain decimal constant"),
+    "constraint-tag-past-digit-limit": (
+        lambda: doc(node("e", "EquationCase", {},
+                         args={"p": 3, "n": 3, "d": 4, "constraints": ["t >= " + "7" * 5000]})),
+        SchemaError, "e: constraint tag %r needs a plain decimal constant" % ("t >= " + "7" * 5000)),
     "equation-even-p": (
         lambda: doc(node("e", "EquationCase", {}, args={"p": 2, "n": 3, "d": 4})),
         SchemaError, "e: EquationCase needs an odd prime p"),

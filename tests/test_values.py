@@ -202,16 +202,16 @@ def test_reprs():
 
 def test_leaf_memo_is_per_instance_and_outside_the_contract():
     a, b = Ledger(1, None, (), {}, ()), Ledger(1, None, (), {}, ())
-    assert a.leaf_values == {} and a.leaf_values is not b.leaf_values
-    a.leaf_values["x"] = EIGHT
+    assert a.node_values == {} and a.node_values is not b.node_values
+    a.node_values["x"] = EIGHT
     assert a == b
-    assert "leaf_values" not in repr(a)
+    assert "node_values" not in repr(a)
     with pytest.raises(TypeError):
         Ledger(1, None, (), {}, (), {})
     with pytest.raises(TypeError):
-        Ledger(1, None, (), {}, (), leaf_values={})
+        Ledger(1, None, (), {}, (), node_values={})
     with pytest.raises(AttributeError):
-        a.leaf_values = {}
+        a.node_values = {}
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
