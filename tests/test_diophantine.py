@@ -68,6 +68,7 @@ def test_constraint_tags_filter():
     base = triples(sols(7, 12, t_max=3))
     assert (1, 2, 1) in base
     assert triples(sols(7, 12, t_max=3, extra=("e = 2",))) == [(1, 2, 1)]
+    assert triples(sols(7, 12, t_max=3, extra=("e = 02",))) == [(1, 2, 1)]
     even = triples(sols(7, 12, t_max=3, extra=("e even",)))
     assert all(e % 2 == 0 for _, e, _ in even)
     odd = triples(sols(7, 12, t_max=3, extra=("e odd",)))
@@ -124,12 +125,13 @@ def test_max_schur_exponent_degree_twelve_steps():
 
 
 def test_max_schur_exponent_defaults_tmax_to_n():
-    # explicit t_max = n must agree with the default
+    # explicit t_max = n, or any t_max above it, must agree with the default
     for p in (3, 5, 7):
         for d in (4, 6, 12):
-            assert max_schur_exponent(p, 3, d) == max_schur_exponent(
-                p, 3, d, SolutionConstraints(t_max=3)
-            )
+            for t_max in (3, 4, 30):
+                assert max_schur_exponent(p, 3, d) == max_schur_exponent(
+                    p, 3, d, SolutionConstraints(t_max=t_max)
+                )
 
 
 def test_max_schur_exponent_never_runs_t_past_n():
@@ -139,11 +141,6 @@ def test_max_schur_exponent_never_runs_t_past_n():
     assert max_schur_exponent(3, 2, 2, SolutionConstraints(t_max=10**11)) == (
         max_schur_exponent(3, 2, 2, SolutionConstraints(t_max=2)))
     assert time.perf_counter() - start < 1.0
-    for p in (3, 5, 7):
-        for d in (4, 6, 12):
-            for t_max in (4, 7, 30):
-                assert max_schur_exponent(p, 3, d, SolutionConstraints(t_max=t_max)) == (
-                    max_schur_exponent(p, 3, d))
 
 
 @pytest.mark.parametrize("tag", [
@@ -153,10 +150,6 @@ def test_tag_constants_must_be_plain_ascii_decimals(tag):
     with pytest.raises(DomainError) as info:
         SolutionConstraints(extra=(tag,))
     assert str(info.value) == "constraint tag %r needs a plain decimal constant" % tag
-
-
-def test_tag_constants_may_have_leading_zeros():
-    assert triples(sols(7, 12, t_max=3, extra=("e = 02",))) == [(1, 2, 1)]
 
 
 def test_equation_solution_is_plain_data():
