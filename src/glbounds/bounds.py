@@ -9,11 +9,16 @@ Four families of bounds, all returned in factored form:
 
 plus the classification of finite subgroups of PGL_2 (cyclic, dihedral,
 A4, S4, A5) filtered by what the field can support.
+
+Every exponent below is a linear term plus a Legendre sum
+L_p(k) = sum_{i>=1} floor(k / p^i) = v_p(k!), taken at k = floor(n / q)
+through the identity floor(n / (q p^i)) = floor(floor(n / q) / p^i).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .cyclotomic import (
     CycloInvariants,
@@ -27,6 +32,7 @@ from .exactnum import (
     DomainError,
     FactoredInteger,
     Value,
+    _legendre,
     factorial_valuation,
     fi_mul,
     is_prime,
@@ -41,32 +47,34 @@ def _check_n(n: int):
         raise DomainError("matrix size n must be >= 1, got %r" % n)
 
 
+def _prime_product(limit: int, exponent: Callable[[int], int]) -> FactoredInteger:
+    """Product of p^exponent(p) over the primes p <= limit."""
+    out: dict[int, int] = {}
+    for p in primes_upto(limit):
+        e = exponent(p)
+        if e:
+            out[p] = e
+    return FactoredInteger.from_map(out)
+
+
 # ---------------------------------------------------------------- Minkowski
 
 def minkowski_exponent(n: int, p: int) -> int:
     """Largest power of p dividing the order of a finite subgroup of GL_n(Q).
 
-    Sum of floor(n / (p^i * (p-1))) over i >= 0, which is finite.
+    Sum of floor(n / (p^i * (p-1))) over i >= 0, that is q + L_p(q) with
+    q = floor(n / (p-1)).
     """
     _check_n(n)
     if not is_prime(p):
         raise DomainError("%r is not prime" % p)
-    total = 0
-    q = p - 1
-    while n // q > 0:
-        total += n // q
-        q *= p
-    return total
+    q = n // (p - 1)
+    return q + _legendre(p, q)
 
 
 def minkowski_bound(n: int) -> FactoredInteger:
     _check_n(n)
-    out: dict[int, int] = {}
-    for p in primes_upto(n + 1):
-        e = minkowski_exponent(n, p)
-        if e:
-            out[p] = e
-    return FactoredInteger.from_map(out)
+    return _prime_product(n + 1, lambda p: minkowski_exponent(n, p))
 
 
 # -------------------------------------------------------------------- Schur
@@ -76,33 +84,20 @@ def schur_exponent(n: int, p: int, inv: CycloInvariants) -> int:
 
     Driven entirely by the field invariants:
 
-      p odd:            m*floor(n/t) + floor(n/pt) + floor(n/p^2 t) + ...
-      p = 2, z_4 in K:  m*n + floor(n/2) + floor(n/4) + ...
-      p = 2 otherwise:  n + m*floor(n/2) + floor(n/4) + floor(n/8) + ...
+      p odd:            m*floor(n/t) + L_p(floor(n/t))
+      p = 2, z_4 in K:  m*n + L_2(n)
+      p = 2 otherwise:  n + m*floor(n/2) + L_2(floor(n/2))
     """
     _check_n(n)
     assert inv.p == p
     t, m = inv.t_p, inv.m_p
     if p != 2:
-        total = m * (n // t)
-        q = p * t
-        while n // q > 0:
-            total += n // q
-            q *= p
-        return total
+        k = n // t
+        return m * k + _legendre(p, k)
     if inv.xi4_in_k:
-        total = m * n
-        q = 2
-        while n // q > 0:
-            total += n // q
-            q *= 2
-        return total
-    total = n + m * (n // 2)
-    q = 4
-    while n // q > 0:
-        total += n // q
-        q *= 2
-    return total
+        return m * n + _legendre(2, n)
+    h = n // 2
+    return n + m * h + _legendre(2, h)
 
 
 def schur_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
@@ -112,13 +107,9 @@ def schur_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
     prime is at most n*d + 1.
     """
     _check_n(n)
-    d = field.degree
-    out: dict[int, int] = {}
-    for p in primes_upto(n * d + 1):
-        e = schur_exponent(n, p, all_invariants(field, p))
-        if e:
-            out[p] = e
-    return FactoredInteger.from_map(out)
+    return _prime_product(
+        n * field.degree + 1, lambda p: schur_exponent(n, p, all_invariants(field, p))
+    )
 
 
 # -------------------------------------------------------------------- Serre
@@ -143,12 +134,7 @@ def serre_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
     if n == 1:
         return ONE
     cutoff = max(field.degree + 1, invphi_max(n - 1) + 1, n - 1)
-    out: dict[int, int] = {}
-    for p in primes_upto(cutoff):
-        e = serre_exponent(n, p, all_invariants(field, p))
-        if e:
-            out[p] = e
-    return FactoredInteger.from_map(out)
+    return _prime_product(cutoff, lambda p: serre_exponent(n, p, all_invariants(field, p)))
 
 
 # -------------------------------------------------- rough degree-only bound
@@ -156,11 +142,9 @@ def serre_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
 def rough_exponent(n: int, d: int, p: int) -> int:
     """Exponent bound for p knowing only the degree d of the field.
 
-      p odd:     (v_p(d)+1) * floor(n / ((p-1)/gcd(p-1, d)))
-                   + floor(n/p) + floor(n/p^2) + ...
-      p = 2:     n*(v_2(d)+1) + floor(n/2) + ...          for even d
-                 n + (v_2(d)+2)*floor(n/2) + floor(n/4) + ...   for odd d
-                 (the v_2 term is 0 for odd d; kept for symmetry)
+      p odd:     (v_p(d)+1) * floor(n / ((p-1)/gcd(p-1, d))) + L_p(n)
+      p = 2:     n*(v_2(d)+1) + L_2(n)                         for even d
+                 n + 2*floor(n/2) + L_2(floor(n/2))            for odd d
     """
     _check_n(n)
     if d < 1:
@@ -169,25 +153,11 @@ def rough_exponent(n: int, d: int, p: int) -> int:
         raise DomainError("%r is not prime" % p)
     if p != 2:
         tmin = (p - 1) // math.gcd(p - 1, d)
-        total = (valuation_int(p, d) + 1) * (n // tmin)
-        q = p
-        while n // q > 0:
-            total += n // q
-            q *= p
-        return total
+        return (valuation_int(p, d) + 1) * (n // tmin) + _legendre(p, n)
     if d % 2 == 0:
-        total = n * (valuation_int(2, d) + 1)
-        q = 2
-        while n // q > 0:
-            total += n // q
-            q *= 2
-        return total
-    total = n + 2 * (n // 2)
-    q = 4
-    while n // q > 0:
-        total += n // q
-        q *= 2
-    return total
+        return n * (valuation_int(2, d) + 1) + _legendre(2, n)
+    h = n // 2
+    return n + 2 * h + _legendre(2, h)
 
 
 def rough_bound(n: int, d: int) -> FactoredInteger:
@@ -199,12 +169,7 @@ def rough_bound(n: int, d: int) -> FactoredInteger:
     _check_n(n)
     if d < 1:
         raise DomainError("degree d must be >= 1, got %r" % d)
-    out: dict[int, int] = {}
-    for p in primes_upto(n * d + 1):
-        e = rough_exponent(n, d, p)
-        if e:
-            out[p] = e
-    return FactoredInteger.from_map(out)
+    return _prime_product(n * d + 1, lambda p: rough_exponent(n, d, p))
 
 
 def table(n: int, d_max: int) -> list[tuple[int, FactoredInteger]]:

@@ -30,7 +30,7 @@ from .cyclotomic import (
     all_invariants,
     canonical_conductor,
 )
-from .diophantine import SolutionConstraints, solve_standard_equation
+from .diophantine import T_MAX_LIMIT, SolutionConstraints, solve_standard_equation
 from .exactnum import (
     DomainError,
     FactoredInteger,
@@ -359,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=_positive_int, required=True, help="prime")
     p.add_argument("-d", type=_positive_int, required=True, help="field degree")
     p.add_argument("--tmax", type=_positive_int, default=15,
-                   help="upper bound for t (default 15; when bounding "
-                        "subgroups of GL_n only t <= n matters)")
+                   help="upper bound for t, at most %d (default 15; when "
+                        "bounding subgroups of GL_n only t <= n matters)" % T_MAX_LIMIT)
     p.add_argument("--emin", type=_positive_int, default=1,
                    help="lower bound for e (default 1)")
     p.add_argument("--constraint", action="append", metavar="TAG",
@@ -397,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = lsub.add_parser("final", help="evaluate the root")
     q.add_argument("--override", type=_override_pair, action="append", metavar="ID=VALUE",
-                   help="replace a node's value; 0 removes the branch (empty product)")
+                   help="replace a node's value, whose prime factors must be below "
+                        "10^8; 0 removes the branch (empty product)")
     q.add_argument("--file", help="ledger JSON path (default: the packaged one)")
     _add_format(q)
     q.set_defaults(func=_cmd_ledger_final)

@@ -58,6 +58,12 @@ def primes_upto(limit: int) -> list[int]:
 
 def factorize(n: int) -> dict[int, int]:
     """Factor a positive integer by trial division."""
+    return _factor_below(n, n + 1)[0]
+
+
+def _factor_below(n: int, limit: int) -> tuple[dict[int, int], int]:
+    """Prime factors below limit (> 97 or > n) of a positive n by trial
+    division that stops at limit, and the cofactor: 1 or primes >= limit."""
     if n < 1:
         raise DomainError("can only factor positive integers, got %r" % n)
     out: dict[int, int] = {}
@@ -66,14 +72,15 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 101
-    while d * d <= n:
+    while d * d <= n and d < limit:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 2
-    if n > 1:
+    if 1 < n < limit:  # no factor up to its square root: n is prime
         out[n] = out.get(n, 0) + 1
-    return out
+        n = 1
+    return out, n
 
 
 class Value:
@@ -276,15 +283,19 @@ def valuation_int(p: int, n: int) -> int:
     return v
 
 
+def _legendre(p: int, k: int) -> int:
+    """v_p(k!) = sum of floor(k / p^i) over i >= 1, unchecked (p >= 2, k >= 0)."""
+    total = 0
+    while k >= p:
+        k //= p
+        total += k
+    return total
+
+
 def factorial_valuation(p: int, k: int) -> int:
     """v_p(k!) by Legendre: sum of floor(k / p^i)."""
     if not is_prime(p):
         raise DomainError("%r is not prime" % p)
     if k < 0:
         raise DomainError("factorial of a negative integer")
-    total = 0
-    q = p
-    while q <= k:
-        total += k // q
-        q *= p
-    return total
+    return _legendre(p, k)

@@ -23,6 +23,7 @@ from .exactnum import (
     FactoredInteger,
     NonDivisible,
     Value,
+    _factor_below,
     fi_cmp,
     fi_div_exact,
     fi_mul,
@@ -524,7 +525,9 @@ def _normalize_overrides(
     """Coerce override values to FactoredInteger.
 
     Plain ints are accepted; 0 maps to the empty product, which removes
-    the branch from maxima without deleting the node.
+    the branch from maxima without deleting the node.  Their prime factors
+    must lie below 10^8, the domain of declared keys, where trial division
+    stops.
     """
     out: dict[str, FactoredInteger] = {}
     for nid, value in (overrides or {}).items():
@@ -533,7 +536,10 @@ def _normalize_overrides(
         if isinstance(value, FactoredInteger):
             out[nid] = value
         elif isinstance(value, int) and not isinstance(value, bool):
-            out[nid] = ONE if value == 0 else FactoredInteger.from_int(value)
+            factors, rest = _factor_below(value or 1, 10**8)
+            if rest != 1:
+                raise LedgerError("override for %r has a prime factor of 10^8 or more" % nid)
+            out[nid] = FactoredInteger.from_map(factors)
         else:
             raise LedgerError("override for %r is not an integer" % nid)
     return out
@@ -588,12 +594,13 @@ def explain(ledger: Ledger, nid: str) -> str:
     """Indented derivation tree for a node, children in document order."""
     if nid not in ledger.nodes:
         raise LedgerError("no node %r" % nid)
+    _eval(ledger, nid)  # fills node_values for nid and everything below it
     lines: list[str] = []
     stack = [(nid, 0)]
     while stack:
         node_id, depth = stack.pop()
         node = ledger.nodes[node_id]
-        value = _eval(ledger, node_id)
+        value = ledger.node_values[node_id]
         lines.append(
             "%s%s [%s] = %s = %s  (%s)"
             % (

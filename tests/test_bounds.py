@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from glbounds.bounds import (
@@ -18,8 +20,15 @@ from glbounds.bounds import (
     serre_exponent,
     table,
 )
-from glbounds.cyclotomic import QQ, DegreeOnly, ExactCyclotomic, all_invariants, canonical_conductor
-from glbounds.exactnum import DomainError, FactoredInteger, fi_cmp, is_prime
+from glbounds.cyclotomic import (
+    QQ,
+    CycloInvariants,
+    DegreeOnly,
+    ExactCyclotomic,
+    all_invariants,
+    canonical_conductor,
+)
+from glbounds.exactnum import DomainError, FactoredInteger, fi_cmp, is_prime, primes_upto
 
 
 def fi(n: int) -> FactoredInteger:
@@ -39,6 +48,84 @@ def test_minkowski_exponent_spot_values():
         minkowski_exponent(3, 4)
     with pytest.raises(DomainError):
         minkowski_exponent(0, 2)
+
+
+# ------------------------------------------------ sum-of-floors oracles
+#
+# The exponents are computed as a linear term plus a Legendre sum; these
+# oracles write each one out as the plain sum of floors it stands for.
+
+# p = 2 has branches of its own, so half the draws take it.
+primes = st.one_of(st.just(2), st.sampled_from(primes_upto(200)))
+
+
+def floors(n: int, q: int, p: int) -> int:
+    """floor(n/q) + floor(n/(q p)) + floor(n/(q p^2)) + ..."""
+    total = 0
+    while q <= n:
+        total += n // q
+        q *= p
+    return total
+
+
+def v(p: int, d: int) -> int:
+    count = 0
+    while d % p == 0:
+        d //= p
+        count += 1
+    return count
+
+
+@given(st.integers(min_value=1, max_value=500), primes)
+@example(n=37, p=2)
+def test_minkowski_exponent_is_its_sum_of_floors(n, p):
+    assert minkowski_exponent(n, p) == floors(n, p - 1, p)
+
+
+@given(
+    st.integers(min_value=1, max_value=500),
+    primes,
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=6),
+    st.booleans(),
+)
+@example(n=37, p=2, t=1, m=3, xi4=True)
+@example(n=37, p=2, t=1, m=3, xi4=False)
+def test_schur_exponent_is_its_sum_of_floors(n, p, t, m, xi4):
+    inv = CycloInvariants(p=p, t_p=t, m_p=m, e_p=1, xi4_in_k=xi4)
+    if p != 2:
+        want = m * (n // t) + floors(n, p * t, p)
+    elif xi4:
+        want = m * n + floors(n, 2, 2)
+    else:
+        want = n + m * (n // 2) + floors(n, 4, 2)
+    assert schur_exponent(n, p, inv) == want
+
+
+@given(
+    st.integers(min_value=1, max_value=500),
+    st.integers(min_value=1, max_value=300),
+    primes,
+)
+@example(n=37, d=12, p=2)
+@example(n=37, d=15, p=2)
+def test_rough_exponent_is_its_sum_of_floors(n, d, p):
+    if p != 2:
+        tmin = (p - 1) // math.gcd(p - 1, d)
+        want = (v(p, d) + 1) * (n // tmin) + floors(n, p, p)
+    elif d % 2 == 0:
+        want = n * (v(2, d) + 1) + floors(n, 2, 2)
+    else:
+        want = n + 2 * (n // 2) + floors(n, 4, 2)
+    assert rough_exponent(n, d, p) == want
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_exponents_refuse_non_primes(p):
+    for exponent in (lambda: minkowski_exponent(5, p), lambda: rough_exponent(5, 3, p)):
+        with pytest.raises(DomainError) as info:
+            exponent()
+        assert str(info.value) == "%d is not prime" % p
 
 
 def test_minkowski_bound_values():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -172,6 +173,26 @@ def test_override_unknown_node_is_a_clean_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: override names unknown node 'no-such-node'\n"
+
+
+def test_solve_eq_tmax_past_the_limit_is_a_quick_clean_error(capsys):
+    start = time.perf_counter()
+    assert main(["solve-eq", "-p", "7", "-d", "12", "--tmax", "100000000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t_max must be <= 100000, got 100000000000\n"
+
+
+def test_override_with_a_prime_factor_past_the_declared_domain(capsys):
+    # 2 * 100000007: the cofactor left after trial division is a prime >= 10^8
+    assert main(["ledger", "final", "--override", "g10=200000014"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: override for 'g10' has a prime factor of 10^8 or more\n"
+    assert main(["ledger", "final", "--override", "g10=24103053950976000"]) == 0
+    assert capsys.readouterr().out == (
+        "2^22 * 3^8 * 5^3 * 7^2 * 11 * 13 = 24 103 053 950 976 000\n")
 
 
 def test_override_one_is_the_empty_product(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glbounds.diophantine import (
+    T_MAX_LIMIT,
     EquationSolution,
     SolutionConstraints,
     max_schur_exponent,
@@ -141,6 +142,16 @@ def test_max_schur_exponent_never_runs_t_past_n():
     assert max_schur_exponent(3, 2, 2, SolutionConstraints(t_max=10**11)) == (
         max_schur_exponent(3, 2, 2, SolutionConstraints(t_max=2)))
     assert time.perf_counter() - start < 1.0
+
+
+def test_solver_refuses_tmax_past_the_limit():
+    assert T_MAX_LIMIT == 100_000
+    with pytest.raises(DomainError) as info:
+        solve_standard_equation(7, 12, SolutionConstraints(t_max=T_MAX_LIMIT + 1))
+    assert str(info.value) == "t_max must be <= 100000, got 100001"
+    # max_schur_exponent clamps to n first, so a huge t_max still answers
+    assert max_schur_exponent(7, 3, 12, SolutionConstraints(t_max=10**11)) == (
+        max_schur_exponent(7, 3, 12))
 
 
 @pytest.mark.parametrize("tag", [

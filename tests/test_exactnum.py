@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from glbounds.exactnum import (
     DomainError,
     FactoredInteger,
     NonDivisible,
+    _factor_below,
     factorial_valuation,
     factorize,
     fi_cmp,
@@ -43,6 +46,22 @@ def test_factorize_basics():
     assert factorize(2**10 * 97) == {2: 10, 97: 1}
     with pytest.raises(DomainError):
         factorize(0)
+
+
+@given(st.integers(min_value=1, max_value=10**7), st.integers(min_value=98, max_value=10**4))
+def test_factor_below_splits_at_the_limit(n, limit):
+    factors, rest = _factor_below(n, limit)
+    whole = factorize(n)
+    assert factors == {p: e for p, e in whole.items() if p < limit}
+    assert rest == math.prod(p**e for p, e in whole.items() if p >= limit)
+
+
+def test_factor_below_stops_at_the_limit():
+    # 10^20 + 39 is prime; unbounded trial division would run to 10^10
+    assert _factor_below(10**20 + 39, 1000) == ({}, 10**20 + 39)
+    assert _factor_below(2**5 * 1009 * 1013, 1010) == ({2: 5, 1009: 1}, 1013)
+    with pytest.raises(DomainError):
+        _factor_below(0, 1000)
 
 
 def test_construction_rejects_bad_factors():

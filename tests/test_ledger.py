@@ -227,6 +227,12 @@ def test_overrides():
         final_bound(ledger, {"a": True})
     with pytest.raises(LedgerError):
         final_bound(ledger, {"a": "12"})
+    # prime factors must lie below 10^8, the domain of declared keys
+    assert final_bound(ledger, {"a": 99999989 * 2}) == fi(99999989 * 2)
+    for big in (100000007, 2 * 100000007, 3**40 * 100000037):
+        with pytest.raises(LedgerError) as info:
+            final_bound(ledger, {"a": big})
+        assert str(info.value) == "override for 'a' has a prime factor of 10^8 or more"
 
 
 def test_final_bound_needs_root():
@@ -275,6 +281,24 @@ def test_explain_renders_tree():
     assert lines[1] == "  six [Constant] = 2 * 3 = 6  (crafted for tests)"
     with pytest.raises(LedgerError):
         explain(ledger, "ghost")
+
+
+def test_explain_evaluates_once(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    ledger = paper_ledger()
+    want = explain(ledger, "theorem-cr3")
+    calls = []
+    real = ledger_mod._eval
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ledger_mod, "_eval", counting)
+    fresh = paper_ledger()
+    assert explain(fresh, "theorem-cr3") == want
+    assert calls == ["theorem-cr3"]
 
 
 def test_round_trip_document():
