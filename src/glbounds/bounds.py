@@ -33,11 +33,11 @@ from .exactnum import (
     FactoredInteger,
     Value,
     _legendre,
+    _valuation,
     factorial_valuation,
     fi_mul,
     is_prime,
     primes_upto,
-    valuation_int,
 )
 from .totient import euler_phi, invphi_all, invphi_max
 
@@ -48,13 +48,17 @@ def _check_n(n: int):
 
 
 def _prime_product(limit: int, exponent: Callable[[int], int]) -> FactoredInteger:
-    """Product of p^exponent(p) over the primes p <= limit."""
-    out: dict[int, int] = {}
+    """Product of p^exponent(p) over the primes p <= limit.
+
+    The sieve yields primes in increasing order and zero exponents are
+    dropped, so the factors need no re-validation.
+    """
+    out = []
     for p in primes_upto(limit):
         e = exponent(p)
         if e:
-            out[p] = e
-    return FactoredInteger.from_map(out)
+            out.append((p, e))
+    return FactoredInteger._trusted(tuple(out))
 
 
 # ---------------------------------------------------------------- Minkowski
@@ -153,9 +157,9 @@ def rough_exponent(n: int, d: int, p: int) -> int:
         raise DomainError("%r is not prime" % p)
     if p != 2:
         tmin = (p - 1) // math.gcd(p - 1, d)
-        return (valuation_int(p, d) + 1) * (n // tmin) + _legendre(p, n)
+        return (_valuation(p, d) + 1) * (n // tmin) + _legendre(p, n)
     if d % 2 == 0:
-        return n * (valuation_int(2, d) + 1) + _legendre(2, n)
+        return n * (_valuation(2, d) + 1) + _legendre(2, n)
     h = n // 2
     return n + 2 * h + _legendre(2, h)
 

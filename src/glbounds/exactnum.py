@@ -128,8 +128,11 @@ class Value:
 class FactoredInteger(Value):
     """A positive integer as a sorted tuple of (prime, exponent) pairs.
 
-    The empty tuple is 1.  Construction validates primality of every base
-    and positivity of every exponent, so a value that exists is well formed.
+    The empty tuple is 1.  The public constructor, from_map and from_int
+    validate primality of every base and positivity of every exponent, so a
+    value that exists is well formed.  Code that already holds such a tuple
+    (a product of valid values, primes from a sieve, keys the ledger loader
+    has checked) builds through _trusted instead and skips the checks.
     """
 
     __slots__ = _fields = ("factors",)
@@ -148,6 +151,14 @@ class FactoredInteger(Value):
             if p <= last:
                 raise DomainError("factors must be strictly increasing by prime")
             last = p
+
+    @classmethod
+    def _trusted(cls, factors: tuple[tuple[int, int], ...]) -> "FactoredInteger":
+        """Wrap factors sorted by prime, with prime bases and exponents >= 1,
+        unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "factors", factors)
+        return self
 
     @classmethod
     def from_map(cls, factors: dict[int, int]) -> "FactoredInteger":
@@ -190,7 +201,7 @@ def fi_mul(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
     m = a.as_map()
     for p, e in b.factors:
         m[p] = m.get(p, 0) + e
-    return FactoredInteger.from_map(m)
+    return FactoredInteger._trusted(tuple(sorted(m.items())))
 
 
 def fi_div_exact(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
@@ -201,7 +212,7 @@ def fi_div_exact(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
         if r < 0:
             raise NonDivisible("%s does not divide %s" % (b, a))
         m[p] = r
-    return FactoredInteger.from_map(m)
+    return FactoredInteger._trusted(tuple(sorted((p, e) for p, e in m.items() if e)))
 
 
 def fi_cmp(a: FactoredInteger, b: FactoredInteger) -> int:
@@ -276,6 +287,11 @@ def valuation_int(p: int, n: int) -> int:
         raise DomainError("%r is not prime" % p)
     if n < 1:
         raise DomainError("valuation of a non-positive integer")
+    return _valuation(p, n)
+
+
+def _valuation(p: int, n: int) -> int:
+    """Exponent of p in n, unchecked (p >= 2, n >= 1)."""
     v = 0
     while n % p == 0:
         n //= p

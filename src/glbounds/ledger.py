@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from json.encoder import encode_basestring
 from typing import Iterable, Mapping
 
 from .cyclotomic import DegreeOnly, QQ, TRISTATE
@@ -96,6 +98,19 @@ _NODE_FIELDS = frozenset(
     {"id", "kind", "args", "children", "declared", "decimal", "citation"}
 )
 _NODE_OPTIONAL = frozenset({"paper_prints", "note"})
+
+# The same sets as the loader consults them, built once here rather than
+# per node: every field a node may carry, every argument key a kind allows,
+# and the allowed keys that hold positive integers.
+_NODE_ALLOWED = _NODE_FIELDS | _NODE_OPTIONAL
+_TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
+_ALLOWED_ARGS = {
+    kind: required | _OPTIONAL_ARGS.get(kind, frozenset())
+    for kind, required in _REQUIRED_ARGS.items()
+}
+_INT_ARGS = {
+    kind: allowed - _TRISTATE_ARGS - {"constraints"} for kind, allowed in _ALLOWED_ARGS.items()
+}
 
 
 class LedgerNode(Value):
@@ -203,18 +218,19 @@ def _check_args(node_id: str, kind: str, args) -> dict:
     if not isinstance(args, dict):
         raise SchemaError("%s: args must be an object" % node_id)
     required = _REQUIRED_ARGS[kind]
-    optional = _OPTIONAL_ARGS.get(kind, frozenset())
-    keys = set(args)
-    if not required <= keys <= required | optional:
+    keys = args.keys()
+    if not required <= keys <= _ALLOWED_ARGS[kind]:
         raise SchemaError(
             "%s: %s args must have %s, got %s"
             % (node_id, kind, sorted(required), sorted(keys))
         )
-    for key in keys - {"constraints", "minus1_sum_of_two_squares", "contains_sqrt5"}:
-        if not (_is_int(args[key]) and args[key] >= 1):
+    # Keys are checked in document order, so the first bad one is named.
+    int_args = _INT_ARGS[kind]
+    for key, value in args.items():
+        if key in int_args and not (_is_int(value) and value >= 1):
             raise SchemaError("%s: arg %r must be a positive integer" % (node_id, key))
-    for key in keys & {"minus1_sum_of_two_squares", "contains_sqrt5"}:
-        if args[key] not in TRISTATE:
+    for key, value in args.items():
+        if key in _TRISTATE_ARGS and value not in TRISTATE:
             raise SchemaError("%s: arg %r must be yes/no/unknown" % (node_id, key))
     if "constraints" in keys:
         tags = args["constraints"]
@@ -229,23 +245,33 @@ def _check_args(node_id: str, kind: str, args) -> dict:
     return dict(args)
 
 
-def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
+def _parse_declared(node_id: str, raw, decimal, primes: dict[str, int]) -> FactoredInteger:
+    """The declared value, checked against its decimal.
+
+    primes maps each declared key already accepted during this load to its
+    prime, so a key repeated across nodes is parsed and prime-tested once.
+    """
     if not isinstance(raw, dict):
         raise BadDeclaredValue("%s: declared must be a map prime -> exponent" % node_id)
     factors: dict[int, int] = {}
     for key, exp in raw.items():
-        # isdigit alone also accepts non-ASCII digits such as "²", which int() refuses.
-        if not (isinstance(key, str) and key.isascii() and key.isdigit()):
-            raise BadDeclaredValue("%s: declared key %r is not a prime string" % (node_id, key))
-        # is_prime's domain ends below 10**8; longer keys are refused unparsed.
-        digits = key.lstrip("0")
-        if len(digits) > 8:
-            raise BadDeclaredValue(
-                "%s: declared key of %d digits is not a prime below 10^8" % (node_id, len(digits))
-            )
-        p = int(digits or "0")
-        if not is_prime(p):
-            raise BadDeclaredValue("%s: declared key %s is not prime" % (node_id, key))
+        p = primes.get(key)
+        if p is None:
+            # isdigit alone also accepts non-ASCII digits such as "²", which int() refuses.
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                raise BadDeclaredValue(
+                    "%s: declared key %r is not a prime string" % (node_id, key))
+            # is_prime's domain ends below 10**8; longer keys are refused unparsed.
+            digits = key.lstrip("0")
+            if len(digits) > 8:
+                raise BadDeclaredValue(
+                    "%s: declared key of %d digits is not a prime below 10^8"
+                    % (node_id, len(digits))
+                )
+            p = int(digits or "0")
+            if not is_prime(p):
+                raise BadDeclaredValue("%s: declared key %s is not prime" % (node_id, key))
+            primes[key] = p
         if not (_is_int(exp) and exp >= 1):
             raise BadDeclaredValue(
                 "%s: declared exponent for %s must be a positive integer" % (node_id, key)
@@ -253,7 +279,9 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
         if p in factors:
             raise BadDeclaredValue("%s: duplicate prime %s in declared" % (node_id, key))
         factors[p] = exp
-    value = FactoredInteger.from_map(factors)
+    # Prime bases, positive exponents, no prime twice: the checks above are
+    # the validation, so sorting is all that is left.
+    value = FactoredInteger._trusted(tuple(sorted(factors.items())))
     if not isinstance(decimal, str):
         raise BadDeclaredValue("%s: decimal must be a string" % node_id)
     expect = fi_to_decimal(value, group=True)
@@ -289,6 +317,16 @@ def _check_acyclic(nodes: Mapping[str, LedgerNode]):
                 color[nid] = BLACK
 
 
+def _decode(parse, source):
+    """parse(source), with every way JSON decoding fails as a SchemaError:
+    bad syntax, bytes that are not UTF-8, nesting past the recursion limit,
+    an integer past the str-digit limit."""
+    try:
+        return parse(source)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError("ledger is not valid JSON: %s" % exc) from None
+
+
 def load_ledger(source) -> Ledger:
     """Parse and validate a ledger document.
 
@@ -300,9 +338,9 @@ def load_ledger(source) -> Ledger:
         text = str(source)
         if isinstance(source, os.PathLike) or not text.lstrip().startswith("{"):
             with open(source, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
+                doc = _decode(json.load, handle)
         else:
-            doc = json.loads(text)
+            doc = _decode(json.loads, text)
     elif isinstance(source, Mapping):
         doc = source
     else:
@@ -313,7 +351,8 @@ def load_ledger(source) -> Ledger:
     extra = set(doc) - {"schema_version", "root", "whitelist", "nodes"}
     if extra:
         raise SchemaError("unknown top-level keys %s" % sorted(extra))
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version")
+    if not (_is_int(version) and version == SCHEMA_VERSION):  # not True, not 1.0
         raise SchemaError("schema_version must be %d" % SCHEMA_VERSION)
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list):
@@ -321,11 +360,12 @@ def load_ledger(source) -> Ledger:
 
     nodes: dict[str, LedgerNode] = {}
     order: list[str] = []
+    primes: dict[str, int] = {}  # declared key -> its prime, for this load only
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise SchemaError("node entries must be objects")
-        fields = set(raw)
-        if not _NODE_FIELDS <= fields <= _NODE_FIELDS | _NODE_OPTIONAL:
+        fields = raw.keys()
+        if not _NODE_FIELDS <= fields <= _NODE_ALLOWED:
             raise SchemaError(
                 "node fields must be %s (+ optional %s), got %s"
                 % (sorted(_NODE_FIELDS), sorted(_NODE_OPTIONAL), sorted(fields))
@@ -347,12 +387,12 @@ def load_ledger(source) -> Ledger:
                 raise SchemaError("%s: %s takes no children" % (nid, kind))
         elif len(children) < 1:
             raise SchemaError("%s: %s needs children" % (nid, kind))
-        declared = _parse_declared(nid, raw["declared"], raw["decimal"])
+        declared = _parse_declared(nid, raw["declared"], raw["decimal"], primes)
         citation = raw["citation"]
         if not isinstance(citation, str):
             raise SchemaError("%s: citation must be a string" % nid)
-        for opt in _NODE_OPTIONAL & fields:
-            if not isinstance(raw[opt], str):
+        for opt in ("paper_prints", "note"):
+            if opt in fields and not isinstance(raw[opt], str):
                 raise SchemaError("%s: %s must be a string" % (nid, opt))
         nodes[nid] = LedgerNode(
             id=nid,
@@ -424,7 +464,7 @@ def _eval_leaf(node: LedgerNode) -> FactoredInteger:
     exponent = max_schur_exponent(args["p"], args["n"], args["d"], c)
     if exponent == 0:
         return ONE
-    return FactoredInteger.from_map({args["p"]: exponent})
+    return FactoredInteger._trusted(((args["p"], exponent),))  # p was checked at load
 
 
 def _combine(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
@@ -474,25 +514,26 @@ def _dirty(ledger: Ledger, overrides: Mapping[str, FactoredInteger]) -> set[str]
 
 def _eval(
     ledger: Ledger,
-    nid: str,
+    nids: list[str] | tuple[str, ...],
     overrides: Mapping[str, FactoredInteger] | None = None,
-) -> FactoredInteger:
-    """Value of node nid, evaluating only the nodes it reaches.
+) -> dict[str, FactoredInteger]:
+    """Evaluate the nodes nids, left to right, and return the memo holding
+    their values; only the nodes they reach are evaluated.
 
     Without overrides the evaluation memo is the ledger's node_values.  With
     overrides it is a dict of this call seeded with them: the overridden
     nodes and their ancestors are combined there, while every other node is
-    unaffected by the overrides and reads, or fills, node_values.  An
-    explicit stack visits children left to right before their parent, so
-    depth is bounded by memory, not by the interpreter's recursion limit,
-    and a node that raises stores nothing.
+    unaffected by the overrides and reads, or fills, node_values.  One
+    explicit stack, seeded with nids, visits children left to right before
+    their parent, so depth is bounded by memory, not by the interpreter's
+    recursion limit, and a node that raises stores nothing.
     """
     nodes, values = ledger.nodes, ledger.node_values
     if overrides:
         dirty, memo = _dirty(ledger, overrides), dict(overrides)
     else:
         dirty, memo = (), values
-    stack = [nid]
+    stack = list(reversed(nids))
     while stack:
         top = stack[-1]
         if top in memo:
@@ -515,7 +556,7 @@ def _eval(
         if top not in dirty:
             values[top] = value
         stack.pop()
-    return memo[nid]
+    return memo
 
 
 def _normalize_overrides(
@@ -552,7 +593,7 @@ def eval_node(
 ) -> FactoredInteger:
     if nid not in ledger.nodes:
         raise LedgerError("no node %r" % nid)
-    return _eval(ledger, nid, _normalize_overrides(ledger, overrides))
+    return _eval(ledger, [nid], _normalize_overrides(ledger, overrides))[nid]
 
 
 def verify_ledger(ledger: Ledger) -> VerificationReport:
@@ -562,13 +603,14 @@ def verify_ledger(ledger: Ledger) -> VerificationReport:
     reported as Unchecked.  A paper_prints entry that differs from the
     declared decimal is surfaced as an annotation on the row.
     """
+    values = _eval(ledger, ledger.order)  # one walk, nodes in document order
     rows = []
     for nid in ledger.order:
         node = ledger.nodes[nid]
-        computed = _eval(ledger, nid)
+        computed = values[nid]
         if node.kind == "Constant":
             status = "Unchecked"
-        elif computed == node.declared:  # factors tuples are canonical
+        elif computed.factors == node.declared.factors:  # factors tuples are canonical
             status = "Match"
         else:
             status = "Mismatch"
@@ -594,7 +636,7 @@ def explain(ledger: Ledger, nid: str) -> str:
     """Indented derivation tree for a node, children in document order."""
     if nid not in ledger.nodes:
         raise LedgerError("no node %r" % nid)
-    _eval(ledger, nid)  # fills node_values for nid and everything below it
+    _eval(ledger, [nid])  # fills node_values for nid and everything below it
     lines: list[str] = []
     stack = [(nid, 0)]
     while stack:
@@ -632,7 +674,7 @@ def to_document(ledger: Ledger) -> dict:
             "kind": node.kind,
             "args": dict(node.args),
             "children": list(node.children),
-            "declared": {str(p): e for p, e in node.declared.as_map().items()},
+            "declared": {str(p): e for p, e in node.declared.factors},
             "decimal": fi_to_decimal(node.declared, group=True),
             "citation": node.citation,
         }
@@ -645,8 +687,60 @@ def to_document(ledger: Ledger) -> dict:
     return out
 
 
+def _emit(value, indent: str, out: list[str]) -> None:
+    """Append json.dumps(value, indent=2, ensure_ascii=False) to out, nested
+    at indent, for documents of str, int, list and dict with str keys.
+
+    Strings go through json's own encode_basestring (its C function where
+    built); any other scalar goes to json.dumps, whose rendering of a
+    scalar does not depend on indent.
+    """
+    if type(value) is str:
+        out.append(encode_basestring(value))
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep)
+            out.append(encode_basestring(key))
+            out.append(": ")
+            _emit(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value, ensure_ascii=False))
+
+
+def _dumps_indented(doc) -> str:
+    """json.dumps(doc, indent=2, ensure_ascii=False) through _emit."""
+    out: list[str] = []
+    _emit(doc, "", out)
+    return "".join(out)
+
+
 def dumps_ledger(ledger: Ledger) -> str:
-    return json.dumps(to_document(ledger), indent=2, ensure_ascii=False) + "\n"
+    doc = to_document(ledger)
+    # Below 3.13 json.dumps with indent runs CPython's pure-Python encoder,
+    # which _emit outpaces; from 3.13 the C encoder handles indent and wins.
+    if sys.version_info < (3, 13):
+        return _dumps_indented(doc) + "\n"
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def paper_ledger() -> Ledger:

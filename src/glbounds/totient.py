@@ -11,6 +11,9 @@ invphi_max(B) is the last of them.
 
 The bound phi(n) >= sqrt(n/2) caps every such n at 2*B**2; that cutoff now
 only justifies the exhaustive scan the tests keep as the reference.
+
+B is at most INVPHI_LIMIT: the output, and with it time and memory, grows
+linearly in B (about 2 s and 114 MiB at the limit).
 """
 
 from __future__ import annotations
@@ -27,9 +30,16 @@ def euler_phi(n: int) -> int:
     return out
 
 
+# Largest bound the inverse totient accepts; it serves invphi -b, pgl2 -d
+# (as 2d), serre -n (as n - 1) and the ledger's SerreQ, Pgl2 and Gl2 leaves.
+INVPHI_LIMIT = 10**6
+
+
 def _invphi(bound: int) -> list[int]:
     if bound < 1:
         raise DomainError("bound must be >= 1, got %r" % bound)
+    if bound > INVPHI_LIMIT:
+        raise DomainError("bound must be <= %d, got %d" % (INVPHI_LIMIT, bound))
     # (p, phi(p)) for every prime that can divide an n with phi(n) <= bound;
     # phi(p) grows with p, so a search may stop at the first that overshoots.
     primes = [(p, euler_phi(p)) for p in primes_upto(bound + 1)]

@@ -257,3 +257,38 @@ def test_gl2_factorization(d):
     from glbounds.totient import invphi_max
 
     assert gl2_max_order(d) == fi(invphi_max(d)) * pgl2_max_order(d)
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=60),
+)
+def test_bounds_pass_the_public_constructor(n, d, conductor):
+    # The four bounds build their results unchecked from sieved primes;
+    # the public constructor must accept every one of them unchanged.
+    for value in (
+        minkowski_bound(n),
+        rough_bound(n, d),
+        schur_bound(n, field(conductor)),
+        serre_bound(n, field(conductor)),
+    ):
+        assert type(value.factors) is tuple
+        assert FactoredInteger(value.factors) == value
+
+
+def test_rough_bound_prime_tests_each_sieved_prime_once(monkeypatch):
+    import glbounds.bounds as bounds_mod
+    import glbounds.exactnum as exactnum_mod
+
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(bounds_mod, "is_prime", counting)
+    monkeypatch.setattr(exactnum_mod, "is_prime", counting)
+    rough_bound(3, 200)
+    assert len(primes_upto(3 * 200 + 1)) == 110
+    assert sorted(calls) == primes_upto(3 * 200 + 1)

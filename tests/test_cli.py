@@ -184,6 +184,39 @@ def test_solve_eq_tmax_past_the_limit_is_a_quick_clean_error(capsys):
     assert captured.err == "error: t_max must be <= 100000, got 100000000000\n"
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["invphi", "-b", "1000001"], 1000001),
+    (["pgl2", "-d", "500001"], 1000002),
+])
+def test_invphi_past_the_limit_is_a_quick_clean_error(capsys, argv, bound):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bound must be <= 1000000, got %d\n" % bound
+
+
+_NOT_JSON = {
+    "python-source": "import json\nprint(json.dumps({}))\n".encode(),
+    "utf-16-bom": b"\xff\xfe{\x00}\x00",
+    "nested-past-the-recursion-limit": b"[" * 100000,
+    "integer-past-the-digit-limit": b"7" * 5000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_JSON))
+def test_a_ledger_file_that_is_not_json_is_a_clean_error(capsys, tmp_path, name):
+    path = tmp_path / "ledger.json"
+    path.write_bytes(_NOT_JSON[name])
+    assert main(["ledger", "verify", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ledger is not valid JSON: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err
+
+
 def test_override_with_a_prime_factor_past_the_declared_domain(capsys):
     # 2 * 100000007: the cofactor left after trial division is a prime >= 10^8
     assert main(["ledger", "final", "--override", "g10=200000014"]) == 1

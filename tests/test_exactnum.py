@@ -212,3 +212,22 @@ def test_factorial_valuation_domain():
         factorial_valuation(4, 10)
     with pytest.raises(DomainError):
         factorial_valuation(2, -1)
+
+
+def _revalidated(value: FactoredInteger) -> FactoredInteger:
+    """value rebuilt through the public, validating constructor."""
+    assert type(value.factors) is tuple
+    return FactoredInteger(value.factors)
+
+
+@given(big_maps, big_maps)
+def test_arithmetic_results_pass_the_public_constructor(a, b):
+    # fi_mul and fi_div_exact build their results unchecked; the public
+    # constructor must accept every one of them unchanged.
+    x, y = FactoredInteger.from_map(a), FactoredInteger.from_map(b)
+    product = fi_mul(x, y)
+    assert _revalidated(product) == product
+    assert product.to_int() == _expand(a) * _expand(b)
+    quotient = fi_div_exact(product, y)
+    assert _revalidated(quotient) == quotient == x
+    assert _revalidated(fi_div_exact(product, product)) == ONE

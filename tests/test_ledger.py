@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glbounds.exactnum import FactoredInteger, ONE, fi_to_decimal
+from glbounds.exactnum import DomainError, FactoredInteger, ONE, fi_to_decimal
 from glbounds.ledger import (
+    KINDS,
     LEAF_KINDS,
     BadDeclaredValue,
     CycleError,
@@ -16,6 +17,7 @@ from glbounds.ledger import (
     LedgerError,
     ScaleNotExact,
     SchemaError,
+    _dumps_indented,
     dumps_ledger,
     eval_node,
     explain,
@@ -298,7 +300,7 @@ def test_explain_evaluates_once(monkeypatch):
     monkeypatch.setattr(ledger_mod, "_eval", counting)
     fresh = paper_ledger()
     assert explain(fresh, "theorem-cr3") == want
-    assert calls == ["theorem-cr3"]
+    assert calls == [["theorem-cr3"]]
 
 
 def test_round_trip_document():
@@ -313,6 +315,62 @@ def test_round_trip_document():
     again = to_document(ledger)
     assert again == d
     assert dumps_ledger(ledger) == dumps_ledger(load_ledger(again))
+
+
+# Text for the string encoder: non-ASCII, quotes, backslashes and control
+# characters, besides whatever hypothesis draws.
+_text = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters()),
+    max_size=12,
+)
+_HUGE = fi_to_decimal(FactoredInteger.from_map({2: 14999, 5: 14999, 3: 1}), group=True)
+_ledger_node = st.fixed_dictionaries(
+    {
+        "id": _text,
+        "kind": st.sampled_from(sorted(KINDS)),
+        "args": st.dictionaries(
+            _text,
+            st.one_of(st.integers(min_value=1, max_value=10**6), _text,
+                      st.lists(_text, max_size=3)),  # constraint lists
+            max_size=4,
+        ),
+        "children": st.lists(_text, max_size=3),
+        "declared": st.dictionaries(st.integers(min_value=2, max_value=10**8).map(str),
+                                    st.integers(min_value=1, max_value=20000), max_size=4),
+        "decimal": st.one_of(_text, st.just(_HUGE)),
+        "citation": _text,
+    },
+    optional={"paper_prints": _text, "note": _text},
+)
+_ledger_document = st.fixed_dictionaries(
+    {"schema_version": st.just(1), "whitelist": st.lists(_text, max_size=2),
+     "nodes": st.lists(_ledger_node, max_size=4)},
+    optional={"root": _text},
+)
+_any_json = st.recursive(
+    st.one_of(_text, st.integers(), st.booleans(), st.none(), st.floats()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(st.one_of(_ledger_document, _any_json))
+@example({"schema_version": 1, "whitelist": [], "nodes": [
+    {"id": "", "kind": "Max", "args": {}, "children": [], "declared": {},
+     "decimal": _HUGE, "citation": "\u00e9 \"q\" \\ \x01"}]})
+def test_emitter_matches_json_dumps(document):
+    assert _dumps_indented(document) == json.dumps(document, indent=2, ensure_ascii=False)
+
+
+def test_bounded_leaves_past_the_invphi_limit_are_domain_errors():
+    ledger = load_ledger(doc(
+        node("serre", "SerreQ", {}, args={"n": 10**6 + 2}),
+        node("pgl2", "Pgl2", {}, args={"degree": 500001}),
+        node("gl2", "Gl2", {}, args={"degree": 10**6 + 1}),
+    ))
+    for nid, bound in (("serre", 10**6 + 1), ("pgl2", 10**6 + 2), ("gl2", 10**6 + 1)):
+        with pytest.raises(DomainError, match=r"^bound must be <= 1000000, got %d$" % bound):
+            eval_node(ledger, nid)
 
 
 def test_overriding_a_cached_leaf_still_wins():
@@ -618,6 +676,16 @@ _LOADER_ERRORS = {
     "schema-version": (
         lambda: {"schema_version": 2, "nodes": []},
         SchemaError, "schema_version must be 1"),
+    "schema-version-true": (
+        lambda: {"schema_version": True, "nodes": []},
+        SchemaError, "schema_version must be 1"),
+    "schema-version-float": (
+        lambda: {"schema_version": 1.0, "nodes": []},
+        SchemaError, "schema_version must be 1"),
+    "not-json": (
+        lambda: '{"schema_version": 1, nodes: []}',
+        SchemaError, "ledger is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 23 (char 22)"),
     "nodes-not-list": (
         lambda: {"schema_version": 1, "nodes": "x"}, SchemaError, "nodes must be a list"),
     "node-not-object": (

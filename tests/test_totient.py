@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glbounds.exactnum import DomainError
-from glbounds.totient import euler_phi, invphi_all, invphi_max
+from glbounds.totient import INVPHI_LIMIT, euler_phi, invphi_all, invphi_max
 
 # phi(n) for n <= 2 * 200**2, the reach of the largest scan below
 _PHI = [0] + [euler_phi(n) for n in range(1, 2 * 200**2 + 1)]
@@ -81,3 +81,7 @@ def test_invphi_domain():
         invphi_all(0)
     with pytest.raises(DomainError):
         invphi_max(-3)
+    assert INVPHI_LIMIT == 10**6
+    for search in (invphi_all, invphi_max):
+        with pytest.raises(DomainError, match=r"^bound must be <= 1000000, got 1000001$"):
+            search(INVPHI_LIMIT + 1)
