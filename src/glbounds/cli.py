@@ -57,6 +57,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _below_1e8(text: str) -> int:
+    """A positive integer below 10^8, where primality and factoring of
+    conductors and primes stay cheap."""
+    value = _positive_int(text)
+    if value >= 10**8:
+        raise argparse.ArgumentTypeError("expected an integer below 10^8, got %s" % text)
+    return value
+
+
 def _override_pair(text: str) -> tuple[str, int]:
     nid, sep, raw = text.partition("=")
     if not sep or not nid:
@@ -317,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur", help="bound for GL_n over a cyclotomic field")
     p.add_argument("-n", type=_positive_int, required=True, help="matrix size")
-    p.add_argument("--conductor", type=_positive_int, default=1,
+    p.add_argument("--conductor", type=_below_1e8, default=1,
                    help="cyclotomic conductor of the field (default 1 = Q)")
     _add_format(p)
     p.set_defaults(func=_cmd_schur)
 
     p = sub.add_parser("serre", help="bound for PGL_n over a cyclotomic field")
     p.add_argument("-n", type=_positive_int, required=True, help="matrix size")
-    p.add_argument("--conductor", type=_positive_int, default=1,
+    p.add_argument("--conductor", type=_below_1e8, default=1,
                    help="cyclotomic conductor of the field (default 1 = Q)")
     _add_format(p)
     p.set_defaults(func=_cmd_serre)
@@ -342,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("invariants", help="cyclotomic invariants at a prime (JSON)")
-    p.add_argument("--conductor", type=_positive_int, required=True)
-    p.add_argument("--prime", type=_positive_int, required=True)
+    p.add_argument("--conductor", type=_below_1e8, required=True)
+    p.add_argument("--prime", type=_below_1e8, required=True)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("invphi", help="largest n with phi(n) <= bound")
@@ -356,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "solve-eq",
         help="solutions (m, e, t) of p^(m-1)(p-1)e = d*t as JSON rows",
     )
-    p.add_argument("-p", type=_positive_int, required=True, help="prime")
+    p.add_argument("-p", type=_below_1e8, required=True, help="prime below 10^8")
     p.add_argument("-d", type=_positive_int, required=True, help="field degree")
     p.add_argument("--tmax", type=_positive_int, default=15,
                    help="upper bound for t, at most %d (default 15; when "

@@ -15,20 +15,30 @@ For K = Q(z_N) and a prime p the invariants are
 
 and they satisfy p^(m_p - 1) * (p - 1) * e_p = d * t_p for odd p, with
 d = [K : Q].  That identity is re-checked on every construction.
+
+Each supremum has a closed form, because an abelian field lies in Q(z_N)
+exactly when its conductor divides N:
+
+  - z_k lies in Q(z_N) iff the canonical conductor of k divides N, and
+    K(z_p) = Q(z_lcm(N, p)), so m_p = max(1, v_p(N)) for odd p;
+  - z_m + 1/z_m is rational for m in {1, 2, 3, 4, 6}; for any other m it
+    generates Q(z_m)+, whose conductor is that of Q(z_m) (Washington,
+    Introduction to Cyclotomic Fields, GTM 83), so it lies in Q(z_N) iff
+    the canonical conductor of m divides N;
+  - hence m_2 = v_2(N) when 4 | N, and otherwise N is odd, Q(z_8)+ =
+    Q(sqrt 2) of conductor 8 is not in K, and m_2 = 2 (z_4 + 1/z_4 = 0);
+  - e_p = d * t_p / [Q(z_{p^m_p}) : Q] for odd p, and e_2 = d * t_2 /
+    2^(m_2 - 2), the degree of Q(z_{2^m} + 1/z_{2^m}) for every m >= 2.
 """
 
 from __future__ import annotations
 
 import math
 
-from .exactnum import DomainError, Value, is_prime, valuation_int
+from .exactnum import DomainError, Value, _valuation, is_prime
 from .totient import euler_phi
 
 TRISTATE = ("yes", "no", "unknown")
-
-# m_2 could in principle grow without bound for a weird input; every field
-# handled here has m_2 <= 6, so hitting this cap means the code is wrong.
-_M_SEARCH_CAP = 64
 
 
 class InternalInconsistency(RuntimeError):
@@ -68,23 +78,12 @@ def contains_root_of_unity(n: Conductor, k: int) -> bool:
 def real_cyclo_member(m: int, n: Conductor) -> bool:
     """Whether z_m + 1/z_m lies in Q(z_n).
 
-    The element is rational for m in {1, 2, 3, 4, 6}.  Otherwise it lives in
-    Q(z_L) for L = lcm(n, m) and membership means every automorphism fixing
-    Q(z_n), i.e. every unit a = 1 mod n, satisfies a = +-1 mod m.
+    The element is rational for m in {1, 2, 3, 4, 6}.  Otherwise it
+    generates Q(z_m)+, which has the conductor of Q(z_m).
     """
     if m < 1:
         raise DomainError("m must be positive, got %r" % m)
-    if m in (1, 2, 3, 4, 6):
-        return True
-    base = n.value
-    big = math.lcm(base, m)
-    for a in range(1, big, base):
-        if math.gcd(a, big) != 1:
-            continue
-        r = a % m
-        if r != 1 and r != m - 1:
-            return False
-    return True
+    return m in (1, 2, 3, 4, 6) or n.value % canonical_conductor(m).value == 0
 
 
 class ExactCyclotomic(Value):
@@ -152,22 +151,10 @@ def cyclo_t_p(k: ExactCyclotomic, p: int) -> int:
 def cyclo_m_p(k: ExactCyclotomic, p: int) -> int:
     if not is_prime(p):
         raise DomainError("%r is not prime" % p)
+    v = _valuation(p, k.conductor.value)
     if p != 2:
-        ext = _adjoined_conductor(k, p)
-        m = 1
-        while contains_root_of_unity(ext, p ** (m + 1)):
-            m += 1
-            if m > _M_SEARCH_CAP:
-                raise InternalInconsistency("m_%d search ran past %d" % (p, _M_SEARCH_CAP))
-        return m
-    if contains_root_of_unity(k.conductor, 4):
-        return valuation_int(2, k.conductor.value)
-    m = 2
-    while real_cyclo_member(2 ** (m + 1), k.conductor):
-        m += 1
-        if m > _M_SEARCH_CAP:
-            raise InternalInconsistency("m_2 search ran past %d" % _M_SEARCH_CAP)
-    return m
+        return max(1, v)
+    return v if v >= 2 else 2
 
 
 def cyclo_e_p(k: ExactCyclotomic, p: int) -> int:
@@ -175,20 +162,17 @@ def cyclo_e_p(k: ExactCyclotomic, p: int) -> int:
         raise DomainError("%r is not prime" % p)
     t = cyclo_t_p(k, p)
     m = cyclo_m_p(k, p)
+    # degree over Q of Q(z_{p^m}) for odd p, of Q(z_{2^m} + 1/z_{2^m}) for p = 2
     if p != 2:
-        num = k.degree * t
-        den = p ** (m - 1) * (p - 1)
-        if num % den != 0:
-            raise InternalInconsistency(
-                "p^(m-1)(p-1) does not divide d*t for p=%d, N=%d" % (p, k.conductor.value)
-            )
-        return num // den
-    # base field Q(z_{2^m} + 1/z_{2^m}) has degree 2^(m-2) once m >= 3,
-    # and is Q itself for m = 2
-    ext_degree = euler_phi(_adjoined_conductor(k, 2).value)
-    base_degree = 2 ** (m - 2) if m >= 3 else 1
-    assert ext_degree % base_degree == 0
-    return ext_degree // base_degree
+        den, name = p ** (m - 1) * (p - 1), "p^(m-1)(p-1)"
+    else:
+        den, name = 2 ** (m - 2), "2^(m-2)"
+    num = k.degree * t
+    if num % den != 0:
+        raise InternalInconsistency(
+            "%s does not divide d*t for p=%d, N=%d" % (name, p, k.conductor.value)
+        )
+    return num // den
 
 
 def all_invariants(k: ExactCyclotomic, p: int) -> CycloInvariants:

@@ -44,8 +44,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Largest limit primes_upto sieves: a bytearray of 10 MB, about 0.6 s.
+SIEVE_LIMIT = 10**7
+
+
 def primes_upto(limit: int) -> list[int]:
     """Primes <= limit, ascending, by the sieve of Eratosthenes."""
+    if limit > SIEVE_LIMIT:
+        raise DomainError(
+            "primes are sieved up to SIEVE_LIMIT = %d, got %d" % (SIEVE_LIMIT, limit))
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)
@@ -54,6 +61,34 @@ def primes_upto(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return [p for p in range(2, limit + 1) if sieve[p]]
+
+
+# Below _SPRP_FROM trial division to the square root takes at most 50 000
+# steps.  Above it a cofactor is first tested by Miller-Rabin with the 13
+# primes up to 41 as bases, which is exact below _SPRP_EXACT_BELOW (Sorenson
+# and Webster, Math. Comp. 86 (2017)), so a large prime cofactor ends the
+# search at once instead of after up to limit / 2 divisions.
+_SPRP_FROM = 10**10
+_SPRP_EXACT_BELOW = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2 .. 41 for odd n > 41."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES[:13]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -72,12 +107,17 @@ def _factor_below(n: int, limit: int) -> tuple[dict[int, int], int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 101
+    fresh = True  # n changed since it was last tested for primality
     while d * d <= n and d < limit:
+        if fresh and _SPRP_FROM <= n < _SPRP_EXACT_BELOW and _strong_probable_prime(n):
+            break  # n is prime: trial division would run to its square root
+        fresh = False
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
+            fresh = True
         d += 2
-    if 1 < n < limit:  # no factor up to its square root: n is prime
+    if 1 < n < limit:  # prime: no factor up to its square root, or tested above
         out[n] = out.get(n, 0) + 1
         n = 1
     return out, n

@@ -240,8 +240,18 @@ def _check_args(node_id: str, kind: str, args) -> dict:
             SolutionConstraints(extra=tuple(tags))  # parses every tag
         except DomainError as exc:
             raise SchemaError("%s: %s" % (node_id, exc)) from None
-    if kind == "EquationCase" and not (args["p"] % 2 == 1 and is_prime(args["p"])):
-        raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
+    # is_prime and trial division are cheap only inside the domain of
+    # declared keys, primes below 10^8.
+    if kind == "EquationCase":
+        if args["p"] >= 10**8:
+            raise SchemaError("%s: EquationCase p must be below 10^8" % node_id)
+        if not (args["p"] % 2 == 1 and is_prime(args["p"])):
+            raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
+    if kind == "ScaledProduct":
+        for key in ("num", "den"):
+            if _factor_below(args[key], 10**8)[1] != 1:
+                raise SchemaError(
+                    "%s: arg %r has a prime factor of 10^8 or more" % (node_id, key))
     return dict(args)
 
 
@@ -330,13 +340,14 @@ def _decode(parse, source):
 def load_ledger(source) -> Ledger:
     """Parse and validate a ledger document.
 
-    Accepts an already-parsed mapping, a JSON string, or a filesystem
-    path.  All structural and declared-value invariants are checked
-    here so that evaluation can assume a well-formed DAG.
+    Accepts an already-parsed mapping, JSON text (a string whose first
+    non-blank character is {, [ or "), or a filesystem path.  All
+    structural and declared-value invariants are checked here so that
+    evaluation can assume a well-formed DAG.
     """
     if isinstance(source, (str, os.PathLike)) and not isinstance(source, Mapping):
         text = str(source)
-        if isinstance(source, os.PathLike) or not text.lstrip().startswith("{"):
+        if isinstance(source, os.PathLike) or not text.lstrip().startswith(("{", "[", '"')):
             with open(source, "r", encoding="utf-8") as handle:
                 doc = _decode(json.load, handle)
         else:

@@ -34,6 +34,26 @@ def member_by_cosines(m: int, n: Conductor) -> bool:
     return True
 
 
+def member_by_units(m: int, n: Conductor) -> bool:
+    """Galois-group oracle for z_m + 1/z_m lying in Q(z_n).
+
+    The element lies in Q(z_L), L = lcm(n, m), and is fixed by the
+    automorphism z_L -> z_L^a exactly when a = +-1 (mod m).  It lies in
+    Q(z_n) when every unit a = 1 (mod n) of Z/L fixes it.
+    """
+    if m in (1, 2, 3, 4, 6):
+        return True
+    base = n.value
+    big = math.lcm(base, m)
+    for a in range(1, big, base):
+        if math.gcd(a, big) != 1:
+            continue
+        r = a % m
+        if r != 1 and r != m - 1:
+            return False
+    return True
+
+
 def brute_solutions(p: int, d: int, m_max: int, e_max: int, t_max: int) -> list[EquationSolution]:
     """Reference enumeration of p^(m-1)(p-1)e = dt by exhaustive triple loop."""
     out = []

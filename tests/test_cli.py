@@ -197,6 +197,71 @@ def test_invphi_past_the_limit_is_a_quick_clean_error(capsys, argv, bound):
     assert captured.err == "error: bound must be <= 1000000, got %d\n" % bound
 
 
+@pytest.mark.parametrize("argv, arg, value", [
+    (["solve-eq", "-p", "2305843009213693951", "-d", "4"], "-p", "2305843009213693951"),
+    (["schur", "-n", "2", "--conductor", "2305843009213693951"],
+     "--conductor", "2305843009213693951"),
+    (["serre", "-n", "2", "--conductor", "100000000"], "--conductor", "100000000"),
+    (["invariants", "--conductor", "7", "--prime", "100000000"], "--prime", "100000000"),
+])
+def test_primes_and_conductors_past_10_8_are_usage_errors(capsys, argv, arg, value):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: glbounds %s" % argv[0])
+    assert captured.err.endswith(
+        "error: argument %s: expected an integer below 10^8, got %s\n" % (arg, value))
+    assert captured.err.count("error:") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["rough", "-n", "100000", "-d", "100000"], 10000000001),
+    (["minkowski", "-n", "100000000000"], 100000000001),
+])
+def test_bounds_past_the_sieve_limit_are_quick_clean_errors(capsys, argv, limit):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: primes are sieved up to SIEVE_LIMIT = 10000000, got %d\n" % limit)
+
+
+_PAST_THE_DOMAIN = {
+    "minkowski": ({"kind": "Minkowski", "args": {"n": 10**11}, "children": []},
+                  "primes are sieved up to SIEVE_LIMIT = 10000000, got 100000000001"),
+    "schur-rough": ({"kind": "SchurRough", "args": {"n": 10**5, "d": 10**5}, "children": []},
+                    "primes are sieved up to SIEVE_LIMIT = 10000000, got 10000000001"),
+    "equation-p": ({"kind": "EquationCase", "args": {"p": 2**61 - 1, "n": 3, "d": 4},
+                    "children": []},
+                   "x: EquationCase p must be below 10^8"),
+    "scaled-num": ({"kind": "ScaledProduct", "args": {"num": 2**61 - 1, "den": 1},
+                    "children": ["c"]},
+                   "x: arg 'num' has a prime factor of 10^8 or more"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAST_THE_DOMAIN))
+def test_ledger_integers_past_the_domain_are_quick_clean_errors(capsys, tmp_path, name):
+    fields, message = _PAST_THE_DOMAIN[name]
+    const = {"id": "c", "kind": "Constant", "args": {}, "children": [], "declared": {},
+             "decimal": "1", "citation": "crafted"}
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps({"schema_version": 1, "root": "x", "nodes": [const, dict(
+        {"id": "x", "declared": {}, "decimal": "1", "citation": "crafted"}, **fields)]}),
+        encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["ledger", "verify", "--file", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 _NOT_JSON = {
     "python-source": "import json\nprint(json.dumps({}))\n".encode(),
     "utf-16-bom": b"\xff\xfe{\x00}\x00",

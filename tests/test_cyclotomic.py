@@ -12,11 +12,20 @@ from glbounds.cyclotomic import (
     all_invariants,
     canonical_conductor,
     contains_root_of_unity,
+    cyclo_e_p,
+    cyclo_m_p,
     lcm_conductor,
     real_cyclo_member,
 )
-from glbounds.exactnum import DomainError
+from glbounds.exactnum import DomainError, primes_upto
 from glbounds.totient import euler_phi
+
+from conftest import member_by_cosines, member_by_units
+
+# Canonical conductors below 3 000 (1, and N >= 3 with N not 2 mod 4) and
+# the primes up to 59: the sweep the closed forms are checked on.
+SWEEP_CONDUCTORS = [n for n in range(1, 3000) if n == 1 or (n >= 3 and n % 4 != 2)]
+SWEEP_PRIMES = primes_upto(59)
 
 
 def field(n: int) -> ExactCyclotomic:
@@ -127,10 +136,75 @@ def test_t_p_divides_p_minus_1_times_power(n, p):
 
 
 def test_real_membership_matches_numeric_galois_orbit():
-    from conftest import member_by_cosines
-
     conductors = [c for c in range(1, 65) if c == 1 or (c >= 3 and c % 4 != 2)]
     for cval in conductors:
         cond = Conductor(cval)
         for m in range(1, 65):
             assert real_cyclo_member(m, cond) == member_by_cosines(m, cond), (m, cval)
+
+
+def test_real_membership_matches_the_unit_group():
+    conductors = [c for c in SWEEP_CONDUCTORS if c < 400]
+    for cval in conductors:
+        cond = Conductor(cval)
+        for m in range(1, 200):
+            assert real_cyclo_member(m, cond) == member_by_units(m, cond), (m, cval)
+
+
+def test_real_cyclo_member_domain():
+    with pytest.raises(DomainError, match="m must be positive, got 0"):
+        real_cyclo_member(0, Conductor(5))
+
+
+def m_by_definition(k: ExactCyclotomic, p: int) -> int:
+    """m_p by its definition, searching n upwards.
+
+    Odd p: the largest n with z_{p^n} in K(z_p).  p = 2: the largest n with
+    z_{2^n} in K when z_4 is in K, else the largest n >= 2 with
+    z_{2^n} + 1/z_{2^n} in K.
+    """
+    if p != 2:
+        ext = lcm_conductor(k.conductor, p)
+        m = 1
+        while contains_root_of_unity(ext, p ** (m + 1)):
+            m += 1
+        return m
+    if contains_root_of_unity(k.conductor, 4):
+        m = 2
+        while contains_root_of_unity(k.conductor, 2 ** (m + 1)):
+            m += 1
+        return m
+    m = 2
+    while member_by_units(2 ** (m + 1), k.conductor):
+        m += 1
+    return m
+
+
+def test_m_p_matches_its_definition():
+    for n in SWEEP_CONDUCTORS:
+        k = ExactCyclotomic(Conductor(n))
+        for p in SWEEP_PRIMES:
+            want = m_by_definition(k, p)
+            assert cyclo_m_p(k, p) == want, (n, p)
+            assert all_invariants(k, p).m_p == want, (n, p)
+
+
+def test_e_2_times_the_real_subfield_degree_is_d_t():
+    """2^(m_2 - 2) * e_2 = d * t_2, with and without z_4 in K."""
+    seen = set()
+    for n in SWEEP_CONDUCTORS:
+        k = ExactCyclotomic(Conductor(n))
+        inv = all_invariants(k, 2)
+        assert cyclo_e_p(k, 2) == inv.e_p
+        ext_degree = euler_phi(lcm_conductor(k.conductor, 4).value)  # [K(z_4) : Q]
+        assert 2 ** (inv.m_p - 2) * inv.e_p == ext_degree == k.degree * inv.t_p, (n, inv)
+        seen.add(inv.xi4_in_k)
+    assert seen == {True, False}
+
+
+def test_invariants_reject_a_non_prime():
+    for p in (0, 1, 4, 9):
+        with pytest.raises(DomainError, match="%d is not prime" % p):
+            cyclo_m_p(QQ, p)
+        with pytest.raises(DomainError, match="%d is not prime" % p):
+            cyclo_e_p(QQ, p)

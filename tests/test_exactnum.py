@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from glbounds.exactnum import (
     ONE,
+    SIEVE_LIMIT,
     DomainError,
     FactoredInteger,
     NonDivisible,
     _factor_below,
+    _strong_probable_prime,
     factorial_valuation,
     factorize,
     fi_cmp,
@@ -62,6 +65,34 @@ def test_factor_below_stops_at_the_limit():
     assert _factor_below(2**5 * 1009 * 1013, 1010) == ({2: 5, 1009: 1}, 1013)
     with pytest.raises(DomainError):
         _factor_below(0, 1000)
+
+
+M61 = 2**61 - 1  # prime
+
+
+@pytest.mark.parametrize("n, factors, rest", [
+    (M61, {}, M61),
+    (101 * M61, {101: 1}, M61),
+    (99991 * M61, {99991: 1}, M61),
+    # a strong pseudoprime to every prime base up to 23
+    (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}, 1),
+    ((10**6 + 3) * (10**6 + 33), {10**6 + 3: 1, 10**6 + 33: 1}, 1),
+])
+def test_factor_below_a_large_prime_cofactor_is_quick(n, factors, rest):
+    # without the primality test each call divides on to d = 10^8, ~7 s
+    start = time.perf_counter()
+    assert _factor_below(n, 10**8) == (factors, rest)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_strong_probable_prime_is_exact():
+    assert all(_strong_probable_prime(n) == is_prime(n) for n in range(43, 200000, 2))
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    assert not _strong_probable_prime(3825123056546413051)
+    assert not _strong_probable_prime(318665857834031151167461)
+    assert _strong_probable_prime(M61)
+    assert _strong_probable_prime(10**20 + 39)
+    assert factorize(M61) == {M61: 1}
 
 
 def test_construction_rejects_bad_factors():
@@ -183,6 +214,13 @@ def test_decimal_past_the_str_digit_limit():
 def test_primes_upto_matches_is_prime():
     for limit in (-1, 0, 1, 2, 3, 4, 97, 100, 1000):
         assert primes_upto(limit) == [p for p in range(2, limit + 1) if is_prime(p)]
+
+
+def test_primes_upto_refuses_past_the_sieve_limit():
+    assert SIEVE_LIMIT == 10**7
+    with pytest.raises(DomainError) as info:
+        primes_upto(SIEVE_LIMIT + 1)
+    assert str(info.value) == "primes are sieved up to SIEVE_LIMIT = 10000000, got 10000001"
 
 
 def test_factored_str():

@@ -670,6 +670,12 @@ _LOADER_ERRORS = {
     "document-not-object": (
         lambda: __import__("types").MappingProxyType(doc()),
         SchemaError, "document must be an object"),
+    "json-text-array": (
+        lambda: "[]", SchemaError, "document must be an object"),
+    "json-text-array-after-blanks": (
+        lambda: " \n[1]", SchemaError, "document must be an object"),
+    "json-text-string": (
+        lambda: '"x"', SchemaError, "document must be an object"),
     "unknown-top-level-keys": (
         lambda: {"schema_version": 1, "nodes": [], "color": "red", "b": 1},
         SchemaError, "unknown top-level keys ['b', 'color']"),
@@ -740,6 +746,18 @@ _LOADER_ERRORS = {
     "equation-even-p": (
         lambda: doc(node("e", "EquationCase", {}, args={"p": 2, "n": 3, "d": 4})),
         SchemaError, "e: EquationCase needs an odd prime p"),
+    "equation-p-past-domain": (
+        lambda: doc(node("e", "EquationCase", {}, args={"p": 2**61 - 1, "n": 3, "d": 4})),
+        SchemaError, "e: EquationCase p must be below 10^8"),
+    "equation-p-10^8": (
+        lambda: doc(node("e", "EquationCase", {}, args={"p": 10**8, "n": 3, "d": 4})),
+        SchemaError, "e: EquationCase p must be below 10^8"),
+    "scaled-num-past-domain": (
+        lambda: doc(node("s", "ScaledProduct", {}, args={"num": 2**61 - 1, "den": 1})),
+        SchemaError, "s: arg 'num' has a prime factor of 10^8 or more"),
+    "scaled-den-past-domain": (
+        lambda: doc(node("s", "ScaledProduct", {}, args={"num": 1, "den": 2 * 100000007})),
+        SchemaError, "s: arg 'den' has a prime factor of 10^8 or more"),
     "children-not-ids": (
         lambda: _edit("p", "Product", {}, _set("children", "a")),
         SchemaError, "p: children must be a list of ids"),
