@@ -7,6 +7,10 @@ cases); inner nodes combine children by product, maximum, or an exact
 integer scaling i/r.  Every node carries the value it is supposed to
 have, in factored form, so the whole case analysis can be replayed and
 audited step by step.
+
+Each kind is one record of the table KINDS: its argument keys, leaf or
+inner, an extra load check if it has one, and how it evaluates from its
+children's values.  The loader and the evaluator read kinds only there.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections.abc import Iterable, Mapping
 from json.encoder import encode_basestring
-from typing import Iterable, Mapping
 
 from .cyclotomic import DegreeOnly, QQ, TRISTATE
 from .diophantine import SolutionConstraints, max_schur_exponent
@@ -68,49 +72,13 @@ class ScaleNotExact(LedgerError):
 
 SCHEMA_VERSION = 1
 
-LEAF_KINDS = frozenset(
-    {"Constant", "Minkowski", "SchurRough", "SerreQ", "Pgl2", "Gl2", "EquationCase"}
-)
-INNER_KINDS = frozenset({"Product", "Max", "ScaledProduct", "AppendixProp"})
-KINDS = LEAF_KINDS | INNER_KINDS
-
-# Required argument keys per kind, plus the optional ones EquationCase
-# and Pgl2 may add.  Anything outside these sets is a schema error.
-_REQUIRED_ARGS = {
-    "Constant": frozenset(),
-    "Minkowski": frozenset({"n"}),
-    "SchurRough": frozenset({"n", "d"}),
-    "SerreQ": frozenset({"n"}),
-    "Pgl2": frozenset({"degree"}),
-    "Gl2": frozenset({"degree"}),
-    "Product": frozenset(),
-    "Max": frozenset(),
-    "ScaledProduct": frozenset({"num", "den"}),
-    "AppendixProp": frozenset({"n", "d_max"}),
-    "EquationCase": frozenset({"p", "n", "d"}),
-}
-_OPTIONAL_ARGS = {
-    "Pgl2": frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"}),
-    "EquationCase": frozenset({"e_min", "t_max", "constraints"}),
-}
-
 _NODE_FIELDS = frozenset(
     {"id", "kind", "args", "children", "declared", "decimal", "citation"}
 )
 _NODE_OPTIONAL = frozenset({"paper_prints", "note"})
-
-# The same sets as the loader consults them, built once here rather than
-# per node: every field a node may carry, every argument key a kind allows,
-# and the allowed keys that hold positive integers.
-_NODE_ALLOWED = _NODE_FIELDS | _NODE_OPTIONAL
+_NODE_ALLOWED = _NODE_FIELDS | _NODE_OPTIONAL  # built once, not per node
+# yes/no/unknown arguments; every other but "constraints" is a positive integer
 _TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
-_ALLOWED_ARGS = {
-    kind: required | _OPTIONAL_ARGS.get(kind, frozenset())
-    for kind, required in _REQUIRED_ARGS.items()
-}
-_INT_ARGS = {
-    kind: allowed - _TRISTATE_ARGS - {"constraints"} for kind, allowed in _ALLOWED_ARGS.items()
-}
 
 
 class LedgerNode(Value):
@@ -205,6 +173,101 @@ class VerificationReport(Value):
         return [r for r in self.mismatches() if r.id not in allowed]
 
 
+# ---------------------------------------------------------------- node kinds
+
+class _Kind:
+    """One node kind: the argument keys it requires and allows, leaf (no
+    children) or inner (at least one child), an optional check(node_id, args)
+    run last among the loader's argument checks, and value(node, kids), the
+    node's value from its children's values in child order."""
+
+    __slots__ = ("required", "allowed", "leaf", "check", "value")
+
+    def __init__(self, value, *, required=(), optional=(), leaf=True, check=None):
+        self.required = frozenset(required)
+        self.allowed = self.required | frozenset(optional)
+        self.leaf = leaf
+        self.check = check
+        self.value = value
+
+
+# is_prime and trial division are cheap only inside the domain of declared
+# keys, primes below 10^8.
+def _check_equation_case(node_id: str, args: dict) -> None:
+    if args["p"] >= 10**8:
+        raise SchemaError("%s: EquationCase p must be below 10^8" % node_id)
+    if not (args["p"] % 2 == 1 and is_prime(args["p"])):
+        raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
+
+
+def _check_scaled_product(node_id: str, args: dict) -> None:
+    for key in ("num", "den"):
+        if _factor_below(args[key], 10**8)[1] != 1:
+            raise SchemaError("%s: arg %r has a prime factor of 10^8 or more" % (node_id, key))
+
+
+# Value functions reach the bound functions, fi_mul and fi_cmp through this
+# module's globals at call time, so whatever is bound to those names here runs.
+
+def _equation_case(node: LedgerNode, kids) -> FactoredInteger:
+    """p to the largest exponent the standard equation allows for p."""
+    args = node.args
+    c = SolutionConstraints(e_min=args.get("e_min", 1), t_max=args.get("t_max"),
+                            extra=tuple(args.get("constraints", ())))
+    exponent = max_schur_exponent(args["p"], args["n"], args["d"], c)
+    if exponent == 0:
+        return ONE
+    return FactoredInteger._trusted(((args["p"], exponent),))  # p was checked at load
+
+
+def _product(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
+    value = kids[0]
+    for kid in kids[1:]:
+        value = fi_mul(value, kid)
+    return value
+
+
+def _max(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
+    value = kids[0]
+    for kid in kids[1:]:
+        if fi_cmp(kid, value) > 0:
+            value = kid
+    return value
+
+
+def _scaled_product(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
+    num, den = node.args["num"], node.args["den"]
+    value = fi_mul(FactoredInteger.from_int(num), _product(node, kids))
+    try:
+        return fi_div_exact(value, FactoredInteger.from_int(den))
+    except NonDivisible:
+        raise ScaleNotExact("%s: %d/%d of the child product is not an integer"
+                            % (node.id, num, den)) from None
+
+
+# Kind name -> record.  AppendixProp evaluates as Max; its n and d_max are
+# required but never read, kept so the file states which proposition it is.
+KINDS = {
+    "Constant": _Kind(lambda node, kids: node.declared),
+    "Minkowski": _Kind(lambda node, kids: minkowski_bound(node.args["n"]), required={"n"}),
+    "SchurRough": _Kind(
+        lambda node, kids: rough_bound(node.args["n"], node.args["d"]), required={"n", "d"}),
+    "SerreQ": _Kind(lambda node, kids: serre_bound(node.args["n"], QQ), required={"n"}),
+    "Pgl2": _Kind(  # the arg keys are DegreeOnly's parameters
+        lambda node, kids: pgl2_admissible(DegreeOnly(**node.args))[1],
+        required={"degree"}, optional=_TRISTATE_ARGS),
+    "Gl2": _Kind(lambda node, kids: gl2_max_order(node.args["degree"]), required={"degree"}),
+    "EquationCase": _Kind(
+        _equation_case, required={"p", "n", "d"}, optional={"e_min", "t_max", "constraints"},
+        check=_check_equation_case),
+    "Product": _Kind(_product, leaf=False),
+    "Max": _Kind(_max, leaf=False),
+    "AppendixProp": _Kind(_max, required={"n", "d_max"}, leaf=False),
+    "ScaledProduct": _Kind(
+        _scaled_product, required={"num", "den"}, leaf=False, check=_check_scaled_product),
+}
+
+
 # ------------------------------------------------------------------- loading
 #
 # Each check raises with its message built only on failure: the loader runs
@@ -214,20 +277,19 @@ def _is_int(x) -> bool:
     return type(x) is int
 
 
-def _check_args(node_id: str, kind: str, args) -> dict:
+def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
     if not isinstance(args, dict):
         raise SchemaError("%s: args must be an object" % node_id)
-    required = _REQUIRED_ARGS[kind]
     keys = args.keys()
-    if not required <= keys <= _ALLOWED_ARGS[kind]:
+    if not spec.required <= keys <= spec.allowed:
         raise SchemaError(
             "%s: %s args must have %s, got %s"
-            % (node_id, kind, sorted(required), sorted(keys))
+            % (node_id, kind, sorted(spec.required), sorted(keys))
         )
     # Keys are checked in document order, so the first bad one is named.
-    int_args = _INT_ARGS[kind]
     for key, value in args.items():
-        if key in int_args and not (_is_int(value) and value >= 1):
+        if (key not in _TRISTATE_ARGS and key != "constraints"
+                and not (_is_int(value) and value >= 1)):
             raise SchemaError("%s: arg %r must be a positive integer" % (node_id, key))
     for key, value in args.items():
         if key in _TRISTATE_ARGS and value not in TRISTATE:
@@ -240,18 +302,8 @@ def _check_args(node_id: str, kind: str, args) -> dict:
             SolutionConstraints(extra=tuple(tags))  # parses every tag
         except DomainError as exc:
             raise SchemaError("%s: %s" % (node_id, exc)) from None
-    # is_prime and trial division are cheap only inside the domain of
-    # declared keys, primes below 10^8.
-    if kind == "EquationCase":
-        if args["p"] >= 10**8:
-            raise SchemaError("%s: EquationCase p must be below 10^8" % node_id)
-        if not (args["p"] % 2 == 1 and is_prime(args["p"])):
-            raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
-    if kind == "ScaledProduct":
-        for key in ("num", "den"):
-            if _factor_below(args[key], 10**8)[1] != 1:
-                raise SchemaError(
-                    "%s: arg %r has a prime factor of 10^8 or more" % (node_id, key))
+    if spec.check is not None:
+        spec.check(node_id, args)
     return dict(args)
 
 
@@ -387,16 +439,16 @@ def load_ledger(source) -> Ledger:
         if nid in nodes:
             raise SchemaError("duplicate node id %r" % nid)
         kind = raw["kind"]
-        if not (isinstance(kind, str) and kind in KINDS):
+        spec = KINDS.get(kind) if isinstance(kind, str) else None
+        if spec is None:
             raise SchemaError("%s: unknown kind %r" % (nid, kind))
-        args = _check_args(nid, kind, raw["args"])
+        args = _check_args(nid, kind, spec, raw["args"])
         children = raw["children"]
         if not (isinstance(children, list) and all(isinstance(c, str) for c in children)):
             raise SchemaError("%s: children must be a list of ids" % nid)
-        if kind in LEAF_KINDS:
-            if children != []:
-                raise SchemaError("%s: %s takes no children" % (nid, kind))
-        elif len(children) < 1:
+        if spec.leaf and children:
+            raise SchemaError("%s: %s takes no children" % (nid, kind))
+        if not (spec.leaf or children):
             raise SchemaError("%s: %s needs children" % (nid, kind))
         declared = _parse_declared(nid, raw["declared"], raw["decimal"], primes)
         citation = raw["citation"]
@@ -446,62 +498,9 @@ def load_ledger(source) -> Ledger:
 
 # ---------------------------------------------------------------- evaluation
 
-def _eval_leaf(node: LedgerNode) -> FactoredInteger:
-    args = node.args
-    if node.kind == "Constant":
-        return node.declared
-    if node.kind == "Minkowski":
-        return minkowski_bound(args["n"])
-    if node.kind == "SchurRough":
-        return rough_bound(args["n"], args["d"])
-    if node.kind == "SerreQ":
-        return serre_bound(args["n"], QQ)
-    if node.kind == "Pgl2":
-        field_ = DegreeOnly(
-            degree=args["degree"],
-            minus1_sum_of_two_squares=args.get("minus1_sum_of_two_squares", "unknown"),
-            contains_sqrt5=args.get("contains_sqrt5", "unknown"),
-        )
-        return pgl2_admissible(field_)[1]
-    if node.kind == "Gl2":
-        return gl2_max_order(args["degree"])
-    # EquationCase: one "what does the standard equation allow for p"
-    # step, returning p to the largest admissible exponent.
-    c = SolutionConstraints(
-        e_min=args.get("e_min", 1),
-        t_max=args.get("t_max"),
-        extra=tuple(args.get("constraints", ())),
-    )
-    exponent = max_schur_exponent(args["p"], args["n"], args["d"], c)
-    if exponent == 0:
-        return ONE
-    return FactoredInteger._trusted(((args["p"], exponent),))  # p was checked at load
-
-
 def _combine(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
-    """Value of an inner node from its children's values, in child order."""
-    if node.kind == "Product":
-        value = ONE
-        for kid in kids:
-            value = fi_mul(value, kid)
-        return value
-    if node.kind in ("Max", "AppendixProp"):
-        value = kids[0]
-        for kid in kids[1:]:
-            if fi_cmp(kid, value) > 0:
-                value = kid
-        return value
-    # ScaledProduct
-    value = FactoredInteger.from_int(node.args["num"])
-    for kid in kids:
-        value = fi_mul(value, kid)
-    try:
-        return fi_div_exact(value, FactoredInteger.from_int(node.args["den"]))
-    except NonDivisible:
-        raise ScaleNotExact(
-            "%s: %d/%d of the child product is not an integer"
-            % (node.id, node.args["num"], node.args["den"])
-        ) from None
+    """Value of a node from its children's values, in child order (a leaf has none)."""
+    return KINDS[node.kind].value(node, kids)
 
 
 def _dirty(ledger: Ledger, overrides: Mapping[str, FactoredInteger]) -> set[str]:
@@ -555,14 +554,11 @@ def _eval(
             stack.pop()
             continue
         node = nodes[top]
-        if node.kind in LEAF_KINDS:
-            value = _eval_leaf(node)
-        else:
-            pending = [kid for kid in node.children if kid not in memo]
-            if pending:
-                stack.extend(reversed(pending))
-                continue
-            value = _combine(node, [memo[kid] for kid in node.children])
+        pending = [kid for kid in node.children if kid not in memo]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        value = _combine(node, [memo[kid] for kid in node.children])
         memo[top] = value
         if top not in dirty:
             values[top] = value

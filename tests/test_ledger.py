@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from glbounds.exactnum import DomainError, FactoredInteger, ONE, fi_to_decimal
 from glbounds.ledger import (
     KINDS,
-    LEAF_KINDS,
     BadDeclaredValue,
     CycleError,
     DanglingChild,
@@ -128,6 +127,62 @@ def test_children_arity_by_kind():
         ))
     with pytest.raises(SchemaError):
         load_ledger(doc(node("m", "Max", {})))
+
+
+# One minimal node per kind: exactly its required args, the children an
+# inner kind combines (the Constants six = 2 * 3 and ten = 2 * 5), and its
+# value: M(4) = 5760, the rough row n = 3, d = 1, Serre's bound for n = 3
+# over Q, S4 in PGL2 when nothing rules it out, the GL2 maximum at degree 6,
+# and 3^7 from the standard equation for p = 3, n = 3, d = 12.
+_MINIMAL = {
+    "Constant": ({}, [], 8),  # its declared value
+    "Minkowski": ({"n": 4}, [], 5760),
+    "SchurRough": ({"n": 3, "d": 1}, [], 288),
+    "SerreQ": ({"n": 3}, [], 10080),
+    "Pgl2": ({"degree": 1}, [], 24),
+    "Gl2": ({"degree": 6}, [], 1512),
+    "EquationCase": ({"p": 3, "n": 3, "d": 12}, [], 3**7),
+    "Product": ({}, ["six", "ten"], 60),
+    "Max": ({}, ["six", "ten"], 10),
+    "AppendixProp": ({"n": 3, "d_max": 2}, ["six", "ten"], 10),
+    "ScaledProduct": ({"num": 1, "den": 2}, ["six", "ten"], 30),
+}
+
+
+def _one_of_kind(kind, args, children, value=1):
+    declared = {str(p): e for p, e in fi(value).factors}
+    return doc(node("six", "Constant", {"2": 1, "3": 1}),
+               node("ten", "Constant", {"2": 1, "5": 1}),
+               node("x", kind, declared, args=args, children=children), root="x")
+
+
+def _load_error(document):
+    with pytest.raises(SchemaError) as info:
+        load_ledger(document)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_each_kind_loads_evaluates_and_checks_its_args_and_arity(kind):
+    args, children, value = _MINIMAL[kind]
+    assert KINDS[kind].required == set(args)
+    ledger = load_ledger(_one_of_kind(kind, args, children, value))
+    assert final_bound(ledger) == fi(value)
+    row = verify_ledger(ledger).rows[-1]
+    assert (row.id, row.status) == ("x", "Unchecked" if kind == "Constant" else "Match")
+
+    def args_message(keys):
+        return "x: %s args must have %s, got %s" % (kind, sorted(args), sorted(keys))
+
+    for key in args:
+        fewer = {k: v for k, v in args.items() if k != key}
+        assert _load_error(_one_of_kind(kind, fewer, children)) == args_message(fewer)
+    more = dict(args, bogus=1)
+    assert _load_error(_one_of_kind(kind, more, children)) == args_message(more)
+    if KINDS[kind].leaf:
+        assert _load_error(_one_of_kind(kind, args, ["six"])) == "x: %s takes no children" % kind
+    else:
+        assert _load_error(_one_of_kind(kind, args, [])) == "x: %s needs children" % kind
 
 
 def test_declared_value_validation():
@@ -583,7 +638,7 @@ def _oracle(ledger, leaf_ints, overrides, nid):
 
 _WARM = paper_ledger()
 _LEAVES = {row.id: as_int(row.computed) for row in verify_ledger(paper_ledger()).rows
-           if _WARM.nodes[row.id].kind in LEAF_KINDS}
+           if KINDS[_WARM.nodes[row.id].kind].leaf}
 verify_ledger(_WARM)
 _WARM_VALUES = dict(_WARM.node_values)
 _DECLARED = sorted({as_int(n.declared) for n in _WARM.nodes.values()})
@@ -640,6 +695,62 @@ def test_a_what_if_recombines_only_the_overridden_ancestors(monkeypatch):
     assert final_bound(warm) == fi(24103053950976000)
     assert sorted(combined) == sorted(ancestors)
     assert warm.node_values == before
+
+
+# Generated ledgers of the combinators on Constants: levels of one to three
+# nodes, each node taking a child from the level below and up to two more
+# from anywhere beneath, so children are shared; shuffled into document
+# order, so verify_ledger meets parents before their children.  Every choice
+# is one integer draw, which keeps generation cheap.
+_CONSTANTS = ({}, {"2": 1}, {"3": 1}, {"2": 1, "3": 1}, {"2": 3}, {"3": 2, "5": 1},
+              {"2": 12, "7": 3})
+_COMBINATORS = [("Product", {}), ("Max", {}), ("AppendixProp", {"n": 3, "d_max": 2})] + [
+    ("ScaledProduct", {"num": num, "den": den}) for num in (1, 2, 3) for den in (1, 2, 3)]
+
+
+@st.composite
+def _combinator_ledgers(draw):
+    def pick(items):
+        return items[draw(st.integers(0, len(items) - 1))]
+
+    below = ["c%d" % i for i in range(draw(st.integers(1, 4)))]
+    nodes = [node(nid, "Constant", pick(_CONSTANTS)) for nid in below]
+    ids: list[str] = []
+    for level in range(1, draw(st.integers(1, 8)) + 1):
+        ids += below
+        this_level = ["n%d-%d" % (level, j) for j in range(draw(st.integers(1, 3)))]
+        for nid in this_level:
+            kids = [pick(ids) for _ in range(draw(st.integers(0, 2)))]
+            kids.insert(draw(st.integers(0, len(kids))), pick(below))
+            kind, args = pick(_COMBINATORS)
+            nodes.append(node(nid, kind, {}, args=args, children=kids))
+        below = this_level
+    return doc(*draw(st.permutations(nodes)), root=pick(below))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_combinator_ledgers())
+def test_generated_ledgers_match_a_plain_int_evaluator(document):
+    ledger = load_ledger(document)
+    leaves = {nid: as_int(n.declared) for nid, n in ledger.nodes.items() if not n.children}
+    try:
+        want = _oracle(ledger, leaves, {}, ledger.root)
+    except _Inexact as inexact:
+        with pytest.raises(ScaleNotExact, match="^%s: " % inexact.args[0]):
+            final_bound(ledger)
+    else:
+        assert as_int(final_bound(ledger)) == want
+    # verify_ledger walks the nodes in document order, so the first error it
+    # meets is in the walk of the first node whose walk has one.
+    want_all = {}
+    for nid in ledger.order:
+        try:
+            want_all[nid] = _oracle(ledger, leaves, {}, nid)
+        except _Inexact as inexact:
+            with pytest.raises(ScaleNotExact, match="^%s: " % inexact.args[0]):
+                verify_ledger(ledger)
+            return
+    assert {row.id: as_int(row.computed) for row in verify_ledger(ledger).rows} == want_all
 
 
 # ------------------------------------------------------- loader messages

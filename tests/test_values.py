@@ -214,9 +214,10 @@ def test_leaf_memo_is_per_instance_and_outside_the_contract():
         a.node_values = {}
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site-packages' start-up hooks from importing either first.
-    code = "import sys, glbounds.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def test_importing_the_cli_loads_no_dataclasses_inspect_typing_or_decimal():
+    # -S keeps site-packages' start-up hooks from importing any of them first.
+    code = ("import sys, glbounds.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'typing', 'decimal'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
