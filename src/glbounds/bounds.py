@@ -94,14 +94,19 @@ def schur_exponent(n: int, p: int, inv: CycloInvariants) -> int:
     """
     _check_n(n)
     assert inv.p == p
-    t, m = inv.t_p, inv.m_p
+    m = inv.m_p
     if p != 2:
-        k = n // t
-        return m * k + _legendre(p, k)
+        return _schur_odd_exponent(n, p, inv.t_p, m)
     if inv.xi4_in_k:
         return m * n + _legendre(2, n)
     h = n // 2
     return n + m * h + _legendre(2, h)
+
+
+def _schur_odd_exponent(n: int, p: int, t: int, m: int) -> int:
+    """m*floor(n/t) + L_p(floor(n/t)): schur_exponent for an odd p, unchecked."""
+    k = n // t
+    return m * k + _legendre(p, k)
 
 
 def schur_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
@@ -255,13 +260,15 @@ def pgl2_admissible(field) -> tuple[list[GroupFamily], FactoredInteger]:
     ms = _admissible_m(field)
     fams = [GroupFamily("cyclic", m) for m in ms]
     fams += [GroupFamily("dihedral", m) for m in ms]
+    exceptional = []
     if minus1 != "no":
-        fams.append(GroupFamily("A4"))
-        fams.append(GroupFamily("S4"))
+        exceptional += [GroupFamily("A4"), GroupFamily("S4")]
     if minus1 != "no" and sqrt5 != "no" and field.degree > 2:
-        fams.append(GroupFamily("A5"))
-    top = max(f.order for f in fams)
-    return fams, FactoredInteger.from_int(top)
+        exceptional.append(GroupFamily("A5"))
+    # ms ascends and always holds 2, 3, 4 and 6, and D_2m has twice the
+    # order of mu_m, so D_2m for the last m is the largest of those families.
+    top = max([2 * ms[-1]] + [f.order for f in exceptional])
+    return fams + exceptional, FactoredInteger.from_int(top)
 
 
 def pgl2_max_order(d: int) -> FactoredInteger:

@@ -2,15 +2,14 @@
 
 Every appendix-style case split reduces to: which triples (m, e, t) can the
 invariants of a degree-d field take at the prime p, subject to side
-constraints read off from gcd and parity lemmas.  Solutions feed straight
-into schur_exponent; an empty solution list is meaningful and yields
-exponent 0.
+constraints read off from gcd and parity lemmas.  Solutions are scored by
+the odd-p schur_exponent formula; an empty solution list is meaningful and
+yields exponent 0.
 """
 
 from __future__ import annotations
 
-from .bounds import schur_exponent
-from .cyclotomic import CycloInvariants
+from .bounds import _check_n, _schur_odd_exponent
 from .exactnum import DomainError, Value, is_prime
 
 
@@ -34,38 +33,43 @@ class SolutionConstraints(Value):
              "e even" / "e odd"
              "m = K"   m equals K
              "t >= K"  t at least K
+
+    The tags are parsed once, here, and their predicates kept for the
+    solver in a slot that is no constructor argument and takes no part in
+    ==, hash, repr or pickling.
     """
 
-    __slots__ = _fields = ("e_min", "t_max", "extra")
+    _fields = ("e_min", "t_max", "extra")
+    __slots__ = _fields + ("_preds",)
 
     def __init__(self, e_min: int = 1, t_max: int | None = None, extra: tuple[str, ...] = ()):
         if e_min < 1:
             raise DomainError("e_min must be >= 1, got %r" % e_min)
         if t_max is not None and t_max < 1:
             raise DomainError("t_max must be >= 1, got %r" % t_max)
-        for tag in extra:
-            _parse_tag(tag)  # validate eagerly
+        preds = tuple([_parse_tag(tag) for tag in extra])  # validates every tag
         object.__setattr__(self, "e_min", e_min)
         object.__setattr__(self, "t_max", t_max)
         object.__setattr__(self, "extra", extra)
+        object.__setattr__(self, "_preds", preds)
 
 
 def _parse_tag(tag: str):
-    """Turn a constraint tag into a predicate on EquationSolution."""
+    """Turn a constraint tag into a predicate on the ints (m, e, t)."""
     words = tag.split()
     if words == ["e", "even"]:
-        return lambda s: s.e % 2 == 0
+        return lambda m, e, t: e % 2 == 0
     if words == ["e", "odd"]:
-        return lambda s: s.e % 2 == 1
+        return lambda m, e, t: e % 2 == 1
     if len(words) == 3 and words[0] == "e" and words[1] == "=":
         k = _tag_constant(tag, words[2])
-        return lambda s: s.e == k
+        return lambda m, e, t: e == k
     if len(words) == 3 and words[0] == "m" and words[1] == "=":
         k = _tag_constant(tag, words[2])
-        return lambda s: s.m == k
+        return lambda m, e, t: m == k
     if len(words) == 3 and words[0] == "t" and words[1] == ">=":
         k = _tag_constant(tag, words[2])
-        return lambda s: s.t >= k
+        return lambda m, e, t: t >= k
     raise DomainError("unknown constraint tag %r" % tag)
 
 
@@ -98,7 +102,7 @@ def solve_standard_equation(p: int, d: int, c: SolutionConstraints) -> list[Equa
         raise DomainError("solve_standard_equation needs a concrete t_max")
     if c.t_max > T_MAX_LIMIT:
         raise DomainError("t_max must be <= %d, got %d" % (T_MAX_LIMIT, c.t_max))
-    preds = [_parse_tag(tag) for tag in c.extra]
+    e_min, preds = c.e_min, c._preds
     out = []
     for t in range(1, c.t_max + 1):
         rhs = d * t
@@ -106,9 +110,9 @@ def solve_standard_equation(p: int, d: int, c: SolutionConstraints) -> list[Equa
         lhs = p - 1  # p^(m-1) * (p-1)
         while lhs <= rhs:
             if rhs % lhs == 0:
-                sol = EquationSolution(m=m, e=rhs // lhs, t=t)
-                if sol.e >= c.e_min and all(pred(sol) for pred in preds):
-                    out.append(sol)
+                e = rhs // lhs
+                if e >= e_min and all([pred(m, e, t) for pred in preds]):
+                    out.append(EquationSolution(m, e, t))
             m += 1
             lhs *= p
     return out
@@ -128,13 +132,13 @@ def max_schur_exponent(
     """
     if not is_prime(p) or p == 2:
         raise DomainError("p must be an odd prime, got %r" % p)
+    _check_n(n)
     if c is None:
         c = SolutionConstraints(t_max=n)
     elif c.t_max is None or c.t_max > n:
         c = SolutionConstraints(e_min=c.e_min, t_max=n, extra=c.extra)
     best = 0
     for sol in solve_standard_equation(p, d, c):
-        inv = CycloInvariants(p=p, t_p=sol.t, m_p=sol.m, e_p=sol.e, xi4_in_k=False)
-        best = max(best, schur_exponent(n, p, inv))
+        best = max(best, _schur_odd_exponent(n, p, sol.t, sol.m))
     return best
 

@@ -304,7 +304,10 @@ def fi_to_decimal(a: FactoredInteger, group: bool = False) -> str:
     grouped:  24 103 053 950 976 000
     plain:    24103053950976000
     """
-    s = _decimal(a.to_int())
+    n = a.to_int()
+    if group and n.bit_length() <= _STR_BITS:
+        return format(n, ",").replace(",", " ")
+    s = _decimal(n)
     if not group:
         return s
     head = len(s) % 3 or 3

@@ -97,14 +97,20 @@ class LedgerNode(Value):
         paper_prints: str | None = None,
         note: str | None = None,
     ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "declared", declared)
-        object.__setattr__(self, "citation", citation)
-        object.__setattr__(self, "paper_prints", paper_prints)
-        object.__setattr__(self, "note", note)
+        # Each slot's own setter, bound once below the class: cheaper than
+        # object.__setattr__, and the loader builds one node per entry.
+        _set_id(self, id)
+        _set_kind(self, kind)
+        _set_args(self, args)
+        _set_children(self, children)
+        _set_declared(self, declared)
+        _set_citation(self, citation)
+        _set_paper_prints(self, paper_prints)
+        _set_note(self, note)
+
+
+(_set_id, _set_kind, _set_args, _set_children, _set_declared, _set_citation,
+ _set_paper_prints, _set_note) = [LedgerNode.__dict__[name].__set__ for name in LedgerNode._fields]
 
 
 class Ledger(Value):
@@ -212,9 +218,12 @@ def _check_scaled_product(node_id: str, args: dict) -> None:
 def _equation_case(node: LedgerNode, kids) -> FactoredInteger:
     """p to the largest exponent the standard equation allows for p."""
     args = node.args
-    c = SolutionConstraints(e_min=args.get("e_min", 1), t_max=args.get("t_max"),
+    n, t_max = args["n"], args.get("t_max")
+    if t_max is None or t_max > n:
+        t_max = n  # what max_schur_exponent clamps to, so it builds no second record
+    c = SolutionConstraints(e_min=args.get("e_min", 1), t_max=t_max,
                             extra=tuple(args.get("constraints", ())))
-    exponent = max_schur_exponent(args["p"], args["n"], args["d"], c)
+    exponent = max_schur_exponent(args["p"], n, args["d"], c)
     if exponent == 0:
         return ONE
     return FactoredInteger._trusted(((args["p"], exponent),))  # p was checked at load
@@ -307,11 +316,20 @@ def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
     return dict(args)
 
 
-def _parse_declared(node_id: str, raw, decimal, primes: dict[str, int]) -> FactoredInteger:
+def _parse_declared(
+    node_id: str,
+    raw,
+    decimal,
+    primes: dict[str, int],
+    rendered: dict[tuple, tuple[FactoredInteger, str]],
+) -> FactoredInteger:
     """The declared value, checked against its decimal.
 
     primes maps each declared key already accepted during this load to its
     prime, so a key repeated across nodes is parsed and prime-tested once.
+    rendered maps each factors tuple already seen during this load to its
+    value and grouped decimal, so a value repeated across nodes is rendered
+    once and every node declaring it shares one FactoredInteger.
     """
     if not isinstance(raw, dict):
         raise BadDeclaredValue("%s: declared must be a map prime -> exponent" % node_id)
@@ -341,12 +359,16 @@ def _parse_declared(node_id: str, raw, decimal, primes: dict[str, int]) -> Facto
         if p in factors:
             raise BadDeclaredValue("%s: duplicate prime %s in declared" % (node_id, key))
         factors[p] = exp
-    # Prime bases, positive exponents, no prime twice: the checks above are
-    # the validation, so sorting is all that is left.
-    value = FactoredInteger._trusted(tuple(sorted(factors.items())))
     if not isinstance(decimal, str):
         raise BadDeclaredValue("%s: decimal must be a string" % node_id)
-    expect = fi_to_decimal(value, group=True)
+    key = tuple(sorted(factors.items()))
+    seen = rendered.get(key)
+    if seen is None:
+        # Prime bases, positive exponents, no prime twice: the checks above
+        # are the validation, so sorting is all that is left.
+        value = FactoredInteger._trusted(key)
+        seen = rendered[key] = (value, fi_to_decimal(value, group=True))
+    value, expect = seen
     if decimal != expect:
         raise BadDeclaredValue(
             "%s: decimal %r does not match declared factorization (%s)"
@@ -424,6 +446,7 @@ def load_ledger(source) -> Ledger:
     nodes: dict[str, LedgerNode] = {}
     order: list[str] = []
     primes: dict[str, int] = {}  # declared key -> its prime, for this load only
+    rendered: dict[tuple, tuple[FactoredInteger, str]] = {}  # for this load only
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise SchemaError("node entries must be objects")
@@ -450,7 +473,7 @@ def load_ledger(source) -> Ledger:
             raise SchemaError("%s: %s takes no children" % (nid, kind))
         if not (spec.leaf or children):
             raise SchemaError("%s: %s needs children" % (nid, kind))
-        declared = _parse_declared(nid, raw["declared"], raw["decimal"], primes)
+        declared = _parse_declared(nid, raw["declared"], raw["decimal"], primes, rendered)
         citation = raw["citation"]
         if not isinstance(citation, str):
             raise SchemaError("%s: citation must be a string" % nid)
@@ -674,15 +697,20 @@ def to_document(ledger: Ledger) -> dict:
         out["root"] = ledger.root
     out["whitelist"] = list(ledger.whitelist)
     nodes = []
+    decimals: dict[tuple, str] = {}  # factors -> grouped decimal, for this call only
     for nid in ledger.order:
         node = ledger.nodes[nid]
+        factors = node.declared.factors
+        decimal = decimals.get(factors)
+        if decimal is None:
+            decimal = decimals[factors] = fi_to_decimal(node.declared, group=True)
         entry = {
             "id": node.id,
             "kind": node.kind,
             "args": dict(node.args),
             "children": list(node.children),
-            "declared": {str(p): e for p, e in node.declared.factors},
-            "decimal": fi_to_decimal(node.declared, group=True),
+            "declared": {str(p): e for p, e in factors},
+            "decimal": decimal,
             "citation": node.citation,
         }
         if node.paper_prints is not None:
@@ -700,7 +728,8 @@ def _emit(value, indent: str, out: list[str]) -> None:
 
     Strings go through json's own encode_basestring (its C function where
     built); any other scalar goes to json.dumps, whose rendering of a
-    scalar does not depend on indent.
+    scalar does not depend on indent.  The str and int items of a dict or
+    list, most of a ledger document, are appended in place, not recursed on.
     """
     if type(value) is str:
         out.append(encode_basestring(value))
@@ -716,7 +745,12 @@ def _emit(value, indent: str, out: list[str]) -> None:
             out.append(sep)
             out.append(encode_basestring(key))
             out.append(": ")
-            _emit(item, inner, out)
+            if type(item) is str:
+                out.append(encode_basestring(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _emit(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif isinstance(value, (list, tuple)):
@@ -727,7 +761,12 @@ def _emit(value, indent: str, out: list[str]) -> None:
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
-            _emit(item, inner, out)
+            if type(item) is str:
+                out.append(encode_basestring(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _emit(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
     else:

@@ -22,6 +22,7 @@ from glbounds.bounds import (
 )
 from glbounds.cyclotomic import (
     QQ,
+    TRISTATE,
     CycloInvariants,
     DegreeOnly,
     ExactCyclotomic,
@@ -237,6 +238,20 @@ def test_pgl2_flags_gate_polyhedral_groups():
     assert "A5" not in {f.kind for f in families}
     families, _ = pgl2_admissible(DegreeOnly(degree=4, contains_sqrt5="no"))
     assert "A5" not in {f.kind for f in families}
+
+
+def test_pgl2_maximum_is_the_largest_family_order():
+    # the maximum is read off the largest m and the exceptional families;
+    # the order of every family it returns is the reference
+    for d in range(1, 31):
+        for minus1 in TRISTATE:
+            for sqrt5 in TRISTATE:
+                families, top = pgl2_admissible(DegreeOnly(d, minus1, sqrt5))
+                assert top == fi(max(f.order for f in families)), (d, minus1, sqrt5)
+    for n in range(1, 121):
+        if n % 4 != 2:
+            families, top = pgl2_admissible(field(n))
+            assert top == fi(max(f.order for f in families)), n
 
 
 def test_pgl2_max_order_by_degree():

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
+import pickle
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glbounds.bounds import schur_exponent
+from glbounds.cyclotomic import CycloInvariants
 from glbounds.diophantine import (
     T_MAX_LIMIT,
     EquationSolution,
@@ -38,6 +42,16 @@ def test_constraint_validation():
     with pytest.raises(DomainError):
         SolutionConstraints(extra=("nonsense",))
     SolutionConstraints(extra=("e = 2", "e even", "e odd", "m = 1", "t >= 3"))
+
+
+def test_constraints_compare_print_and_pickle_by_their_fields():
+    c = SolutionConstraints(e_min=2, t_max=3, extra=("e even",))
+    assert c == SolutionConstraints(2, 3, ("e even",))
+    assert hash(c) == hash(SolutionConstraints(2, 3, ("e even",)))
+    assert repr(c) == "SolutionConstraints(e_min=2, t_max=3, extra=('e even',))"
+    again = pickle.loads(pickle.dumps(c))
+    assert again == c
+    assert solve_standard_equation(7, 12, again) == solve_standard_equation(7, 12, c)
 
 
 def test_solver_needs_concrete_tmax():
@@ -123,6 +137,49 @@ def test_max_schur_exponent_degree_twelve_steps():
     assert max_schur_exponent(13, 3, 12, SolutionConstraints(e_min=3)) == 1
     assert max_schur_exponent(7, 3, 12, SolutionConstraints(extra=("e = 4",))) == 1
     assert max_schur_exponent(7, 3, 12, SolutionConstraints(extra=("e = 6",))) == 1
+
+
+def test_max_schur_exponent_checks_n_before_t_max():
+    # n is the caller's argument; the clamped t_max it would become is not
+    for c in (None, SolutionConstraints(t_max=5)):
+        with pytest.raises(DomainError) as info:
+            max_schur_exponent(3, 0, 2, c)
+        assert str(info.value) == "matrix size n must be >= 1, got 0"
+
+
+# The test's own reading of each constraint tag form.
+_TAG_READINGS = {
+    "e = 2": lambda s: s.e == 2,
+    "e = 03": lambda s: s.e == 3,
+    "e even": lambda s: s.e % 2 == 0,
+    "e odd": lambda s: s.e % 2 == 1,
+    "m = 1": lambda s: s.m == 1,
+    "m = 2": lambda s: s.m == 2,
+    "t >= 2": lambda s: s.t >= 2,
+}
+_TAG_SETS = [()] + [(tag,) for tag in _TAG_READINGS] + [("e even", "t >= 2")]
+
+
+def test_max_schur_exponent_against_brute_solutions_and_schur_exponent():
+    n_max, d_max = 8, 24
+    for p in (3, 5, 7, 11, 13):
+        for d in range(1, d_max + 1):
+            # every solution with t <= n_max: p^(m-1) <= d t caps m, d t caps e
+            brute = brute_solutions(p, d, m_max=6, e_max=d * n_max, t_max=n_max)
+            for n, e_min, tags in itertools.product(range(1, n_max + 1), (1, 2, 3), _TAG_SETS):
+                for t_max in (None, n - 1, n + 3):  # none, below n, above n
+                    if t_max == 0:
+                        continue
+                    t_top = n if t_max is None else min(t_max, n)
+                    want = max(
+                        [schur_exponent(n, p, CycloInvariants(p, s.t, s.m, s.e, False))
+                         for s in brute
+                         if s.t <= t_top and s.e >= e_min
+                         and all(_TAG_READINGS[tag](s) for tag in tags)],
+                        default=0,
+                    )
+                    c = SolutionConstraints(e_min=e_min, t_max=t_max, extra=tags)
+                    assert max_schur_exponent(p, n, d, c) == want, (p, n, d, c)
 
 
 def test_max_schur_exponent_defaults_tmax_to_n():

@@ -4,7 +4,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from glbounds.exactnum import (
@@ -192,6 +192,9 @@ def test_decimal_rendering():
 
 
 @given(positive)
+@example(2**1999)  # 2000 bits, the last size grouped by format()
+@example(2**2000)  # 2001 bits, grouped after the split rendering
+@example(7 * 10**601)
 def test_grouping_only_inserts_spaces(n):
     grouped = fi_to_decimal(fi(n), group=True)
     assert grouped.replace(" ", "") == str(n)

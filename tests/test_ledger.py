@@ -558,6 +558,35 @@ def test_paper_ledger_serialization_is_stable(ledger):
     assert text == packaged
 
 
+def test_each_declared_value_is_rendered_once_per_load_and_per_export(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    text = dumps_ledger(paper_ledger())
+    calls = []
+    real = ledger_mod.fi_to_decimal
+
+    def counting(value, group=False):
+        calls.append(value)
+        return real(value, group)
+
+    monkeypatch.setattr(ledger_mod, "fi_to_decimal", counting)
+    loaded = load_ledger(json.loads(text))
+    assert len(loaded.order) == 218
+    assert len(calls) == len({node.declared for node in loaded.nodes.values()}) == 99
+    calls.clear()
+    assert dumps_ledger(loaded) == text
+    assert len(calls) == 99
+
+
+def test_a_repeated_value_with_a_wrong_decimal_is_still_refused():
+    first = node("a", "Constant", {"2": 10, "3": 1})
+    again = dict(node("b", "Constant", {"3": 1, "02": 10}), decimal="3072")
+    with pytest.raises(BadDeclaredValue) as info:
+        load_ledger(doc(first, again))
+    assert str(info.value) == (
+        "b: decimal '3072' does not match declared factorization (3 072)")
+
+
 def test_each_leaf_bound_is_computed_once_per_ledger(monkeypatch):
     import glbounds.ledger as ledger_mod
 
