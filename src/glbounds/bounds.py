@@ -200,8 +200,9 @@ class GroupFamily(Value):
     __slots__ = _fields = ("kind", "m")
 
     def __init__(self, kind: str, m: int = 0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "m", m)
+        # One per family and pgl2_admissible call: the slots' own setters, bound below.
+        _family_kind(self, kind)
+        _family_m(self, m)
 
     @property
     def order(self) -> int:
@@ -218,6 +219,9 @@ class GroupFamily(Value):
         if self.kind == "dihedral":
             return "D%d" % (2 * self.m)
         return self.kind
+
+
+_family_kind, _family_m = [GroupFamily.__dict__[name].__set__ for name in GroupFamily._fields]
 
 
 def _flags(field) -> tuple[str, str]:

@@ -292,12 +292,17 @@ def _cmd_ledger_final(ns) -> int:
 
 def _cmd_ledger_export(ns) -> int:
     ledger = _load(ns)
-    text = ledger_mod.dumps_ledger(ledger)
+    # UTF-8 bytes to a file or to stdout, whatever the stream's encoding, so
+    # that a redirected export loads back.
+    data = ledger_mod.dumps_ledger(ledger).encode("utf-8")
     if ns.output:
-        with open(ns.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        with open(ns.output, "wb") as handle:
+            handle.write(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:  # a stream of text only, such as io.StringIO
+        sys.stdout.write(data.decode("utf-8"))
     return EXIT_OK
 
 
@@ -429,6 +434,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return ns.func(ns)
+    except UnicodeEncodeError as exc:  # text the output stream cannot encode
+        print("error: cannot write the output: %s" % exc, file=sys.stderr)
+        return EXIT_DOMAIN
     except (DomainError, ledger_mod.LedgerError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN

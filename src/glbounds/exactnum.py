@@ -128,7 +128,8 @@ class Value:
 
     A subclass names its fields in `_fields`, in constructor order, lists
     them in `__slots__` and sets them in its own `__init__` through
-    object.__setattr__.  Values compare and hash by their fields, are never
+    object.__setattr__, or through each slot's own bound setter where many
+    are built.  Values compare and hash by their fields, are never
     equal to an instance of another class, refuse assignment and deletion,
     print as Name(field=value, ...), and pickle and copy by their fields.
     """

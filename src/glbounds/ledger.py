@@ -9,15 +9,21 @@ have, in factored form, so the whole case analysis can be replayed and
 audited step by step.
 
 Each kind is one record of the table KINDS: its argument keys, leaf or
-inner, an extra load check if it has one, and how it evaluates from its
+inner, how it parses its args if it must, and how it evaluates from its
 children's values.  The loader and the evaluator read kinds only there.
+Parsed args (EquationCase's constraints, ScaledProduct's num and den in
+factored form) are parsed once per node, by the loader or by a hand-built
+node's first evaluation, and kept in the node's private `_parsed` slot.
+
+dumps_ledger writes each node's fields straight from the ledger, in the
+layout of json.dumps(to_document(ledger), indent=2, ensure_ascii=False);
+to_document stays the public form, and the tests check the writer against it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 from collections.abc import Iterable, Mapping
 from json.encoder import encode_basestring
 
@@ -82,21 +88,15 @@ _TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
 
 
 class LedgerNode(Value):
-    __slots__ = _fields = (
-        "id", "kind", "args", "children", "declared", "citation", "paper_prints", "note"
-    )
+    """One node.  `_parsed` holds what its kind parses from args, or None;
+    it is no constructor argument and takes no part in ==, hash or repr."""
 
-    def __init__(
-        self,
-        id: str,
-        kind: str,
-        args: Mapping[str, object],
-        children: tuple[str, ...],
-        declared: FactoredInteger,
-        citation: str,
-        paper_prints: str | None = None,
-        note: str | None = None,
-    ):
+    _fields = ("id", "kind", "args", "children", "declared", "citation", "paper_prints", "note")
+    __slots__ = _fields + ("_parsed",)
+
+    def __init__(self, id: str, kind: str, args: Mapping[str, object], children: tuple[str, ...],
+                 declared: FactoredInteger, citation: str, paper_prints: str | None = None,
+                 note: str | None = None):
         # Each slot's own setter, bound once below the class: cheaper than
         # object.__setattr__, and the loader builds one node per entry.
         _set_id(self, id)
@@ -107,10 +107,12 @@ class LedgerNode(Value):
         _set_citation(self, citation)
         _set_paper_prints(self, paper_prints)
         _set_note(self, note)
+        _set_parsed(self, None)
 
 
 (_set_id, _set_kind, _set_args, _set_children, _set_declared, _set_citation,
- _set_paper_prints, _set_note) = [LedgerNode.__dict__[name].__set__ for name in LedgerNode._fields]
+ _set_paper_prints, _set_note, _set_parsed) = [
+    LedgerNode.__dict__[name].__set__ for name in LedgerNode.__slots__]
 
 
 class Ledger(Value):
@@ -150,19 +152,18 @@ class Ledger(Value):
 class VerificationRow(Value):
     __slots__ = _fields = ("id", "declared", "computed", "status", "annotation")
 
-    def __init__(
-        self,
-        id: str,
-        declared: FactoredInteger,
-        computed: FactoredInteger,
-        status: str,  # Match | Mismatch | Unchecked
-        annotation: str | None = None,
-    ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "declared", declared)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "annotation", annotation)
+    def __init__(self, id: str, declared: FactoredInteger, computed: FactoredInteger,
+                 status: str, annotation: str | None = None):  # status: Match | Mismatch | Unchecked
+        # One row per node and verify: the slots' own setters, as in LedgerNode.
+        _row_id(self, id)
+        _row_declared(self, declared)
+        _row_computed(self, computed)
+        _row_status(self, status)
+        _row_annotation(self, annotation)
+
+
+_row_id, _row_declared, _row_computed, _row_status, _row_annotation = [
+    VerificationRow.__dict__[name].__set__ for name in VerificationRow._fields]
 
 
 class VerificationReport(Value):
@@ -183,33 +184,61 @@ class VerificationReport(Value):
 
 class _Kind:
     """One node kind: the argument keys it requires and allows, leaf (no
-    children) or inner (at least one child), an optional check(node_id, args)
-    run last among the loader's argument checks, and value(node, kids), the
-    node's value from its children's values in child order."""
+    children) or inner (at least one child), value(node, kids), the node's
+    value from its children's values in child order, and, for a kind whose
+    args need more than a type check, parse(node_id, args), which checks
+    them and returns what value() reads from the node's `_parsed` slot."""
 
-    __slots__ = ("required", "allowed", "leaf", "check", "value")
+    __slots__ = ("required", "allowed", "leaf", "value", "parse")
 
-    def __init__(self, value, *, required=(), optional=(), leaf=True, check=None):
+    def __init__(self, value, *, required=(), optional=(), leaf=True, parse=None):
         self.required = frozenset(required)
         self.allowed = self.required | frozenset(optional)
         self.leaf = leaf
-        self.check = check
         self.value = value
+        self.parse = parse
+
+
+def _parsed(node: LedgerNode):
+    """node's parsed args: parsed by the loader, which runs parse last among
+    its argument checks, or here on a hand-built node's first evaluation."""
+    parsed = node._parsed
+    if parsed is None:
+        parsed = KINDS[node.kind].parse(node.id, node.args)
+        _set_parsed(node, parsed)
+    return parsed
 
 
 # is_prime and trial division are cheap only inside the domain of declared
 # keys, primes below 10^8.
-def _check_equation_case(node_id: str, args: dict) -> None:
+def _parse_equation_case(node_id: str, args: Mapping[str, object]) -> SolutionConstraints:
+    """The solver's constraints, with t_max clamped to n as max_schur_exponent
+    would clamp it, so that it builds no second record."""
+    tags = args.get("constraints", [])
+    if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+        raise SchemaError("%s: constraints must be a list of tag strings" % node_id)
+    n, t_max = args["n"], args.get("t_max")
+    try:
+        constraints = SolutionConstraints(e_min=args.get("e_min", 1), extra=tuple(tags),
+                                          t_max=n if t_max is None or t_max > n else t_max)
+    except DomainError as exc:  # a bad tag
+        raise SchemaError("%s: %s" % (node_id, exc)) from None
     if args["p"] >= 10**8:
         raise SchemaError("%s: EquationCase p must be below 10^8" % node_id)
     if not (args["p"] % 2 == 1 and is_prime(args["p"])):
         raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
+    return constraints
 
 
-def _check_scaled_product(node_id: str, args: dict) -> None:
+def _parse_scaled_product(node_id: str, args: Mapping[str, object]) -> list[FactoredInteger]:
+    """num and den as FactoredIntegers."""
+    scale = []
     for key in ("num", "den"):
-        if _factor_below(args[key], 10**8)[1] != 1:
+        factors, rest = _factor_below(args[key], 10**8)
+        if rest != 1:
             raise SchemaError("%s: arg %r has a prime factor of 10^8 or more" % (node_id, key))
+        scale.append(FactoredInteger._trusted(tuple(sorted(factors.items()))))
+    return scale
 
 
 # Value functions reach the bound functions, fi_mul and fi_cmp through this
@@ -218,15 +247,10 @@ def _check_scaled_product(node_id: str, args: dict) -> None:
 def _equation_case(node: LedgerNode, kids) -> FactoredInteger:
     """p to the largest exponent the standard equation allows for p."""
     args = node.args
-    n, t_max = args["n"], args.get("t_max")
-    if t_max is None or t_max > n:
-        t_max = n  # what max_schur_exponent clamps to, so it builds no second record
-    c = SolutionConstraints(e_min=args.get("e_min", 1), t_max=t_max,
-                            extra=tuple(args.get("constraints", ())))
-    exponent = max_schur_exponent(args["p"], n, args["d"], c)
+    exponent = max_schur_exponent(args["p"], args["n"], args["d"], _parsed(node))
     if exponent == 0:
         return ONE
-    return FactoredInteger._trusted(((args["p"], exponent),))  # p was checked at load
+    return FactoredInteger._trusted(((args["p"], exponent),))  # p was checked by parse
 
 
 def _product(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
@@ -245,13 +269,12 @@ def _max(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
 
 
 def _scaled_product(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
-    num, den = node.args["num"], node.args["den"]
-    value = fi_mul(FactoredInteger.from_int(num), _product(node, kids))
+    num, den = _parsed(node)
     try:
-        return fi_div_exact(value, FactoredInteger.from_int(den))
+        return fi_div_exact(fi_mul(num, _product(node, kids)), den)
     except NonDivisible:
         raise ScaleNotExact("%s: %d/%d of the child product is not an integer"
-                            % (node.id, num, den)) from None
+                            % (node.id, node.args["num"], node.args["den"])) from None
 
 
 # Kind name -> record.  AppendixProp evaluates as Max; its n and d_max are
@@ -268,12 +291,12 @@ KINDS = {
     "Gl2": _Kind(lambda node, kids: gl2_max_order(node.args["degree"]), required={"degree"}),
     "EquationCase": _Kind(
         _equation_case, required={"p", "n", "d"}, optional={"e_min", "t_max", "constraints"},
-        check=_check_equation_case),
+        parse=_parse_equation_case),
     "Product": _Kind(_product, leaf=False),
     "Max": _Kind(_max, leaf=False),
     "AppendixProp": _Kind(_max, required={"n", "d_max"}, leaf=False),
     "ScaledProduct": _Kind(
-        _scaled_product, required={"num", "den"}, leaf=False, check=_check_scaled_product),
+        _scaled_product, required={"num", "den"}, leaf=False, parse=_parse_scaled_product),
 }
 
 
@@ -281,10 +304,6 @@ KINDS = {
 #
 # Each check raises with its message built only on failure: the loader runs
 # dozens of checks per node, and formatting a message costs more than the test.
-
-def _is_int(x) -> bool:
-    return type(x) is int
-
 
 def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
     if not isinstance(args, dict):
@@ -295,34 +314,22 @@ def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
             "%s: %s args must have %s, got %s"
             % (node_id, kind, sorted(spec.required), sorted(keys))
         )
-    # Keys are checked in document order, so the first bad one is named.
+    # One pass in document order, so the first bad key is named; a bad
+    # integer arg is named before a bad yes/no/unknown arg, wherever it is.
+    bad_tristate = None
     for key, value in args.items():
-        if (key not in _TRISTATE_ARGS and key != "constraints"
-                and not (_is_int(value) and value >= 1)):
+        if key in _TRISTATE_ARGS:
+            if bad_tristate is None and value not in TRISTATE:
+                bad_tristate = key
+        elif key != "constraints" and not (type(value) is int and value >= 1):
             raise SchemaError("%s: arg %r must be a positive integer" % (node_id, key))
-    for key, value in args.items():
-        if key in _TRISTATE_ARGS and value not in TRISTATE:
-            raise SchemaError("%s: arg %r must be yes/no/unknown" % (node_id, key))
-    if "constraints" in keys:
-        tags = args["constraints"]
-        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
-            raise SchemaError("%s: constraints must be a list of tag strings" % node_id)
-        try:
-            SolutionConstraints(extra=tuple(tags))  # parses every tag
-        except DomainError as exc:
-            raise SchemaError("%s: %s" % (node_id, exc)) from None
-    if spec.check is not None:
-        spec.check(node_id, args)
+    if bad_tristate is not None:
+        raise SchemaError("%s: arg %r must be yes/no/unknown" % (node_id, bad_tristate))
     return dict(args)
 
 
-def _parse_declared(
-    node_id: str,
-    raw,
-    decimal,
-    primes: dict[str, int],
-    rendered: dict[tuple, tuple[FactoredInteger, str]],
-) -> FactoredInteger:
+def _parse_declared(node_id: str, raw, decimal, primes: dict[str, int],
+                    rendered: dict[tuple, tuple[FactoredInteger, str]]) -> FactoredInteger:
     """The declared value, checked against its decimal.
 
     primes maps each declared key already accepted during this load to its
@@ -352,7 +359,7 @@ def _parse_declared(
             if not is_prime(p):
                 raise BadDeclaredValue("%s: declared key %s is not prime" % (node_id, key))
             primes[key] = p
-        if not (_is_int(exp) and exp >= 1):
+        if not (type(exp) is int and exp >= 1):
             raise BadDeclaredValue(
                 "%s: declared exponent for %s must be a positive integer" % (node_id, key)
             )
@@ -437,7 +444,7 @@ def load_ledger(source) -> Ledger:
     if extra:
         raise SchemaError("unknown top-level keys %s" % sorted(extra))
     version = doc.get("schema_version")
-    if not (_is_int(version) and version == SCHEMA_VERSION):  # not True, not 1.0
+    if not (type(version) is int and version == SCHEMA_VERSION):  # not True, not 1.0
         raise SchemaError("schema_version must be %d" % SCHEMA_VERSION)
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list):
@@ -466,6 +473,7 @@ def load_ledger(source) -> Ledger:
         if spec is None:
             raise SchemaError("%s: unknown kind %r" % (nid, kind))
         args = _check_args(nid, kind, spec, raw["args"])
+        parsed = None if spec.parse is None else spec.parse(nid, args)
         children = raw["children"]
         if not (isinstance(children, list) and all(isinstance(c, str) for c in children)):
             raise SchemaError("%s: children must be a list of ids" % nid)
@@ -480,16 +488,10 @@ def load_ledger(source) -> Ledger:
         for opt in ("paper_prints", "note"):
             if opt in fields and not isinstance(raw[opt], str):
                 raise SchemaError("%s: %s must be a string" % (nid, opt))
-        nodes[nid] = LedgerNode(
-            id=nid,
-            kind=kind,
-            args=args,
-            children=tuple(children),
-            declared=declared,
-            citation=citation,
-            paper_prints=raw.get("paper_prints"),
-            note=raw.get("note"),
-        )
+        node = nodes[nid] = LedgerNode(nid, kind, args, tuple(children), declared, citation,
+                                       raw.get("paper_prints"), raw.get("note"))
+        if parsed is not None:
+            _set_parsed(node, parsed)
         order.append(nid)
 
     for node in nodes.values():
@@ -510,13 +512,7 @@ def load_ledger(source) -> Ledger:
     if len(set(whitelist)) != len(whitelist):
         raise SchemaError("duplicate whitelist entry")
 
-    return Ledger(
-        schema_version=SCHEMA_VERSION,
-        root=root,
-        whitelist=tuple(whitelist),
-        nodes=nodes,
-        order=tuple(order),
-    )
+    return Ledger(SCHEMA_VERSION, root, tuple(whitelist), nodes, tuple(order))
 
 
 # ---------------------------------------------------------------- evaluation
@@ -697,20 +693,15 @@ def to_document(ledger: Ledger) -> dict:
         out["root"] = ledger.root
     out["whitelist"] = list(ledger.whitelist)
     nodes = []
-    decimals: dict[tuple, str] = {}  # factors -> grouped decimal, for this call only
     for nid in ledger.order:
         node = ledger.nodes[nid]
-        factors = node.declared.factors
-        decimal = decimals.get(factors)
-        if decimal is None:
-            decimal = decimals[factors] = fi_to_decimal(node.declared, group=True)
         entry = {
             "id": node.id,
             "kind": node.kind,
             "args": dict(node.args),
             "children": list(node.children),
-            "declared": {str(p): e for p, e in factors},
-            "decimal": decimal,
+            "declared": {str(p): e for p, e in node.declared.factors},
+            "decimal": fi_to_decimal(node.declared, group=True),
             "citation": node.citation,
         }
         if node.paper_prints is not None:
@@ -722,71 +713,65 @@ def to_document(ledger: Ledger) -> dict:
     return out
 
 
-def _emit(value, indent: str, out: list[str]) -> None:
-    """Append json.dumps(value, indent=2, ensure_ascii=False) to out, nested
-    at indent, for documents of str, int, list and dict with str keys.
-
-    Strings go through json's own encode_basestring (its C function where
-    built); any other scalar goes to json.dumps, whose rendering of a
-    scalar does not depend on indent.  The str and int items of a dict or
-    list, most of a ledger document, are appended in place, not recursed on.
-    """
-    if type(value) is str:
-        out.append(encode_basestring(value))
-    elif type(value) is int:
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key, item in value.items():
-            out.append(sep)
-            out.append(encode_basestring(key))
-            out.append(": ")
-            if type(item) is str:
-                out.append(encode_basestring(item))
-            elif type(item) is int:
-                out.append(int.__repr__(item))
-            else:
-                _emit(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in value:
-            out.append(sep)
-            if type(item) is str:
-                out.append(encode_basestring(item))
-            elif type(item) is int:
-                out.append(int.__repr__(item))
-            else:
-                _emit(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]")
-    else:
-        out.append(json.dumps(value, ensure_ascii=False))
+def _json(value, indent: str) -> str:
+    """json.dumps(value, indent=2, ensure_ascii=False) nested at indent.
+    Exact, because a JSON string never holds a raw newline."""
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
 
 
-def _dumps_indented(doc) -> str:
-    """json.dumps(doc, indent=2, ensure_ascii=False) through _emit."""
-    out: list[str] = []
-    _emit(doc, "", out)
-    return "".join(out)
+def _join(items: list[str], brackets: str, indent: str) -> str:
+    """Rendered items in brackets ("[]" or "{}"), nested at indent, laid out
+    as json.dumps(indent=2) lays out a container: one item a line."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
 def dumps_ledger(ledger: Ledger) -> str:
-    doc = to_document(ledger)
-    # Below 3.13 json.dumps with indent runs CPython's pure-Python encoder,
-    # which _emit outpaces; from 3.13 the C encoder handles indent and wins.
-    if sys.version_info < (3, 13):
-        return _dumps_indented(doc) + "\n"
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """json.dumps(to_document(ledger), indent=2, ensure_ascii=False) + "\n",
+    written field by field from the ledger.  Values only a hand-built ledger
+    can hold, a schema_version that is no int or an arg that is no int, str
+    or list of str, go through json.dumps."""
+    enc = encode_basestring
+    version = ledger.schema_version
+    top = ['"schema_version": ' + (
+        int.__repr__(version) if type(version) is int else _json(version, "  "))]
+    if ledger.root is not None:
+        top.append('"root": ' + enc(ledger.root))
+    top.append('"whitelist": ' + _join(list(map(enc, ledger.whitelist)), "[]", "  "))
+    nodes = []
+    rendered: dict[tuple, str] = {}  # factors -> declared and decimal fields, for this call only
+    for nid in ledger.order:
+        node = ledger.nodes[nid]
+        args = []
+        for key, value in node.args.items():
+            if type(value) is int:
+                args.append("%s: %d" % (enc(key), value))
+            elif type(value) is str:
+                args.append(enc(key) + ": " + enc(value))
+            elif type(value) is list and all([type(tag) is str for tag in value]):
+                args.append(enc(key) + ": " + _join(list(map(enc, value)), "[]", "        "))
+            else:
+                args.append(enc(key) + ": " + _json(value, "        "))
+        factors = node.declared.factors
+        declared = rendered.get(factors)
+        if declared is None:
+            declared = rendered[factors] = '"declared": %s,\n      "decimal": %s' % (
+                _join(['"%d": %d' % pair for pair in factors], "{}", "      "),
+                enc(fi_to_decimal(node.declared, group=True)))
+        text = ('{\n      "id": %s,\n      "kind": %s,\n      "args": %s,\n      "children": %s,'
+                '\n      %s,\n      "citation": %s' % (
+                    enc(node.id), enc(node.kind), _join(args, "{}", "      "),
+                    _join(list(map(enc, node.children)), "[]", "      "), declared,
+                    enc(node.citation)))
+        if node.paper_prints is not None:
+            text += ',\n      "paper_prints": ' + enc(node.paper_prints)
+        if node.note is not None:
+            text += ',\n      "note": ' + enc(node.note)
+        nodes.append(text + "\n    }")
+    top.append('"nodes": ' + _join(nodes, "[]", "  "))
+    return _join(top, "{}", "") + "\n"
 
 
 def paper_ledger() -> Ledger:

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from glbounds.bounds import minkowski_bound, table
 from glbounds.cli import _use_color, build_parser, main
 from glbounds.exactnum import fi_to_decimal, fi_to_factored_str
-from glbounds.ledger import dumps_ledger, paper_ledger
+from glbounds.ledger import dumps_ledger, explain, load_ledger, paper_ledger
 
 from conftest import decimal_value
 from regen_golden import CASES, GOLDEN
@@ -158,6 +163,64 @@ def test_ledger_export_round_trip(capsys, tmp_path):
     # the exported file is a fully usable ledger again
     assert main(["ledger", "final", "--file", str(target)]) == 0
     assert capsys.readouterr().out.strip().endswith("24 103 053 950 976 000")
+    # a stream of text only takes the same text
+    with contextlib.redirect_stdout(io.StringIO()) as text_only:
+        assert main(["ledger", "export"]) == 0
+    assert text_only.getvalue() == out
+
+
+def _glbounds(*argv, encoding):
+    """python -m glbounds argv, with stdin, stdout and stderr in encoding."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONIOENCODING=encoding)
+    return subprocess.run([sys.executable, "-m", "glbounds", *argv], env=env,
+                          capture_output=True, timeout=60)
+
+
+@pytest.fixture
+def non_ascii_ledger(tmp_path):
+    doc = json.loads(dumps_ledger(paper_ledger()))
+    doc["nodes"][0]["citation"] = "lemme \u00e9 \u2264 8"
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+def test_export_to_stdout_is_utf_8_whatever_the_stream_encoding(non_ascii_ledger, tmp_path):
+    target = tmp_path / "copy.json"
+    assert main(["ledger", "export", "--file", str(non_ascii_ledger), "-o", str(target)]) == 0
+    done = _glbounds("ledger", "export", "--file", str(non_ascii_ledger), encoding="ascii")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == target.read_bytes()
+    assert "lemme \u00e9 \u2264 8" in done.stdout.decode("utf-8")
+    redirected = tmp_path / "redirected.json"
+    redirected.write_bytes(done.stdout)
+    assert dumps_ledger(load_ledger(redirected)).encode("utf-8") == done.stdout
+
+
+def test_text_the_stream_cannot_encode_is_a_clean_error(non_ascii_ledger):
+    nid = json.loads(non_ascii_ledger.read_text(encoding="utf-8"))["nodes"][0]["id"]
+    done = _glbounds("ledger", "explain", nid, "--file", str(non_ascii_ledger),
+                     encoding="ascii")
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr.decode("ascii") == (
+        "error: cannot write the output: 'ascii' codec can't encode character '\\xe9' "
+        "in position %d: ordinal not in range(128)\n"
+        % explain(load_ledger(non_ascii_ledger), nid).index("\u00e9"))
+
+
+def test_a_lone_surrogate_is_a_clean_export_error_that_writes_no_file(capsys, tmp_path):
+    doc = json.loads(dumps_ledger(paper_ledger()))
+    doc["nodes"][0]["citation"] = "lone \ud800"
+    path, target = tmp_path / "s.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # ASCII: the surrogate is escaped
+    assert main(["ledger", "export", "--file", str(path), "-o", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write the output: 'utf-8' codec can't encode")
+    assert captured.err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_multiple_overrides(capsys):

@@ -13,10 +13,11 @@ from glbounds.ledger import (
     BadDeclaredValue,
     CycleError,
     DanglingChild,
+    Ledger,
     LedgerError,
+    LedgerNode,
     ScaleNotExact,
     SchemaError,
-    _dumps_indented,
     dumps_ledger,
     eval_node,
     explain,
@@ -372,49 +373,88 @@ def test_round_trip_document():
     assert dumps_ledger(ledger) == dumps_ledger(load_ledger(again))
 
 
-# Text for the string encoder: non-ASCII, quotes, backslashes and control
-# characters, besides whatever hypothesis draws.
+# Text for the writer: non-ASCII, quotes, backslashes, control characters
+# and U+2028, besides whatever hypothesis draws.
 _text = st.text(
     st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters()),
     max_size=12,
 )
-_HUGE = fi_to_decimal(FactoredInteger.from_map({2: 14999, 5: 14999, 3: 1}), group=True)
-_ledger_node = st.fixed_dictionaries(
-    {
-        "id": _text,
-        "kind": st.sampled_from(sorted(KINDS)),
-        "args": st.dictionaries(
-            _text,
-            st.one_of(st.integers(min_value=1, max_value=10**6), _text,
-                      st.lists(_text, max_size=3)),  # constraint lists
-            max_size=4,
-        ),
-        "children": st.lists(_text, max_size=3),
-        "declared": st.dictionaries(st.integers(min_value=2, max_value=10**8).map(str),
-                                    st.integers(min_value=1, max_value=20000), max_size=4),
-        "decimal": st.one_of(_text, st.just(_HUGE)),
-        "citation": _text,
-    },
-    optional={"paper_prints": _text, "note": _text},
-)
-_ledger_document = st.fixed_dictionaries(
-    {"schema_version": st.just(1), "whitelist": st.lists(_text, max_size=2),
-     "nodes": st.lists(_ledger_node, max_size=4)},
-    optional={"root": _text},
-)
+# Declared values, as documents hold them and as values, rendered once.
+_HUGE = {"2": 14999, "5": 14999, "3": 1}  # 3 * 10^14999
+_WRITER_VALUES = [FactoredInteger.from_map({int(p): e for p, e in d.items()})
+                  for d in ({}, {"2": 1}, {"3": 2, "5": 1}, {"2": 12, "7": 3}, _HUGE)]
+_WRITER_DECLARED = [({str(p): e for p, e in v.factors}, fi_to_decimal(v, group=True))
+                    for v in _WRITER_VALUES]
+_writer_values = st.sampled_from(_WRITER_VALUES) | st.dictionaries(
+    st.sampled_from((2, 3, 5, 97, 1000003, 99999989)), st.integers(1, 60), max_size=4,
+).map(FactoredInteger.from_map)
 _any_json = st.recursive(
     st.one_of(_text, st.integers(), st.booleans(), st.none(), st.floats()),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_text, inner, max_size=4)),
-    max_leaves=20,
+    max_leaves=8,
+)
+# Values of a type no loaded ledger holds, bool and float first.
+_non_canonical = st.one_of(st.booleans(), st.floats(), st.none(), _any_json)
+# (kind, args) pairs the loader accepts, with constraint lists and tristates.
+_LOADABLE_ARGS = (
+    ("Constant", {}), ("Minkowski", {"n": 3}), ("Gl2", {"degree": 2}),
+    ("Pgl2", {"degree": 4, "contains_sqrt5": "no", "minus1_sum_of_two_squares": "unknown"}),
+    ("EquationCase", {"p": 7, "n": 3, "d": 12, "e_min": 2, "constraints": ["e even", "t >= 1"]}),
+    ("EquationCase", {"p": 3, "n": 2, "d": 2, "constraints": []}),
+    ("Product", {}), ("Max", {}), ("AppendixProp", {"n": 3, "d_max": 2}),
+    ("ScaledProduct", {"num": 2, "den": 3}),
 )
 
 
-@given(st.one_of(_ledger_document, _any_json))
-@example({"schema_version": 1, "whitelist": [], "nodes": [
-    {"id": "", "kind": "Max", "args": {}, "children": [], "declared": {},
-     "decimal": _HUGE, "citation": "\u00e9 \"q\" \\ \x01"}]})
-def test_emitter_matches_json_dumps(document):
-    assert _dumps_indented(document) == json.dumps(document, indent=2, ensure_ascii=False)
+@st.composite
+def _loaded_ledgers(draw):
+    """load_ledger of a document with zero to five nodes, children drawn
+    from the nodes before, text fields from _text."""
+    ids = draw(st.lists(_text.filter(bool), unique=True, max_size=5))
+    nodes = []
+    for i, nid in enumerate(ids):
+        kind, args = draw(st.sampled_from(
+            [pair for pair in _LOADABLE_ARGS if i or KINDS[pair[0]].leaf]))
+        children = [] if KINDS[kind].leaf else draw(
+            st.lists(st.sampled_from(ids[:i]), min_size=1, max_size=3))
+        declared, decimal = draw(st.sampled_from(_WRITER_DECLARED))
+        nodes.append(draw(st.fixed_dictionaries(
+            {"id": st.just(nid), "kind": st.just(kind), "args": st.just(args),
+             "children": st.just(children), "declared": st.just(declared),
+             "decimal": st.just(decimal), "citation": _text},
+            optional={"paper_prints": _text, "note": _text})))
+    root = draw(st.none() | st.sampled_from(ids)) if ids else None
+    whitelist = draw(st.lists(st.sampled_from(ids), unique=True, max_size=2)) if ids else []
+    return load_ledger(doc(*nodes, root=root, whitelist=whitelist))
+
+
+@st.composite
+def _hand_built_ledgers(draw):
+    """Ledger and LedgerNode values built directly: any arg values, unknown
+    kinds, dangling children, node ids that differ from their keys, and any
+    schema_version."""
+    nodes = {}
+    for i in range(draw(st.integers(0, 3))):
+        args = draw(st.dictionaries(
+            _text, st.one_of(st.integers(), _text, st.lists(_text, max_size=3), _non_canonical),
+            max_size=4))
+        nodes["k%d" % i] = LedgerNode(
+            draw(_text), draw(st.sampled_from(sorted(KINDS)) | _text), args,
+            tuple(draw(st.lists(_text, max_size=3))), draw(_writer_values),
+            draw(_text), draw(st.none() | _text), draw(st.none() | _text))
+    order = tuple(draw(st.lists(st.sampled_from(sorted(nodes)), max_size=6))) if nodes else ()
+    return Ledger(draw(st.just(1) | _non_canonical), draw(st.none() | _text),
+                  tuple(draw(st.lists(_text, max_size=2))), nodes, order)
+
+
+@settings(deadline=None)
+@given(st.one_of(_loaded_ledgers(), _hand_built_ledgers()))
+@example(Ledger(1, None, (), {"": LedgerNode(
+    "", "Max", {}, (), _WRITER_VALUES[-1],
+    "\u00e9 \"q\" \\ \x01\u2028")}, ("",)))
+def test_writer_matches_json_dumps_of_the_document(ledger):
+    want = json.dumps(to_document(ledger), indent=2, ensure_ascii=False) + "\n"
+    assert dumps_ledger(ledger) == want
 
 
 def test_bounded_leaves_past_the_invphi_limit_are_domain_errors():
@@ -867,6 +907,15 @@ _LOADER_ERRORS = {
     "arg-not-tristate": (
         lambda: doc(node("g", "Pgl2", {}, args={"degree": 2, "contains_sqrt5": "maybe"})),
         SchemaError, "g: arg 'contains_sqrt5' must be yes/no/unknown"),
+    "arg-not-tristate-before-arg-not-positive": (
+        lambda: doc(node("g", "Pgl2", {}, args={"contains_sqrt5": "maybe", "degree": 0})),
+        SchemaError, "g: arg 'degree' must be a positive integer"),
+    "arg-true": (
+        lambda: doc(node("m", "Minkowski", {}, args={"n": True})),
+        SchemaError, "m: arg 'n' must be a positive integer"),
+    "arg-float": (
+        lambda: doc(node("m", "Minkowski", {}, args={"n": 1.0})),
+        SchemaError, "m: arg 'n' must be a positive integer"),
     "constraints-not-tags": (
         lambda: doc(node("e", "EquationCase", {},
                          args={"p": 3, "n": 3, "d": 4, "constraints": "e = 2"})),
@@ -892,6 +941,10 @@ _LOADER_ERRORS = {
     "equation-p-10^8": (
         lambda: doc(node("e", "EquationCase", {}, args={"p": 10**8, "n": 3, "d": 4})),
         SchemaError, "e: EquationCase p must be below 10^8"),
+    "equation-bad-tag-and-even-p": (
+        lambda: doc(node("e", "EquationCase", {},
+                         args={"p": 2, "n": 3, "d": 4, "constraints": ["bogus"]})),
+        SchemaError, "e: unknown constraint tag 'bogus'"),
     "scaled-num-past-domain": (
         lambda: doc(node("s", "ScaledProduct", {}, args={"num": 2**61 - 1, "den": 1})),
         SchemaError, "s: arg 'num' has a prime factor of 10^8 or more"),
@@ -900,6 +953,12 @@ _LOADER_ERRORS = {
         SchemaError, "s: arg 'den' has a prime factor of 10^8 or more"),
     "children-not-ids": (
         lambda: _edit("p", "Product", {}, _set("children", "a")),
+        SchemaError, "p: children must be a list of ids"),
+    "children-empty-string": (
+        lambda: _edit("p", "Product", {}, _set("children", "")),
+        SchemaError, "p: children must be a list of ids"),
+    "children-empty-object": (
+        lambda: _edit("p", "Product", {}, _set("children", {})),
         SchemaError, "p: children must be a list of ids"),
     "leaf-with-children": (
         lambda: doc(node("a", "Constant", {}), node("b", "Constant", {}, children=["a"])),
@@ -926,6 +985,12 @@ _LOADER_ERRORS = {
         BadDeclaredValue, "c: declared key 4 is not prime"),
     "declared-exponent": (
         lambda: _edit("c", "Constant", {}, _set("declared", {"2": 0})),
+        BadDeclaredValue, "c: declared exponent for 2 must be a positive integer"),
+    "declared-exponent-true": (
+        lambda: _edit("c", "Constant", {}, _set("declared", {"2": True})),
+        BadDeclaredValue, "c: declared exponent for 2 must be a positive integer"),
+    "declared-exponent-float": (
+        lambda: _edit("c", "Constant", {}, _set("declared", {"2": 1.0})),
         BadDeclaredValue, "c: declared exponent for 2 must be a positive integer"),
     "declared-duplicate-prime": (
         lambda: _edit("c", "Constant", {}, _set("declared", {"2": 1, "02": 1})),
