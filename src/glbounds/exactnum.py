@@ -18,9 +18,9 @@ class NonDivisible(ValueError):
     """Exact division was requested but the divisor does not divide."""
 
 
-# Primes below 100 are enough to factor every cofactor that actually shows up
-# (the largest prime in any shipped value is 43); is_prime falls back to trial
-# division for anything bigger.
+# Primes below 100: trial division by them settles every n below 101^2, and
+# the largest prime in any shipped value is 43.  Both loops over them stop at
+# the first p with p^2 > n, where what is left of n is 1 or a prime.
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
@@ -28,14 +28,15 @@ _SMALL_PRIMES = (
 
 
 def is_prime(n: int) -> bool:
+    """Trial division to the square root of n; n is below 10**8 where the
+    package calls this, so at most 5 000 divisions."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
-        if n == p:
-            return True
+        if p * p > n:
+            return True  # no prime factor up to the square root
         if n % p == 0:
-            return False
-    # trial division; values handled here are < 10**8 so this is cheap
+            return False  # p < n, since p * p <= n
     d = 101
     while d * d <= n:
         if n % d == 0:
@@ -97,16 +98,18 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def _factor_below(n: int, limit: int) -> tuple[dict[int, int], int]:
-    """Prime factors below limit (> 97 or > n) of a positive n by trial
-    division that stops at limit, and the cofactor: 1 or primes >= limit."""
+    """Prime factors below limit of a positive n by trial division that stops
+    at limit, and the cofactor: 1 or a product of primes >= limit."""
     if n < 1:
         raise DomainError("can only factor positive integers, got %r" % n)
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
+        if p * p > n or p >= limit:
+            break  # n is 1 or a prime, or has no prime factor below limit
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 101
+    d = 101  # the loop below runs only if the one above tried every small prime
     fresh = True  # n changed since it was last tested for primality
     while d * d <= n and d < limit:
         if fresh and _SPRP_FROM <= n < _SPRP_EXACT_BELOW and _strong_probable_prime(n):

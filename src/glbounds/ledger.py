@@ -13,7 +13,9 @@ inner, how it parses its args if it must, and how it evaluates from its
 children's values.  The loader and the evaluator read kinds only there.
 Parsed args (EquationCase's constraints, ScaledProduct's num and den in
 factored form) are parsed once per node, by the loader or by a hand-built
-node's first evaluation, and kept in the node's private `_parsed` slot.
+node's first evaluation, and kept in the node's private `_parsed` slot;
+the loader parses each distinct argument set once per load, and the nodes
+that share it share the result.
 
 dumps_ledger writes each node's fields straight from the ledger, in the
 layout of json.dumps(to_document(ledger), indent=2, ensure_ascii=False);
@@ -186,8 +188,10 @@ class _Kind:
     """One node kind: the argument keys it requires and allows, leaf (no
     children) or inner (at least one child), value(node, kids), the node's
     value from its children's values in child order, and, for a kind whose
-    args need more than a type check, parse(node_id, args), which checks
-    them and returns what value() reads from the node's `_parsed` slot."""
+    args need more than a type check, parse(node_id, args, memo=None), which
+    checks them and returns what value() reads from the node's `_parsed`
+    slot.  The loader passes each kind one memo dict per load, so args that
+    several nodes share are parsed once and their result is shared."""
 
     __slots__ = ("required", "allowed", "leaf", "value", "parse")
 
@@ -211,33 +215,54 @@ def _parsed(node: LedgerNode):
 
 # is_prime and trial division are cheap only inside the domain of declared
 # keys, primes below 10^8.
-def _parse_equation_case(node_id: str, args: Mapping[str, object]) -> SolutionConstraints:
+def _parse_equation_case(node_id: str, args: Mapping[str, object],
+                         memo: dict | None = None) -> SolutionConstraints:
     """The solver's constraints, with t_max clamped to n as max_schur_exponent
-    would clamp it, so that it builds no second record."""
+    would clamp it, so that it builds no second record.  memo maps each
+    (e_min, clamped t_max, tags) already parsed to its constraints, and each
+    p already accepted to True."""
+    if memo is None:
+        memo = {}
     tags = args.get("constraints", [])
     if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
         raise SchemaError("%s: constraints must be a list of tag strings" % node_id)
-    n, t_max = args["n"], args.get("t_max")
-    try:
-        constraints = SolutionConstraints(e_min=args.get("e_min", 1), extra=tuple(tags),
-                                          t_max=n if t_max is None or t_max > n else t_max)
-    except DomainError as exc:  # a bad tag
-        raise SchemaError("%s: %s" % (node_id, exc)) from None
-    if args["p"] >= 10**8:
-        raise SchemaError("%s: EquationCase p must be below 10^8" % node_id)
-    if not (args["p"] % 2 == 1 and is_prime(args["p"])):
-        raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
+    n, t_max, e_min = args["n"], args.get("t_max"), args.get("e_min", 1)
+    if t_max is None or t_max > n:
+        t_max = n
+    key = (e_min, t_max, tuple(tags))
+    constraints = memo.get(key)
+    if constraints is None:
+        try:
+            constraints = memo[key] = SolutionConstraints(e_min=e_min, extra=key[2], t_max=t_max)
+        except DomainError as exc:  # a bad tag
+            raise SchemaError("%s: %s" % (node_id, exc)) from None
+    p = args["p"]
+    if p not in memo:
+        if p >= 10**8:
+            raise SchemaError("%s: EquationCase p must be below 10^8" % node_id)
+        if not (p % 2 == 1 and is_prime(p)):
+            raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
+        memo[p] = True
     return constraints
 
 
-def _parse_scaled_product(node_id: str, args: Mapping[str, object]) -> list[FactoredInteger]:
-    """num and den as FactoredIntegers."""
-    scale = []
-    for key in ("num", "den"):
-        factors, rest = _factor_below(args[key], 10**8)
-        if rest != 1:
-            raise SchemaError("%s: arg %r has a prime factor of 10^8 or more" % (node_id, key))
-        scale.append(FactoredInteger._trusted(tuple(sorted(factors.items()))))
+def _parse_scaled_product(node_id: str, args: Mapping[str, object],
+                          memo: dict | None = None) -> tuple[FactoredInteger, FactoredInteger]:
+    """num and den as FactoredIntegers.  memo maps each (num, den) already
+    parsed to this pair, which every node with those args shares."""
+    if memo is None:
+        memo = {}
+    key = (args["num"], args["den"])
+    scale = memo.get(key)
+    if scale is None:
+        pair = []
+        for name, value in zip(("num", "den"), key):
+            factors, rest = _factor_below(value, 10**8)
+            if rest != 1:
+                raise SchemaError(
+                    "%s: arg %r has a prime factor of 10^8 or more" % (node_id, name))
+            pair.append(FactoredInteger._trusted(tuple(sorted(factors.items()))))
+        scale = memo[key] = tuple(pair)
     return scale
 
 
@@ -454,6 +479,7 @@ def load_ledger(source) -> Ledger:
     order: list[str] = []
     primes: dict[str, int] = {}  # declared key -> its prime, for this load only
     rendered: dict[tuple, tuple[FactoredInteger, str]] = {}  # for this load only
+    parse_memos: dict[str, dict] = {}  # kind -> its parse memo, for this load only
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise SchemaError("node entries must be objects")
@@ -473,7 +499,8 @@ def load_ledger(source) -> Ledger:
         if spec is None:
             raise SchemaError("%s: unknown kind %r" % (nid, kind))
         args = _check_args(nid, kind, spec, raw["args"])
-        parsed = None if spec.parse is None else spec.parse(nid, args)
+        parsed = None if spec.parse is None else spec.parse(
+            nid, args, parse_memos.setdefault(kind, {}))
         children = raw["children"]
         if not (isinstance(children, list) and all(isinstance(c, str) for c in children)):
             raise SchemaError("%s: children must be a list of ids" % nid)

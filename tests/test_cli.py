@@ -280,6 +280,23 @@ def test_primes_and_conductors_past_10_8_are_usage_errors(capsys, argv, arg, val
     assert "Traceback" not in captured.err
 
 
+# 97^2 is where trial division by the primes below 100 runs to its end; 101^2
+# is the first square past them.
+@pytest.mark.parametrize("prime", ["9409", "10201"])
+def test_invariants_refuses_the_square_of_a_prime(capsys, prime):
+    assert main(["invariants", "--conductor", "7", "--prime", prime]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s is not prime\n" % prime
+
+
+def test_invariants_accepts_a_prime_past_the_small_primes(capsys):
+    assert main(["invariants", "--conductor", "7", "--prime", "9973"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["p"] == 9973
+
+
 @pytest.mark.parametrize("argv, limit", [
     (["rough", "-n", "100000", "-d", "100000"], 10000000001),
     (["minkowski", "-n", "100000000000"], 100000000001),

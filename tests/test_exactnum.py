@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -36,11 +37,61 @@ def fi(n: int) -> FactoredInteger:
     return FactoredInteger.from_int(n)
 
 
+# Independent oracles: a smallest-prime-factor table built here by its own
+# sieve, so no test of is_prime or trial division compares them with
+# themselves or with each other.
+SPF_LIMIT = 2 * 10**5
+
+
+@functools.cache
+def _smallest_prime_factors() -> list[int]:
+    """spf[n] is the smallest prime factor of n, for 2 <= n <= SPF_LIMIT."""
+    spf = list(range(SPF_LIMIT + 1))
+    for p in range(2, math.isqrt(SPF_LIMIT) + 1):
+        if spf[p] == p:
+            for multiple in range(p * p, SPF_LIMIT + 1, p):
+                if spf[multiple] == multiple:
+                    spf[multiple] = p
+    return spf
+
+
+def _sieve_prime(n: int) -> bool:
+    return n >= 2 and _smallest_prime_factors()[n] == n
+
+
+def _sieve_factors(*parts: int) -> dict[int, int]:
+    """The factorization of the product of parts, each at most SPF_LIMIT."""
+    spf = _smallest_prime_factors()
+    out: dict[int, int] = {}
+    for n in parts:
+        while n > 1:
+            p = spf[n]
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    return out
+
+
 def test_is_prime_small():
     primes = [2, 3, 5, 7, 11, 13, 97, 101, 103, 9973]
     non_primes = [-7, 0, 1, 4, 9, 91, 100, 10201]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in non_primes)
+
+
+def test_is_prime_matches_the_sieve():
+    assert [n for n in range(-5, SPF_LIMIT + 1) if is_prime(n)] == [
+        n for n in range(-5, SPF_LIMIT + 1) if _sieve_prime(n)]
+
+
+@pytest.mark.parametrize("n", [
+    97**2, 101**2, 97 * 101, 89 * 97, 101 * 103, 97**3, 9973**2, 99991 * 99989])
+def test_is_prime_rejects_squares_and_products_at_the_small_prime_edge(n):
+    # 97^2 is the first n the small-prime loop runs through to its end
+    assert not is_prime(n)
+
+
+def test_is_prime_on_powers_of_two():
+    assert [k for k in range(0, 200) if is_prime(2**k)] == [1]
 
 
 def test_factorize_basics():
@@ -51,10 +102,34 @@ def test_factorize_basics():
         factorize(0)
 
 
-@given(st.integers(min_value=1, max_value=10**7), st.integers(min_value=98, max_value=10**4))
-def test_factor_below_splits_at_the_limit(n, limit):
-    factors, rest = _factor_below(n, limit)
-    whole = factorize(n)
+def test_factorize_matches_the_sieve_below_its_limit():
+    for n in list(range(1, 20000)) + list(range(SPF_LIMIT - 2000, SPF_LIMIT + 1)):
+        assert factorize(n) == _sieve_factors(n), n
+
+
+sieved = st.integers(min_value=1, max_value=SPF_LIMIT)
+
+
+@given(sieved, sieved)
+@example(4, 1)
+@example(97, 97)
+@example(101, 101)
+@example(2 * 89, 1)
+def test_factorize_matches_the_sieve(a, b):
+    assert factorize(a * b) == _sieve_factors(a, b)
+
+
+@given(sieved, sieved, st.integers(min_value=2, max_value=10**4))
+@example(2 * 89, 1, 50)
+@example(105, 1, 4)
+@example(4, 1, 2)
+@example(4, 1, 3)
+@example(97, 97, 97)
+@example(97, 97, 98)
+@example(101, 103, 102)
+def test_factor_below_splits_at_the_limit(a, b, limit):
+    factors, rest = _factor_below(a * b, limit)
+    whole = _sieve_factors(a, b)
     assert factors == {p: e for p, e in whole.items() if p < limit}
     assert rest == math.prod(p**e for p, e in whole.items() if p >= limit)
 
@@ -86,7 +161,7 @@ def test_factor_below_a_large_prime_cofactor_is_quick(n, factors, rest):
 
 
 def test_strong_probable_prime_is_exact():
-    assert all(_strong_probable_prime(n) == is_prime(n) for n in range(43, 200000, 2))
+    assert all(_strong_probable_prime(n) == _sieve_prime(n) for n in range(43, SPF_LIMIT, 2))
     # strong pseudoprimes to the first 9 and the first 12 prime bases
     assert not _strong_probable_prime(3825123056546413051)
     assert not _strong_probable_prime(318665857834031151167461)

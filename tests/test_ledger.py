@@ -618,6 +618,53 @@ def test_each_declared_value_is_rendered_once_per_load_and_per_export(monkeypatc
     assert len(calls) == 99
 
 
+def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    document = json.loads(dumps_ledger(paper_ledger()))
+    built, tested, factored = [], [], []
+
+    def counting(log, real):
+        def wrapper(*args, **kw):
+            log.append(args or kw)
+            return real(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(ledger_mod, "SolutionConstraints",
+                        counting(built, ledger_mod.SolutionConstraints))
+    monkeypatch.setattr(ledger_mod, "is_prime", counting(tested, ledger_mod.is_prime))
+    monkeypatch.setattr(ledger_mod, "_factor_below", counting(factored, ledger_mod._factor_below))
+    for _ in range(2):  # each load parses afresh
+        for log in (built, tested, factored):
+            log.clear()
+        loaded = load_ledger(document)
+        cases = [n for n in loaded.nodes.values() if n.kind == "EquationCase"]
+        scaled = [n for n in loaded.nodes.values() if n.kind == "ScaledProduct"]
+        assert len(cases) == 74 and len(scaled) == 18
+        assert len(built) == len({id(n._parsed) for n in cases}) == 18
+        assert len({n._parsed for n in cases}) == 18
+        keys = {str(p) for n in loaded.nodes.values() for p, _ in n.declared.factors}
+        assert len(tested) == len(keys) + len({n.args["p"] for n in cases})
+        assert len({id(n._parsed) for n in scaled}) == 6 and len(factored) == 2 * 6
+        assert all(type(n._parsed) is tuple and len(n._parsed) == 2 for n in scaled)
+        assert final_bound(loaded) == fi(24103053950976000)
+
+
+def test_a_shared_constraint_set_still_checks_each_p():
+    shared = {"n": 3, "d": 12, "constraints": ["e even"]}
+    good = node("good", "EquationCase", {}, args=dict(shared, p=37))
+    with pytest.raises(SchemaError) as info:
+        load_ledger(doc(good, node("bad", "EquationCase", {}, args=dict(shared, p=39))))
+    assert str(info.value) == "bad: EquationCase needs an odd prime p"
+    half = {"num": 1, "den": 2}
+    loaded = load_ledger(doc(
+        node("two", "Constant", {"2": 1}),
+        node("a", "ScaledProduct", {}, args=half, children=["two"]),
+        node("b", "ScaledProduct", {}, args=dict(half), children=["two"])))
+    assert loaded.nodes["a"]._parsed is loaded.nodes["b"]._parsed
+    assert eval_node(loaded, "b") == ONE
+
+
 def test_a_repeated_value_with_a_wrong_decimal_is_still_refused():
     first = node("a", "Constant", {"2": 10, "3": 1})
     again = dict(node("b", "Constant", {"3": 1, "02": 10}), decimal="3072")
