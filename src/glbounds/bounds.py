@@ -47,6 +47,11 @@ def _check_n(n: int):
         raise DomainError("matrix size n must be >= 1, got %r" % n)
 
 
+def _check_invariants(p: int, inv: CycloInvariants):
+    if inv.p != p:
+        raise DomainError("invariants are for p=%d, not p=%d" % (inv.p, p))
+
+
 def _prime_product(limit: int, exponent: Callable[[int], int]) -> FactoredInteger:
     """Product of p^exponent(p) over the primes p <= limit.
 
@@ -93,7 +98,7 @@ def schur_exponent(n: int, p: int, inv: CycloInvariants) -> int:
       p = 2 otherwise:  n + m*floor(n/2) + L_2(floor(n/2))
     """
     _check_n(n)
-    assert inv.p == p
+    _check_invariants(p, inv)
     m = inv.m_p
     if p != 2:
         return _schur_odd_exponent(n, p, inv.t_p, m)
@@ -128,7 +133,7 @@ def serre_exponent(n: int, p: int, inv: CycloInvariants) -> int:
     m * floor((n-1) / phi(t)) + v_p((n-1)!).
     """
     _check_n(n)
-    assert inv.p == p
+    _check_invariants(p, inv)
     return inv.m_p * ((n - 1) // euler_phi(inv.t_p)) + factorial_valuation(p, n - 1)
 
 

@@ -175,8 +175,8 @@ class FactoredInteger(Value):
     The empty tuple is 1.  The public constructor, from_map and from_int
     validate primality of every base and positivity of every exponent, so a
     value that exists is well formed.  Code that already holds such a tuple
-    (a product of valid values, primes from a sieve, keys the ledger loader
-    has checked) builds through _trusted instead and skips the checks.
+    (a product of valid values, primes from a sieve or trial division, keys
+    the ledger loader has checked) builds through _trusted, skipping them.
     """
 
     __slots__ = _fields = ("factors",)

@@ -246,6 +246,15 @@ def _parse_equation_case(node_id: str, args: Mapping[str, object],
     return constraints
 
 
+def _factor_small(value: int) -> FactoredInteger | None:
+    """value (>= 1) in factored form, or None if it has a prime factor of
+    10^8 or more: declared keys stay below 10^8, and so does trial division."""
+    factors, rest = _factor_below(value, 10**8)
+    if rest != 1:
+        return None
+    return FactoredInteger._trusted(tuple(sorted(factors.items())))
+
+
 def _parse_scaled_product(node_id: str, args: Mapping[str, object],
                           memo: dict | None = None) -> tuple[FactoredInteger, FactoredInteger]:
     """num and den as FactoredIntegers.  memo maps each (num, den) already
@@ -257,11 +266,11 @@ def _parse_scaled_product(node_id: str, args: Mapping[str, object],
     if scale is None:
         pair = []
         for name, value in zip(("num", "den"), key):
-            factors, rest = _factor_below(value, 10**8)
-            if rest != 1:
+            factored = _factor_small(value)
+            if factored is None:
                 raise SchemaError(
                     "%s: arg %r has a prime factor of 10^8 or more" % (node_id, name))
-            pair.append(FactoredInteger._trusted(tuple(sorted(factors.items()))))
+            pair.append(factored)
         scale = memo[key] = tuple(pair)
     return scale
 
@@ -630,10 +639,10 @@ def _normalize_overrides(
         if isinstance(value, FactoredInteger):
             out[nid] = value
         elif isinstance(value, int) and not isinstance(value, bool):
-            factors, rest = _factor_below(value or 1, 10**8)
-            if rest != 1:
+            factored = _factor_small(value or 1)
+            if factored is None:
                 raise LedgerError("override for %r has a prime factor of 10^8 or more" % nid)
-            out[nid] = FactoredInteger.from_map(factors)
+            out[nid] = factored
         else:
             raise LedgerError("override for %r is not an integer" % nid)
     return out

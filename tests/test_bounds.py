@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -127,6 +131,33 @@ def test_exponents_refuse_non_primes(p):
         with pytest.raises(DomainError) as info:
             exponent()
         assert str(info.value) == "%d is not prime" % p
+
+
+def test_exponents_refuse_invariants_of_another_prime():
+    with pytest.raises(DomainError) as info:
+        schur_exponent(5, 3, all_invariants(QQ, 5))
+    assert str(info.value) == "invariants are for p=5, not p=3"
+    with pytest.raises(DomainError) as info:
+        serre_exponent(5, 3, all_invariants(QQ, 2))
+    assert str(info.value) == "invariants are for p=2, not p=3"
+    # python -O strips assert statements; the check must hold there too.
+    code = (
+        "from glbounds.bounds import schur_exponent, serre_exponent\n"
+        "from glbounds.cyclotomic import QQ, all_invariants\n"
+        "from glbounds.exactnum import DomainError\n"
+        "print(__debug__)\n"
+        "for exponent, q in ((schur_exponent, 5), (serre_exponent, 2)):\n"
+        "    try:\n"
+        "        print(exponent(5, 3, all_invariants(QQ, q)))\n"
+        "    except DomainError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "False\ninvariants are for p=5, not p=3\ninvariants are for p=2, not p=3\n")
 
 
 def test_minkowski_bound_values():

@@ -116,14 +116,26 @@ def test_invariants_on_own_conductor():
 
 
 def test_invariants_satisfy_standard_equation():
-    """p^(m-1) * (p-1) * e = d * t for every odd p and cyclotomic field."""
-    for n in (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 36, 40):
-        k = field(n)
+    """The identities all_invariants does not check at run time, on the sweep.
+
+    Odd p: p^(m-1) * (p-1) divides d * t and times e equals it.  p = 2:
+    m_2 >= 2, and t_2 = 1 exactly when z_4 is in K.  And t_p in closed
+    form: 1 when p | N, else p - 1; for p = 2, 1 when 4 | N, else 2.
+    """
+    for n in SWEEP_CONDUCTORS:
+        k = ExactCyclotomic(Conductor(n))
         d = k.degree
-        for p in (3, 5, 7, 11, 13):
+        for p in SWEEP_PRIMES:
             inv = all_invariants(k, p)
-            lhs = p ** (inv.m_p - 1) * (p - 1) * inv.e_p
-            assert lhs == d * inv.t_p, (n, p, inv)
+            if p != 2:
+                den = p ** (inv.m_p - 1) * (p - 1)
+                assert d * inv.t_p % den == 0, (n, p, inv)
+                assert den * inv.e_p == d * inv.t_p, (n, p, inv)
+                assert inv.t_p == (1 if n % p == 0 else p - 1), (n, p, inv)
+            else:
+                assert inv.m_p >= 2, (n, inv)
+                assert (inv.t_p == 1) == inv.xi4_in_k, (n, inv)
+                assert inv.t_p == (1 if n % 4 == 0 else 2), (n, inv)
 
 
 @given(st.integers(min_value=3, max_value=40), st.sampled_from([3, 5, 7, 11]))

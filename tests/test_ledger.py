@@ -293,6 +293,19 @@ def test_overrides():
         assert str(info.value) == "override for 'a' has a prime factor of 10^8 or more"
 
 
+def test_a_plain_int_override_builds_what_from_int_builds():
+    # Overrides skip FactoredInteger's checks, so their factors must come out
+    # sorted, with exponents >= 1, exactly as the checked constructor's.
+    ledger = load_ledger(doc(node("a", "Constant", {"2": 2}), root="a"))
+    values = (0, 1, 12 * 99999989, 2**40 * 3**2 * 99999971, 97**3 * 101**2 * 99991**2,
+              99989 * 99991 * 7**5)
+    for value in values:
+        got = eval_node(ledger, "a", {"a": value})
+        want = fi(value or 1)
+        assert got == want and hash(got) == hash(want), value
+        assert got.factors == want.factors, value
+
+
 def test_final_bound_needs_root():
     ledger = load_ledger(doc(node("c", "Constant", {})))
     with pytest.raises(LedgerError):
