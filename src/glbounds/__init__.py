@@ -65,7 +65,6 @@ from .ledger import (
     final_bound,
     load_ledger,
     paper_ledger,
-    to_document,
     verify_ledger,
 )
 

@@ -328,15 +328,6 @@ def fi_to_factored_str(a: FactoredInteger) -> str:
     return " * ".join(parts)
 
 
-def valuation_int(p: int, n: int) -> int:
-    """Exponent of p in a plain positive integer."""
-    if not is_prime(p):
-        raise DomainError("%r is not prime" % p)
-    if n < 1:
-        raise DomainError("valuation of a non-positive integer")
-    return _valuation(p, n)
-
-
 def _valuation(p: int, n: int) -> int:
     """Exponent of p in n, unchecked (p >= 2, n >= 1)."""
     v = 0

@@ -9,17 +9,17 @@ have, in factored form, so the whole case analysis can be replayed and
 audited step by step.
 
 Each kind is one record of the table KINDS: its argument keys, leaf or
-inner, how it parses its args if it must, and how it evaluates from its
-children's values.  The loader and the evaluator read kinds only there.
-Parsed args (EquationCase's constraints, ScaledProduct's num and den in
-factored form) are parsed once per node, by the loader or by a hand-built
-node's first evaluation, and kept in the node's private `_parsed` slot;
-the loader parses each distinct argument set once per load, and the nodes
-that share it share the result.
+inner, how it parses its args or checks its children if it must, and how it
+evaluates from its children's values; the loader and the evaluator read
+kinds only there.  Parsed args (EquationCase's constraints, ScaledProduct's
+num and den in factored form) are parsed once per node, by the loader or by
+a hand-built node's first evaluation, and kept in the node's private
+`_parsed` slot; the loader parses each distinct argument set once per load,
+and the nodes that share it share the result.
 
 dumps_ledger writes each node's fields straight from the ledger, in the
-layout of json.dumps(to_document(ledger), indent=2, ensure_ascii=False);
-to_document stays the public form, and the tests check the writer against it.
+layout json.dumps(indent=2, ensure_ascii=False) gives the document that loads
+back to the same ledger; the tests rebuild that document as their oracle.
 """
 
 from __future__ import annotations
@@ -191,16 +191,20 @@ class _Kind:
     args need more than a type check, parse(node_id, args, memo=None), which
     checks them and returns what value() reads from the node's `_parsed`
     slot.  The loader passes each kind one memo dict per load, so args that
-    several nodes share are parsed once and their result is shared."""
+    several nodes share are parsed once and their result is shared.  A kind
+    whose args make a claim about its children has check(node, nodes), which
+    the loader runs once every node has loaded and raises SchemaError if the
+    claim fails."""
 
-    __slots__ = ("required", "allowed", "leaf", "value", "parse")
+    __slots__ = ("required", "allowed", "leaf", "value", "parse", "check")
 
-    def __init__(self, value, *, required=(), optional=(), leaf=True, parse=None):
+    def __init__(self, value, *, required=(), optional=(), leaf=True, parse=None, check=None):
         self.required = frozenset(required)
         self.allowed = self.required | frozenset(optional)
         self.leaf = leaf
         self.value = value
         self.parse = parse
+        self.check = check
 
 
 def _parsed(node: LedgerNode):
@@ -311,8 +315,22 @@ def _scaled_product(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredIn
                             % (node.id, node.args["num"], node.args["den"])) from None
 
 
-# Kind name -> record.  AppendixProp evaluates as Max; its n and d_max are
-# required but never read, kept so the file states which proposition it is.
+def _check_appendix_prop(node: LedgerNode, nodes: Mapping[str, LedgerNode]) -> None:
+    """The claim "over all degrees d <= d_max": one child per degree, in order,
+    and a SchurRough child at degree d has the node's n and that d.  A child
+    of another kind, such as the branch Max of a degree, is not read."""
+    n, d_max = node.args["n"], node.args["d_max"]
+    if len(node.children) != d_max:
+        raise SchemaError("%s: AppendixProp has %d children, not d_max = %d"
+                          % (node.id, len(node.children), d_max))
+    for d, kid in enumerate(node.children, 1):
+        child = nodes[kid]
+        if child.kind == "SchurRough" and child.args != {"n": n, "d": d}:
+            raise SchemaError("%s: child %r must have n = %d, d = %d" % (node.id, kid, n, d))
+
+
+# Kind name -> record.  AppendixProp evaluates as Max; its n and d_max state
+# which rows it takes the maximum of, and its check holds them to that.
 KINDS = {
     "Constant": _Kind(lambda node, kids: node.declared),
     "Minkowski": _Kind(lambda node, kids: minkowski_bound(node.args["n"]), required={"n"}),
@@ -328,7 +346,7 @@ KINDS = {
         parse=_parse_equation_case),
     "Product": _Kind(_product, leaf=False),
     "Max": _Kind(_max, leaf=False),
-    "AppendixProp": _Kind(_max, required={"n", "d_max"}, leaf=False),
+    "AppendixProp": _Kind(_max, required={"n", "d_max"}, leaf=False, check=_check_appendix_prop),
     "ScaledProduct": _Kind(
         _scaled_product, required={"num", "den"}, leaf=False, parse=_parse_scaled_product),
 }
@@ -418,6 +436,15 @@ def _parse_declared(node_id: str, raw, decimal, primes: dict[str, int],
     return value
 
 
+def _check_utf8(node_id: str, field: str, text: str) -> None:
+    """Refuse a lone surrogate, which a JSON escape can carry but no export
+    can write.  repr names the node, so the error line itself encodes."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError("%r: %s holds a lone surrogate" % (node_id, field)) from None
+
+
 def _check_acyclic(nodes: Mapping[str, LedgerNode]):
     # Iterative three-color DFS; recursion depth is unbounded by schema.
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -489,6 +516,7 @@ def load_ledger(source) -> Ledger:
     primes: dict[str, int] = {}  # declared key -> its prime, for this load only
     rendered: dict[tuple, tuple[FactoredInteger, str]] = {}  # for this load only
     parse_memos: dict[str, dict] = {}  # kind -> its parse memo, for this load only
+    checks = []  # (check, node) for the kinds with a check, run once all nodes have loaded
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise SchemaError("node entries must be objects")
@@ -501,6 +529,8 @@ def load_ledger(source) -> Ledger:
         nid = raw["id"]
         if not (isinstance(nid, str) and nid != ""):
             raise SchemaError("empty node id")
+        if not nid.isascii():
+            _check_utf8(nid, "id", nid)
         if nid in nodes:
             raise SchemaError("duplicate node id %r" % nid)
         kind = raw["kind"]
@@ -518,16 +548,19 @@ def load_ledger(source) -> Ledger:
         if not (spec.leaf or children):
             raise SchemaError("%s: %s needs children" % (nid, kind))
         declared = _parse_declared(nid, raw["declared"], raw["decimal"], primes, rendered)
-        citation = raw["citation"]
-        if not isinstance(citation, str):
-            raise SchemaError("%s: citation must be a string" % nid)
-        for opt in ("paper_prints", "note"):
-            if opt in fields and not isinstance(raw[opt], str):
-                raise SchemaError("%s: %s must be a string" % (nid, opt))
-        node = nodes[nid] = LedgerNode(nid, kind, args, tuple(children), declared, citation,
-                                       raw.get("paper_prints"), raw.get("note"))
+        for field in ("citation", "paper_prints", "note"):  # citation is always there
+            if field in fields:
+                text = raw[field]
+                if not isinstance(text, str):
+                    raise SchemaError("%s: %s must be a string" % (nid, field))
+                if not text.isascii():
+                    _check_utf8(nid, field, text)
+        node = nodes[nid] = LedgerNode(nid, kind, args, tuple(children), declared,
+                                       raw["citation"], raw.get("paper_prints"), raw.get("note"))
         if parsed is not None:
             _set_parsed(node, parsed)
+        if spec.check is not None:
+            checks.append((spec.check, node))
         order.append(nid)
 
     for node in nodes.values():
@@ -535,6 +568,8 @@ def load_ledger(source) -> Ledger:
             if kid not in nodes:
                 raise DanglingChild("%s: child %r does not exist" % (node.id, kid))
     _check_acyclic(nodes)
+    for check, node in checks:
+        check(node, nodes)
 
     root = doc.get("root")
     if root is not None and not (isinstance(root, str) and root in nodes):
@@ -722,33 +757,6 @@ def explain(ledger: Ledger, nid: str) -> str:
 
 # -------------------------------------------------------------- (de)serial.
 
-def to_document(ledger: Ledger) -> dict:
-    """Rebuild the JSON document; load(to_document(x)) is x again."""
-    out: dict = {"schema_version": ledger.schema_version}
-    if ledger.root is not None:
-        out["root"] = ledger.root
-    out["whitelist"] = list(ledger.whitelist)
-    nodes = []
-    for nid in ledger.order:
-        node = ledger.nodes[nid]
-        entry = {
-            "id": node.id,
-            "kind": node.kind,
-            "args": dict(node.args),
-            "children": list(node.children),
-            "declared": {str(p): e for p, e in node.declared.factors},
-            "decimal": fi_to_decimal(node.declared, group=True),
-            "citation": node.citation,
-        }
-        if node.paper_prints is not None:
-            entry["paper_prints"] = node.paper_prints
-        if node.note is not None:
-            entry["note"] = node.note
-        nodes.append(entry)
-    out["nodes"] = nodes
-    return out
-
-
 def _json(value, indent: str) -> str:
     """json.dumps(value, indent=2, ensure_ascii=False) nested at indent.
     Exact, because a JSON string never holds a raw newline."""
@@ -765,10 +773,11 @@ def _join(items: list[str], brackets: str, indent: str) -> str:
 
 
 def dumps_ledger(ledger: Ledger) -> str:
-    """json.dumps(to_document(ledger), indent=2, ensure_ascii=False) + "\n",
-    written field by field from the ledger.  Values only a hand-built ledger
-    can hold, a schema_version that is no int or an arg that is no int, str
-    or list of str, go through json.dumps."""
+    """The ledger as JSON text: json.dumps(indent=2, ensure_ascii=False) of
+    the document that loads back to it, plus "\n", written field by field
+    from the ledger.  Values only a hand-built ledger can hold, a
+    schema_version that is no int or an arg that is no int, str or list of
+    str, go through json.dumps."""
     enc = encode_basestring
     version = ledger.schema_version
     top = ['"schema_version": ' + (

@@ -6,7 +6,8 @@ import pytest
 
 from glbounds.cyclotomic import Conductor
 from glbounds.diophantine import EquationSolution
-from glbounds.ledger import paper_ledger
+from glbounds.exactnum import fi_to_decimal
+from glbounds.ledger import Ledger, paper_ledger
 
 
 @pytest.fixture(scope="session")
@@ -76,3 +77,32 @@ def decimal_value(text: str) -> int:
         chunk = text[i : i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     return value
+
+
+def to_document(ledger: Ledger) -> dict:
+    """The JSON document of a ledger, built field by field as plain data:
+    load_ledger(to_document(x)) is x again, and json.dumps of it, with
+    indent=2 and ensure_ascii=False, is the oracle for dumps_ledger."""
+    out: dict = {"schema_version": ledger.schema_version}
+    if ledger.root is not None:
+        out["root"] = ledger.root
+    out["whitelist"] = list(ledger.whitelist)
+    nodes = []
+    for nid in ledger.order:
+        node = ledger.nodes[nid]
+        entry = {
+            "id": node.id,
+            "kind": node.kind,
+            "args": dict(node.args),
+            "children": list(node.children),
+            "declared": {str(p): e for p, e in node.declared.factors},
+            "decimal": fi_to_decimal(node.declared, group=True),
+            "citation": node.citation,
+        }
+        if node.paper_prints is not None:
+            entry["paper_prints"] = node.paper_prints
+        if node.note is not None:
+            entry["note"] = node.note
+        nodes.append(entry)
+    out["nodes"] = nodes
+    return out

@@ -23,10 +23,10 @@ from glbounds.bounds import (
 from glbounds.cyclotomic import QQ, Conductor, ExactCyclotomic, all_invariants
 from glbounds.diophantine import SolutionConstraints, solve_standard_equation
 from glbounds.exactnum import FactoredInteger, fi_cmp, is_prime
-from glbounds.ledger import eval_node, final_bound, to_document, verify_ledger
+from glbounds.ledger import eval_node, final_bound, verify_ledger
 from glbounds.totient import invphi_max
 
-from conftest import brute_solutions, member_by_cosines
+from conftest import brute_solutions, member_by_cosines, to_document
 
 
 def fi(n: int) -> FactoredInteger:

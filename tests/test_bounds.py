@@ -338,3 +338,57 @@ def test_rough_bound_prime_tests_each_sieved_prime_once(monkeypatch):
     rough_bound(3, 200)
     assert len(primes_upto(3 * 200 + 1)) == 110
     assert sorted(calls) == primes_upto(3 * 200 + 1)
+
+
+# ------------------------------------------- an independent group-order oracle
+#
+# A finite subgroup of GL_n(K) embeds in GL_n(F_q) for the residue field F_q
+# of almost every prime of K, so its order divides every
+# |GL_n(F_q)| = prod_{i<n} (q^n - q^i) (Minkowski, J. reine angew. Math. 101,
+# 1887; Serre 2007).  Over K = Q(z_N) and a prime l not dividing N, q = l^f
+# with f the order of l mod N.  The primes l and the orders f are found here
+# by plain trial division, so the oracle shares no code with the sieve, the
+# valuations or the cyclotomic invariants.  It pins equality over the primes
+# 3 <= l < 3000 only; it proves no theorem.
+
+_ORACLE_PRIMES = [l for l in range(3, 3000, 2)
+                  if all(l % q for q in range(3, math.isqrt(l) + 1, 2))]
+_ORACLE_CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24)
+
+
+def _gl_order_gcd(n: int, conductor: int) -> int:
+    """gcd of |GL_n(F_q)| over the residue fields of Q(z_conductor) above
+    the primes of _ORACLE_PRIMES that do not divide the conductor."""
+    g = 0
+    for l in _ORACLE_PRIMES:
+        if conductor % l == 0:
+            continue
+        f, power = 1, l % conductor
+        while power != 1 % conductor:
+            f, power = f + 1, power * l % conductor
+        q = l**f
+        g = math.gcd(g, math.prod(q**n - q**i for i in range(n)))
+    return g
+
+
+def _odd_part(k: int) -> int:
+    while k % 2 == 0:
+        k //= 2
+    return k
+
+
+def test_schur_bound_is_the_gcd_of_the_residue_gl_n_orders():
+    for conductor in _ORACLE_CONDUCTORS:
+        field = ExactCyclotomic(canonical_conductor(conductor))
+        for n in range(1, 7):
+            assert int(schur_bound(n, field)) == _gl_order_gcd(n, conductor), (n, conductor)
+
+
+def test_minkowski_bound_has_the_odd_part_of_the_gcd_and_divides_it():
+    # Minkowski's 2-exponent comes from a finer argument than reduction mod
+    # l: at n = 2 the gcd is 48 and the bound 24.
+    assert _gl_order_gcd(2, 1) == 48
+    for n in range(1, 13):
+        bound, g = int(minkowski_bound(n)), _gl_order_gcd(n, 1)
+        assert _odd_part(bound) == _odd_part(g), n
+        assert g % bound == 0, n

@@ -16,6 +16,7 @@ from glbounds.exactnum import (
     NonDivisible,
     _factor_below,
     _strong_probable_prime,
+    _valuation,
     factorial_valuation,
     factorize,
     fi_cmp,
@@ -25,7 +26,6 @@ from glbounds.exactnum import (
     fi_to_factored_str,
     is_prime,
     primes_upto,
-    valuation_int,
 )
 
 from conftest import decimal_value
@@ -308,18 +308,14 @@ def test_factored_str():
 
 
 def test_valuation():
-    assert valuation_int(3, 162) == 4
-    with pytest.raises(DomainError):
-        valuation_int(6, 48)
-    with pytest.raises(DomainError):
-        valuation_int(2, 0)
+    assert _valuation(3, 162) == 4
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=40))
 def test_factorial_valuation_matches_naive(p, k):
     naive = 0
     for i in range(2, k + 1):
-        naive += valuation_int(p, i)
+        naive += _valuation(p, i)
     assert factorial_valuation(p, k) == naive
 
 

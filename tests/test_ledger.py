@@ -24,9 +24,10 @@ from glbounds.ledger import (
     final_bound,
     load_ledger,
     paper_ledger,
-    to_document,
     verify_ledger,
 )
+
+from conftest import to_document
 
 
 def fi(n: int) -> FactoredInteger:
@@ -408,7 +409,8 @@ _any_json = st.recursive(
 )
 # Values of a type no loaded ledger holds, bool and float first.
 _non_canonical = st.one_of(st.booleans(), st.floats(), st.none(), _any_json)
-# (kind, args) pairs the loader accepts, with constraint lists and tristates.
+# (kind, args) pairs the loader accepts, with constraint lists and tristates;
+# an AppendixProp's d_max becomes the number of children drawn for it.
 _LOADABLE_ARGS = (
     ("Constant", {}), ("Minkowski", {"n": 3}), ("Gl2", {"degree": 2}),
     ("Pgl2", {"degree": 4, "contains_sqrt5": "no", "minus1_sum_of_two_squares": "unknown"}),
@@ -430,6 +432,8 @@ def _loaded_ledgers(draw):
             [pair for pair in _LOADABLE_ARGS if i or KINDS[pair[0]].leaf]))
         children = [] if KINDS[kind].leaf else draw(
             st.lists(st.sampled_from(ids[:i]), min_size=1, max_size=3))
+        if "d_max" in args:
+            args = dict(args, d_max=len(children))
         declared, decimal = draw(st.sampled_from(_WRITER_DECLARED))
         nodes.append(draw(st.fixed_dictionaries(
             {"id": st.just(nid), "kind": st.just(kind), "args": st.just(args),
@@ -830,7 +834,8 @@ def test_a_what_if_recombines_only_the_overridden_ancestors(monkeypatch):
 # nodes, each node taking a child from the level below and up to two more
 # from anywhere beneath, so children are shared; shuffled into document
 # order, so verify_ledger meets parents before their children.  Every choice
-# is one integer draw, which keeps generation cheap.
+# is one integer draw, which keeps generation cheap.  An AppendixProp's d_max
+# is the number of children drawn for it.
 _CONSTANTS = ({}, {"2": 1}, {"3": 1}, {"2": 1, "3": 1}, {"2": 3}, {"3": 2, "5": 1},
               {"2": 12, "7": 3})
 _COMBINATORS = [("Product", {}), ("Max", {}), ("AppendixProp", {"n": 3, "d_max": 2})] + [
@@ -852,6 +857,8 @@ def _combinator_ledgers(draw):
             kids = [pick(ids) for _ in range(draw(st.integers(0, 2)))]
             kids.insert(draw(st.integers(0, len(kids))), pick(below))
             kind, args = pick(_COMBINATORS)
+            if "d_max" in args:
+                args = dict(args, d_max=len(kids))
             nodes.append(node(nid, kind, {}, args=args, children=kids))
         below = this_level
     return doc(*draw(st.permutations(nodes)), root=pick(below))
@@ -899,6 +906,16 @@ def _set(key, value):
     return lambda raw: raw.__setitem__(key, value)
 
 
+def _appendix(args, children):
+    """An AppendixProp "a" over children drawn from the rough rows r1 and r2
+    of n = 3 and a Max "m", which stands for a degree's branches: a child
+    of a kind other than SchurRough is not read."""
+    return doc(node("r1", "SchurRough", {}, args={"n": 3, "d": 1}),
+               node("r2", "SchurRough", {}, args={"n": 3, "d": 2}),
+               node("m", "Max", {}, children=["r1"]),
+               node("a", "AppendixProp", {}, args=args, children=children))
+
+
 _NODE_FIELD_LIST = (
     "['args', 'children', 'citation', 'decimal', 'declared', 'id', 'kind'] "
     "(+ optional ['note', 'paper_prints'])"
@@ -943,6 +960,9 @@ _LOADER_ERRORS = {
         % _NODE_FIELD_LIST),
     "empty-id": (
         lambda: doc(node("", "Constant", {})), SchemaError, "empty node id"),
+    "id-lone-surrogate": (
+        lambda: doc(node("\ud800x", "Constant", {})),
+        SchemaError, "'\\ud800x': id holds a lone surrogate"),
     "duplicate-id": (
         lambda: doc(node("c", "Constant", {}), node("c", "Constant", {})),
         SchemaError, "duplicate node id 'c'"),
@@ -1065,9 +1085,15 @@ _LOADER_ERRORS = {
     "citation-not-string": (
         lambda: _edit("c", "Constant", {}, _set("citation", None)),
         SchemaError, "c: citation must be a string"),
+    "citation-lone-surrogate": (
+        lambda: _edit("c", "Constant", {}, _set("citation", "lemme \u00e9 \udfff")),
+        SchemaError, "'c': citation holds a lone surrogate"),
     "optional-not-string": (
         lambda: doc(node("c", "Constant", {}, note=5)),
         SchemaError, "c: note must be a string"),
+    "note-lone-surrogate": (
+        lambda: doc(node("c", "Constant", {}, note="\udc80")),
+        SchemaError, "'c': note holds a lone surrogate"),
     "dangling-child": (
         lambda: doc(node("m", "Max", {"2": 1}, children=["ghost"])),
         DanglingChild, "m: child 'ghost' does not exist"),
@@ -1075,6 +1101,18 @@ _LOADER_ERRORS = {
         lambda: doc(node("a", "Max", {"2": 1}, children=["b"]),
                     node("b", "Max", {"2": 1}, children=["a"])),
         CycleError, "cycle through 'b' and 'a'"),
+    "appendix-too-few-children": (
+        lambda: _appendix({"n": 3, "d_max": 3}, ["r1", "r2"]),
+        SchemaError, "a: AppendixProp has 2 children, not d_max = 3"),
+    "appendix-too-many-children": (
+        lambda: _appendix({"n": 3, "d_max": 1}, ["r1", "r2"]),
+        SchemaError, "a: AppendixProp has 2 children, not d_max = 1"),
+    "appendix-row-wrong-d": (
+        lambda: _appendix({"n": 3, "d_max": 2}, ["m", "r1"]),
+        SchemaError, "a: child 'r1' must have n = 3, d = 2"),
+    "appendix-row-wrong-n": (
+        lambda: _appendix({"n": 4, "d_max": 2}, ["r1", "r2"]),
+        SchemaError, "a: child 'r1' must have n = 4, d = 1"),
     "root-not-node": (
         lambda: doc(node("c", "Constant", {}), root="missing"),
         SchemaError, "root 'missing' is not a node id"),
