@@ -27,9 +27,36 @@ _SMALL_PRIMES = (
 )
 
 
+# Below _SPRP_FROM trial division to the square root takes at most 50 000
+# steps.  From there on is_prime and the factoring loop test n by Miller-Rabin
+# with the 13 primes up to 41 as bases, which is exact below _SPRP_EXACT_BELOW
+# (Sorenson and Webster, Math. Comp. 86 (2017)); is_prime refuses n past it.
+_SPRP_FROM = 10**10
+_SPRP_EXACT_BELOW = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2 .. 41 for odd n > 41."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES[:13]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def is_prime(n: int) -> bool:
-    """Trial division to the square root of n; n is below 10**8 where the
-    package calls this, so at most 5 000 divisions."""
+    """Trial division to the square root of n below _SPRP_FROM, Miller-Rabin
+    from there up to _SPRP_EXACT_BELOW; DomainError from it on."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -37,6 +64,10 @@ def is_prime(n: int) -> bool:
             return True  # no prime factor up to the square root
         if n % p == 0:
             return False  # p < n, since p * p <= n
+    if n >= _SPRP_FROM:
+        if n >= _SPRP_EXACT_BELOW:
+            raise DomainError("primality is decided below %d only" % _SPRP_EXACT_BELOW)
+        return _strong_probable_prime(n)  # odd and > 41: no small prime divides it
     d = 101
     while d * d <= n:
         if n % d == 0:
@@ -62,34 +93,6 @@ def primes_upto(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return [p for p in range(2, limit + 1) if sieve[p]]
-
-
-# Below _SPRP_FROM trial division to the square root takes at most 50 000
-# steps.  Above it a cofactor is first tested by Miller-Rabin with the 13
-# primes up to 41 as bases, which is exact below _SPRP_EXACT_BELOW (Sorenson
-# and Webster, Math. Comp. 86 (2017)), so a large prime cofactor ends the
-# search at once instead of after up to limit / 2 divisions.
-_SPRP_FROM = 10**10
-_SPRP_EXACT_BELOW = 3317044064679887385961981
-
-
-def _strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2 .. 41 for odd n > 41."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SMALL_PRIMES[:13]:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def factorize(n: int) -> dict[int, int]:

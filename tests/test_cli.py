@@ -10,10 +10,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glbounds.bounds import minkowski_bound, table
 from glbounds.cli import _use_color, build_parser, main
-from glbounds.exactnum import fi_to_decimal, fi_to_factored_str
+from glbounds.exactnum import ONE, DomainError, FactoredInteger, fi_to_decimal, fi_to_factored_str
 from glbounds.ledger import dumps_ledger, explain, load_ledger, paper_ledger
 
 from conftest import decimal_value, to_document
@@ -390,6 +392,54 @@ def test_minkowski_past_the_str_digit_limit(capsys):
     assert decimal_value(digits) == want
     assert main(["minkowski", "-n", "3000", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["decimal"] == digits
+
+
+def test_a_value_past_the_digit_limit_is_a_clean_error(capsys):
+    # 6 098 582 digits, whose rendering ran for minutes; the bound from the
+    # factors refuses them as soon as minkowski_bound returns
+    assert main(["minkowski", "-n", "1000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the value has up to 6109630 digits; at most 1000000 are printed\n")
+
+
+def test_the_digit_limit_on_either_side(capsys, monkeypatch):
+    import glbounds.cli as cli
+
+    # Both have 1 000 000 digits; the bound reads 1 000 000 for the first and
+    # 1 000 001 for the second, whose bit length is one more.
+    cli._check_digits(FactoredInteger(((2, 3321927),)))
+    past = FactoredInteger(((2, 3321928),))
+    with pytest.raises(DomainError):
+        cli._check_digits(past)
+    monkeypatch.setattr(cli, "minkowski_bound", lambda n: past)
+    monkeypatch.setattr(cli, "table", lambda n, dmax: [(1, ONE), (2, past)])
+    for argv in (["minkowski", "-n", "3"], ["table", "-n", "3", "--dmax", "2"]):
+        for fmt in ("text", "json"):
+            assert main(argv + ["--format", fmt]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""  # no row is printed before the refusal
+            assert captured.err == (
+                "error: the value has up to 1000001 digits; at most 1000000 are printed\n")
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.sampled_from((2, 3, 5, 7, 97, 65537, 99999989)), st.integers(1, 40),
+                       max_size=4).map(FactoredInteger.from_map))
+def test_no_value_of_more_digits_than_the_limit_is_printed(value):
+    import glbounds.cli as cli
+
+    real = cli._MAX_DIGITS
+    cli._MAX_DIGITS = 40
+    try:
+        cli._check_digits(value)
+    except DomainError:
+        pass
+    else:
+        assert len(str(value.to_int())) <= 40
+    finally:
+        cli._MAX_DIGITS = real
 
 
 def test_color_gating(monkeypatch):

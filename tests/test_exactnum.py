@@ -14,6 +14,7 @@ from glbounds.exactnum import (
     DomainError,
     FactoredInteger,
     NonDivisible,
+    _SPRP_EXACT_BELOW,
     _factor_below,
     _strong_probable_prime,
     _valuation,
@@ -168,6 +169,25 @@ def test_strong_probable_prime_is_exact():
     assert _strong_probable_prime(M61)
     assert _strong_probable_prime(10**20 + 39)
     assert factorize(M61) == {M61: 1}
+
+
+def test_is_prime_past_trial_division_is_quick_and_bounded():
+    start = time.perf_counter()
+    assert is_prime(M61)
+    assert FactoredInteger(((M61, 1),)).to_int() == M61
+    assert time.perf_counter() - start < 1.0
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(10**20 + 39) and not is_prime(10**20 + 41)
+    assert is_prime(10**10 + 19) and not is_prime(10**10 + 1)  # from _SPRP_FROM on
+    assert not is_prime(_SPRP_EXACT_BELOW + 2)  # a small factor settles it: 3
+    # the bound is itself a strong pseudoprime to every base up to 41
+    assert _strong_probable_prime(_SPRP_EXACT_BELOW)
+    for n in (_SPRP_EXACT_BELOW, 2**127 - 1):
+        with pytest.raises(DomainError) as info:
+            is_prime(n)
+        assert str(info.value) == "primality is decided below %d only" % _SPRP_EXACT_BELOW
 
 
 def test_construction_rejects_bad_factors():

@@ -31,6 +31,7 @@ from glbounds.ledger import Ledger, LedgerNode, VerificationReport, Verification
 
 EIGHT = FactoredInteger(((2, 3),))
 NINE = FactoredInteger(((3, 2),))
+NODE = LedgerNode("a", "Constant", {}, (), EIGHT, "cite")
 
 # name -> (class, positional args, the same as keywords, another value's args)
 CASES = {
@@ -58,9 +59,10 @@ CASES = {
          "citation": "cite", "paper_prints": "8", "note": "n"},
         ("a", "Constant", {}, (), NINE, "cite", "8", "n")),
     "Ledger": (
-        Ledger, (1, "a", (), {}, ("a",)),
-        {"schema_version": 1, "root": "a", "whitelist": (), "nodes": {}, "order": ("a",)},
-        (1, None, (), {}, ("a",))),
+        Ledger, (1, "a", (), {"a": NODE}, ("a",)),
+        {"schema_version": 1, "root": "a", "whitelist": (), "nodes": {"a": NODE},
+         "order": ("a",)},
+        (1, None, (), {"a": NODE}, ("a",))),
     "VerificationRow": (
         VerificationRow, ("a", EIGHT, NINE, "Mismatch", "note"),
         {"id": "a", "declared": EIGHT, "computed": NINE, "status": "Mismatch",
