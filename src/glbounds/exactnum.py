@@ -81,12 +81,13 @@ SIEVE_LIMIT = 10**7
 
 
 def primes_upto(limit: int) -> list[int]:
-    """Primes <= limit, ascending, by the sieve of Eratosthenes."""
+    """Primes <= limit, ascending: below 100 from _SMALL_PRIMES, from there
+    by the sieve of Eratosthenes."""
     if limit > SIEVE_LIMIT:
         raise DomainError(
             "primes are sieved up to SIEVE_LIMIT = %d, got %d" % (SIEVE_LIMIT, limit))
-    if limit < 2:
-        return []
+    if limit < 100:  # every ledger leaf asks below 100
+        return [p for p in _SMALL_PRIMES if p <= limit]
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
@@ -95,14 +96,44 @@ def primes_upto(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if sieve[p]]
 
 
+# factorize divides by trial up to here: 5 * 10^7 odd divisors, about 8 s.
+_TRIAL_LIMIT = 10**8
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Factor a positive integer by trial division."""
-    return _factor_below(n, n + 1)[0]
+    """Factor a positive integer by trial division below _TRIAL_LIMIT.
+
+    What is left is accepted as one more prime when that is proved: it is
+    below _TRIAL_LIMIT^2, or below _SPRP_EXACT_BELOW and Miller-Rabin calls
+    it prime.  Any other cofactor is refused with a DomainError.
+    """
+    factors, rest = _factor_below(n, _TRIAL_LIMIT)
+    if rest != 1:
+        if rest >= _TRIAL_LIMIT**2:
+            if not _strong_probable_prime(rest):
+                raise DomainError("a cofactor of %d bits has no prime factor below %d and is "
+                                  "composite; it is not factored"
+                                  % (rest.bit_length(), _TRIAL_LIMIT))
+            if rest >= _SPRP_EXACT_BELOW:
+                raise _undecided(rest)
+        factors[rest] = 1
+    return factors
+
+
+def _undecided(n: int) -> DomainError:
+    return DomainError("a cofactor of %d bits is a strong probable prime past %d, where "
+                       "primality is not decided" % (n.bit_length(), _SPRP_EXACT_BELOW))
 
 
 def _factor_below(n: int, limit: int) -> tuple[dict[int, int], int]:
     """Prime factors below limit of a positive n by trial division that stops
-    at limit, and the cofactor: 1 or a product of primes >= limit."""
+    at limit, and the cofactor: 1 or a product of primes >= limit.
+
+    Each new cofactor from _SPRP_FROM on is tested by Miller-Rabin first.
+    Below _SPRP_EXACT_BELOW one that passes is prime and ends the division;
+    past it one that passes raises a DomainError at once, since its
+    primality is not decided and division would run on to the limit.
+    """
     if n < 1:
         raise DomainError("can only factor positive integers, got %r" % n)
     out: dict[int, int] = {}
@@ -115,7 +146,9 @@ def _factor_below(n: int, limit: int) -> tuple[dict[int, int], int]:
     d = 101  # the loop below runs only if the one above tried every small prime
     fresh = True  # n changed since it was last tested for primality
     while d * d <= n and d < limit:
-        if fresh and _SPRP_FROM <= n < _SPRP_EXACT_BELOW and _strong_probable_prime(n):
+        if fresh and n >= _SPRP_FROM and _strong_probable_prime(n):
+            if n >= _SPRP_EXACT_BELOW:
+                raise _undecided(n)
             break  # n is prime: trial division would run to its square root
         fresh = False
         while n % d == 0:
@@ -172,6 +205,13 @@ class Value:
         raise AttributeError("cannot delete field %r" % name)
 
 
+# Values of at most this many bits are small: a FactoredInteger keeps its int
+# once it is multiplied out, fi_cmp compares kept ints, and str() renders it
+# as is.  About 600 digits, under the smallest limit sys.set_int_max_str_digits
+# accepts.
+_STR_BITS = 2000
+
+
 class FactoredInteger(Value):
     """A positive integer as a sorted tuple of (prime, exponent) pairs.
 
@@ -180,12 +220,18 @@ class FactoredInteger(Value):
     value that exists is well formed.  Code that already holds such a tuple
     (a product of valid values, primes from a sieve or trial division, keys
     the ledger loader has checked) builds through _trusted, skipping them.
+
+    A small value keeps its int in the private `_int` slot once to_int or
+    fi_cmp has multiplied it out; the slot is no constructor argument and
+    takes no part in ==, hash, repr, pickle or copy.
     """
 
-    __slots__ = _fields = ("factors",)
+    _fields = ("factors",)
+    __slots__ = _fields + ("_int",)
 
     def __init__(self, factors: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "factors", factors)
+        _set_factors(self, factors)
+        _set_int(self, None)
         self.__post_init__()  # looked up by name: perfbench/tracer.py wraps it to count
 
     def __post_init__(self):
@@ -204,7 +250,8 @@ class FactoredInteger(Value):
         """Wrap factors sorted by prime, with prime bases and exponents >= 1,
         unchecked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "factors", factors)
+        _set_factors(self, factors)
+        _set_int(self, None)
         return self
 
     @classmethod
@@ -220,9 +267,14 @@ class FactoredInteger(Value):
         return dict(self.factors)
 
     def to_int(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
+        """The value as an int, kept if it is small."""
+        n = self._int
+        if n is None:
+            n = 1
+            for p, e in self.factors:
+                n *= p**e
+            if n.bit_length() <= _STR_BITS:
+                _set_int(self, n)
         return n
 
     def __int__(self) -> int:
@@ -241,6 +293,7 @@ class FactoredInteger(Value):
         return fi_cmp(self, other) <= 0
 
 
+_set_factors, _set_int = [FactoredInteger.__dict__[name].__set__ for name in ("factors", "_int")]
 ONE = FactoredInteger(())
 
 
@@ -262,16 +315,36 @@ def fi_div_exact(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
     return FactoredInteger._trusted(tuple(sorted((p, e) for p, e in m.items() if e)))
 
 
+def _small_int(a: FactoredInteger) -> int | None:
+    """a's int, now kept, if a is small by the bound sum(e * bit_length(p))
+    on its bits, which is read before anything is multiplied out; else None."""
+    if sum([e * p.bit_length() for p, e in a.factors]) <= _STR_BITS:
+        return a.to_int()
+    return None
+
+
 def fi_cmp(a: FactoredInteger, b: FactoredInteger) -> int:
     """-1, 0 or 1 as a <, =, > b.
 
-    Common prime powers are cancelled first.  What is left of a is the
-    product of p^(e_a - e_b) over the primes where a has the larger exponent,
-    and what is left of b is the product of the other differences; both
-    residuals are multiplied out as plain ints and compared, so the answer
-    never depends on a rounded logarithm.  The inputs are already valid, so
-    the residuals are not built (and re-validated) as FactoredIntegers.
+    When both values are small their ints are compared, multiplied out once
+    and kept on the values.  Otherwise common prime powers are cancelled
+    first.  What is left of a is the product of p^(e_a - e_b) over the
+    primes where a has the larger exponent, and what is left of b is the
+    product of the other differences; both residuals are multiplied out as
+    plain ints and compared, so the answer never depends on a rounded
+    logarithm, and no value past _STR_BITS bits is multiplied out whole.
+    The inputs are already valid, so the residuals are not built (and
+    re-validated) as FactoredIntegers.
     """
+    x = a._int
+    if x is None:
+        x = _small_int(a)
+    if x is not None:
+        y = b._int
+        if y is None:
+            y = _small_int(b)
+        if y is not None:
+            return (x > y) - (x < y)
     rest = dict(a.factors)
     ra = rb = 1
     for p, e in b.factors:
@@ -283,11 +356,6 @@ def fi_cmp(a: FactoredInteger, b: FactoredInteger) -> int:
     for p, e in rest.items():
         ra *= p**e
     return (ra > rb) - (ra < rb)
-
-
-# Below this many bits str() is used as is: about 600 digits, under the
-# smallest limit sys.set_int_max_str_digits accepts.
-_STR_BITS = 2000
 
 
 def _decimal(n: int) -> str:
@@ -311,7 +379,7 @@ def fi_to_decimal(a: FactoredInteger, group: bool = False) -> str:
     grouped:  24 103 053 950 976 000
     plain:    24103053950976000
     """
-    n = a.to_int()
+    n = a.to_int()  # a small value keeps its int
     if group and n.bit_length() <= _STR_BITS:
         return format(n, ",").replace(",", " ")
     s = _decimal(n)

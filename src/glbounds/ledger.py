@@ -302,7 +302,8 @@ def _parse_equation_case(node_id: str, args: Mapping[str, object],
 
 def _factor_small(value: int) -> FactoredInteger | None:
     """value (>= 1) in factored form, or None if it has a prime factor of
-    10^8 or more: declared keys stay below 10^8, and so does trial division."""
+    10^8 or more: declared keys stay below 10^8, and so does trial division.
+    DomainError if a cofactor's primality is not decided."""
     factors, rest = _factor_below(value, 10**8)
     if rest != 1:
         return None
@@ -318,7 +319,10 @@ def _parse_scaled_product(node_id: str, args: Mapping[str, object],
     if scale is None:
         pair = []
         for name, value in zip(("num", "den"), key):
-            factored = _factor_small(value)
+            try:
+                factored = _factor_small(value)
+            except DomainError as exc:
+                raise SchemaError("%s: arg %r: %s" % (node_id, name, exc)) from None
             if factored is None:
                 raise SchemaError(
                     "%s: arg %r has a prime factor of 10^8 or more" % (node_id, name))
@@ -621,17 +625,20 @@ def _eval(
     ledger: Ledger,
     nids: list[str] | tuple[str, ...],
     overrides: Mapping[str, FactoredInteger] | None = None,
-) -> dict[str, FactoredInteger]:
-    """Evaluate the nodes nids, left to right, and return the memo holding
-    their values; only the nodes they reach are evaluated.
+) -> list[FactoredInteger]:
+    """The values of the nodes nids, evaluated left to right; only the nodes
+    they reach are evaluated.
 
-    Without overrides the evaluation memo is the ledger's node_values.  With
-    overrides it is a dict of this call seeded with them: the overridden
-    nodes and their ancestors are combined there, while every other node is
-    unaffected by the overrides and reads, or fills, node_values.  One
-    explicit stack, seeded with nids, visits children left to right before
-    their parent, so depth is bounded by memory, not by the interpreter's
-    recursion limit, and a node that raises stores nothing.
+    Each node's value lives in one of two dicts.  The overridden nodes and
+    their ancestors, the dirty ones, live in a memo of this call seeded with
+    the overrides.  Every other node is unaffected by the overrides, so it
+    lives in the ledger's node_values: a child already there is read from
+    there, never pushed, and a node not yet there is combined into it.
+    Without overrides nothing is dirty.  One explicit stack, seeded with
+    nids, visits children left to right before their parent, so depth is
+    bounded by memory, not by the interpreter's recursion limit, and a node
+    that raises stores nothing.  Nodes are combined in the order of that
+    walk, so the first error a query raises is the one the walk meets first.
     """
     nodes, values = ledger.nodes, ledger.node_values
     if overrides:
@@ -641,24 +648,23 @@ def _eval(
     stack = list(reversed(nids))
     while stack:
         top = stack[-1]
-        if top in memo:
-            stack.pop()
-            continue
-        if top not in dirty and top in values:
-            memo[top] = values[top]
+        store = memo if top in dirty else values
+        if top in store:
             stack.pop()
             continue
         node = nodes[top]
-        pending = [kid for kid in node.children if kid not in memo]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        value = _combine(node, [memo[kid] for kid in node.children])
-        memo[top] = value
-        if top not in dirty:
-            values[top] = value
-        stack.pop()
-    return memo
+        kids = []
+        for kid in node.children:
+            value = (memo if kid in dirty else values).get(kid)
+            if value is None:  # push every child still missing, then come back
+                stack.extend(reversed([child for child in node.children
+                                       if child not in (memo if child in dirty else values)]))
+                break
+            kids.append(value)
+        else:
+            store[top] = _combine(node, kids)
+            stack.pop()
+    return [(memo if nid in dirty else values)[nid] for nid in nids]
 
 
 def _normalize_overrides(
@@ -679,7 +685,10 @@ def _normalize_overrides(
         if isinstance(value, FactoredInteger):
             out[nid] = value
         elif isinstance(value, int) and not isinstance(value, bool):
-            factored = _factor_small(value or 1)
+            try:
+                factored = _factor_small(value or 1)
+            except DomainError as exc:
+                raise LedgerError("override for %r: %s" % (nid, exc)) from None
             if factored is None:
                 raise LedgerError("override for %r has a prime factor of 10^8 or more" % nid)
             out[nid] = factored
@@ -695,7 +704,7 @@ def eval_node(
 ) -> FactoredInteger:
     if nid not in ledger.nodes:
         raise LedgerError("no node %r" % nid)
-    return _eval(ledger, [nid], _normalize_overrides(ledger, overrides))[nid]
+    return _eval(ledger, [nid], _normalize_overrides(ledger, overrides))[0]
 
 
 def verify_ledger(ledger: Ledger) -> VerificationReport:
@@ -707,9 +716,8 @@ def verify_ledger(ledger: Ledger) -> VerificationReport:
     """
     values = _eval(ledger, ledger.order)  # one walk, nodes in document order
     rows = []
-    for nid in ledger.order:
+    for nid, computed in zip(ledger.order, values):
         node = ledger.nodes[nid]
-        computed = values[nid]
         if node.kind == "Constant":
             status = "Unchecked"
         elif computed.factors == node.declared.factors:  # factors tuples are canonical

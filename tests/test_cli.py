@@ -374,6 +374,19 @@ def test_override_with_a_prime_factor_past_the_declared_domain(capsys):
         "2^22 * 3^8 * 5^3 * 7^2 * 11 * 13 = 24 103 053 950 976 000\n")
 
 
+def test_override_with_an_undecided_cofactor_is_refused_at_once(capsys):
+    # 2^89 - 1 passes Miller-Rabin past the range where it decides primality;
+    # trial division on to 10^8 took about 10 s
+    start = time.perf_counter()
+    assert main(["ledger", "final", "--override", "g10=618970019642690137449562111"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: override for 'g10': a cofactor of 89 bits is a strong probable prime past "
+        "3317044064679887385961981, where primality is not decided\n")
+
+
 def test_override_one_is_the_empty_product(capsys):
     assert main(["ledger", "final", "--override", "g10=1"]) == 0
     one = capsys.readouterr().out

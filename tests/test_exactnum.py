@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 
@@ -171,6 +172,46 @@ def test_strong_probable_prime_is_exact():
     assert factorize(M61) == {M61: 1}
 
 
+M89 = 2**89 - 1  # prime, but past the range where Miller-Rabin decides primality
+UNDECIDED_M89 = ("a cofactor of 89 bits is a strong probable prime past %d, where "
+                 "primality is not decided" % _SPRP_EXACT_BELOW)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: factorize(M89),
+    lambda: FactoredInteger.from_int(M89),
+    lambda: FactoredInteger.from_int(2**5 * 101 * M89),
+    lambda: _factor_below(M89, 10**8),
+    lambda: _factor_below(99991 * M89, 10**8),
+])
+def test_an_undecided_cofactor_is_refused_at_once(call):
+    # trial division on to 10^8 took about 10 s; unbounded, to 2^44.5, years
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == UNDECIDED_M89
+    assert time.perf_counter() - start < 1.0
+
+
+def test_factorize_accepts_a_cofactor_only_when_it_is_proved_prime(monkeypatch):
+    start = time.perf_counter()
+    # below 10^16 trial division to 10^8 proves it; from there on Miller-Rabin
+    assert factorize(6 * 100000007) == {2: 1, 3: 1, 100000007: 1}
+    assert factorize(3 * 99999989) == {3: 1, 99999989: 1}
+    assert factorize(3 * (10**20 + 39)) == {3: 1, 10**20 + 39: 1}
+    assert FactoredInteger.from_int(7 * M61).to_int() == 7 * M61
+    assert time.perf_counter() - start < 2.0
+    # a cofactor with no prime factor below the limit that is no prime; with
+    # the limit at 10^8 trial division would take about 8 s to get there
+    import glbounds.exactnum as exactnum_mod
+    monkeypatch.setattr(exactnum_mod, "_TRIAL_LIMIT", 1000)
+    assert factorize(1009 * 997) == {997: 1, 1009: 1}  # below 1000^2: prime
+    with pytest.raises(DomainError) as info:
+        factorize(8 * 1009 * 1013)
+    assert str(info.value) == (
+        "a cofactor of 20 bits has no prime factor below 1000 and is composite; it is not factored")
+
+
 def test_is_prime_past_trial_division_is_quick_and_bounded():
     start = time.perf_counter()
     assert is_prime(M61)
@@ -261,6 +302,70 @@ def test_cmp_matches_integers_on_large_exponents(a, b):
     assert fi_cmp(fa, fa) == 0
 
 
+# Either side of the 2 000-bit bound up to which a value keeps its int, in
+# bits and in the bound sum(e * bit_length(p)) that fi_cmp reads first.
+# M61^32 * q for the largest prime q below 2^47, 2^48, 2^49 is 1 999, 2 000
+# and 2 001 bits, with the same bound; 2^1000 is 1 001 bits with bound 2 000.
+# The others are small in bits but not in the bound (3 * 2^1000: 2 002,
+# 3^1261: 1 999 bits and 2 522), or large in both.
+Q47, Q48, Q49 = 2**47 - 115, 2**48 - 59, 2**49 - 81
+BOUNDARY_MAPS = [
+    {M61: 32, Q47: 1}, {M61: 32, Q48: 1}, {M61: 32, Q49: 1}, {M61: 32}, {M61: 33},
+    {2: 1000}, {2: 1000, 3: 1}, {2: 1999}, {2: 2000}, {3: 1261}, {3: 1262},
+    {2: 47, M61: 32}, {2: 48, M61: 32}, {2: 49, M61: 32},
+    {2: 1000, 3: 1, M61: 16}, {2: 999, 3: 1, M61: 16},
+]
+
+
+def _boundary_values(warm: str) -> list[FactoredInteger]:
+    """Fresh values of BOUNDARY_MAPS, then every other one rendered or
+    compared (or none), so each pair meets every mix of kept and not kept."""
+    values = [FactoredInteger.from_map(m) for m in BOUNDARY_MAPS]
+    for value in values[::2] if warm != "none" else ():
+        if warm == "rendered":
+            fi_to_decimal(value)
+        else:
+            fi_cmp(value, ONE)
+    return values
+
+
+@pytest.mark.parametrize("warm", ["none", "rendered", "compared"])
+def test_cmp_on_either_side_of_the_kept_int_bound(warm):
+    ints = [_expand(m) for m in BOUNDARY_MAPS]
+    assert {n.bit_length() for n in ints} >= {1001, 1999, 2000, 2001}
+    values = _boundary_values(warm)
+    for _ in range(2):  # the second pass compares what the first one kept
+        for (a, x), (b, y) in itertools.product(zip(values, ints), repeat=2):
+            assert fi_cmp(a, b) == (x > y) - (x < y), (x.bit_length(), y.bit_length())
+    for value, n in zip(values, ints):
+        # a value keeps its int only when small, and the int it keeps is its own
+        assert value._int in (None, n)
+        assert value._int is None or n.bit_length() <= 2000
+    if warm == "none":  # only compared: kept exactly when the bound is at most 2 000
+        assert [value._int is not None for value in values[:3]] == [True, True, False]
+
+
+def test_comparing_huge_values_multiplies_out_only_what_differs():
+    # 10^100000 * 3 and 10^100000 * 7: the common power of ten cancels
+    a = FactoredInteger.from_map({2: 100000, 3: 1, 5: 100000})
+    b = FactoredInteger.from_map({2: 100000, 5: 100000, 7: 1})
+    start = time.perf_counter()
+    for _ in range(100):
+        assert fi_cmp(a, b) == -1 and fi_cmp(b, a) == 1 and fi_cmp(a, a) == 0
+    assert time.perf_counter() - start < 0.5
+    assert a._int is None and b._int is None
+
+
+@pytest.mark.parametrize("warm", ["none", "rendered", "compared"])
+def test_decimal_on_either_side_of_the_kept_int_bound(warm):
+    for value, m in zip(_boundary_values(warm), BOUNDARY_MAPS):
+        n = _expand(m)
+        for _ in range(2):  # the second rendering reads the int the first one kept
+            assert fi_to_decimal(value) == str(n)
+            assert fi_to_decimal(value, group=True) == format(n, ",").replace(",", " ")
+            assert value.to_int() == n == int(value)
+
+
 @given(positive, positive)
 def test_div_exact_inverts_mul(a, b):
     assert fi_div_exact(fi_mul(fi(a), fi(b)), fi(b)) == fi(a)
@@ -310,7 +415,8 @@ def test_decimal_past_the_str_digit_limit():
 
 
 def test_primes_upto_matches_is_prime():
-    for limit in (-1, 0, 1, 2, 3, 4, 97, 100, 1000):
+    # below 100 the answer is a prefix of the small-prime table, from 100 on the sieve's
+    for limit in [*range(-1, 201), 1000]:
         assert primes_upto(limit) == [p for p in range(2, limit + 1) if is_prime(p)]
 
 

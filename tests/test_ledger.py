@@ -804,6 +804,63 @@ def test_what_ifs_match_a_plain_int_evaluator(overrides):
     assert _WARM.node_values == _WARM_VALUES
 
 
+def _outcome(query):
+    """query()'s value, or the class and message of the LedgerError it raised."""
+    try:
+        return query()
+    except LedgerError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_WARM.order),
+                    st.one_of(st.just(0), st.sampled_from(_DECLARED)), min_size=1, max_size=3),
+    st.lists(st.sampled_from(_WARM.order), max_size=4),
+    st.sampled_from(_WARM.order),
+)
+@example({"appendix-prop-sch3-15": 0, "appendix-prop-sch4-7": 0, "g10": 0}, [], _WARM.root)
+def test_a_what_if_is_the_same_on_a_cold_and_a_warm_ledger(overrides, before, nid):
+    # A child already in node_values is read from there, one not yet there is
+    # computed; either way the value and the first error are the same.
+    cold, warm = paper_ledger(), paper_ledger()
+    for other in before:
+        eval_node(warm, other)
+    want = _outcome(lambda: eval_node(cold, nid, overrides))
+    assert _outcome(lambda: eval_node(warm, nid, overrides)) == want
+    assert _outcome(lambda: eval_node(_WARM, nid, overrides)) == want
+    assert _WARM.node_values == _WARM_VALUES
+    for ledger in (cold, warm):  # what the what-if computed unaffected is kept
+        assert all(ledger.node_values[k] == v for k, v in _WARM_VALUES.items()
+                   if k in ledger.node_values)
+
+
+def test_a_what_if_off_the_queried_subtree_keeps_the_first_error():
+    # The example of ROADMAP item 6: both = Product[worse, bad] meets worse
+    # first, though bad comes first in document order; spare is no
+    # descendant of both, so an override on it changes nothing below it.
+    ledger = load_ledger(doc(
+        node("ten", "Constant", {"2": 1, "5": 1}),
+        node("bad", "ScaledProduct", {"2": 1}, args={"num": 1, "den": 3}, children=["ten"]),
+        node("worse", "ScaledProduct", {"2": 1}, args={"num": 1, "den": 7}, children=["ten"]),
+        node("both", "Product", {"2": 1}, children=["worse", "bad"]),
+        node("spare", "Constant", {"3": 1}),
+        node("top", "Max", {"3": 1}, children=["spare", "ten"]),
+        root="both",
+    ))
+    for warm_up in ([], ["ten"], ["spare", "top"]):
+        for nid in warm_up:
+            eval_node(ledger, nid)
+        for overrides in ({"spare": 7}, {"spare": 0, "top": 1}):
+            with pytest.raises(ScaleNotExact, match="^worse: "):
+                final_bound(ledger, overrides)
+        with pytest.raises(ScaleNotExact, match="^worse: "):
+            final_bound(ledger)
+    with pytest.raises(ScaleNotExact, match="^bad: "):  # with worse overridden, bad is next
+        final_bound(ledger, {"worse": 3})
+    assert eval_node(ledger, "top", {"spare": 1}) == fi(10)
+
+
 def test_a_what_if_recombines_only_the_overridden_ancestors(monkeypatch):
     import glbounds.ledger as ledger_mod
 
@@ -1031,6 +1088,10 @@ _LOADER_ERRORS = {
     "scaled-num-past-domain": (
         lambda: doc(node("s", "ScaledProduct", {}, args={"num": 2**61 - 1, "den": 1})),
         SchemaError, "s: arg 'num' has a prime factor of 10^8 or more"),
+    "scaled-num-undecided": (
+        lambda: doc(node("s", "ScaledProduct", {}, args={"num": 3 * (2**89 - 1), "den": 1})),
+        SchemaError, "s: arg 'num': a cofactor of 89 bits is a strong probable prime past "
+        "3317044064679887385961981, where primality is not decided"),
     "scaled-den-past-domain": (
         lambda: doc(node("s", "ScaledProduct", {}, args={"num": 1, "den": 2 * 100000007})),
         SchemaError, "s: arg 'den' has a prime factor of 10^8 or more"),

@@ -3,7 +3,7 @@
 Each type is built from its constructor arguments, cannot be changed after
 construction, compares and hashes by its fields, never equals an instance
 of another class, and has a Name(field=value, ...) repr.  Ledger's leaf memo
-is the one slot outside that contract.
+and a FactoredInteger's kept int are the slots outside that contract.
 """
 
 from __future__ import annotations
@@ -214,6 +214,20 @@ def test_leaf_memo_is_per_instance_and_outside_the_contract():
         Ledger(1, None, (), {}, (), node_values={})
     with pytest.raises(AttributeError):
         a.node_values = {}
+
+
+def test_a_kept_int_is_outside_the_contract():
+    kept, fresh = FactoredInteger(((2, 3), (3, 1))), FactoredInteger(((2, 3), (3, 1)))
+    assert str(kept) == "24" and kept._int == 24 and fresh._int is None
+    assert kept == fresh and hash(kept) == hash(fresh)
+    assert repr(kept) == repr(fresh) == "FactoredInteger(factors=((2, 3), (3, 1)))"
+    for twin in (pickle.loads(pickle.dumps(kept)), copy.copy(kept), copy.deepcopy(kept)):
+        assert twin == kept and twin._int is None
+    assert pickle.dumps(kept) == pickle.dumps(fresh)
+    with pytest.raises(TypeError):
+        FactoredInteger(((2, 3),), 8)
+    with pytest.raises(AttributeError):
+        kept._int = 25
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_typing_or_decimal():
