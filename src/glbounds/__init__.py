@@ -2,93 +2,20 @@
 fields, plus a verifiable ledger that composes them into the order bound
 24 103 053 950 976 000 for birational automorphism groups of rational
 threefolds over Q.
+
+Each submodule declares its public names in its own __all__; the package
+republishes them, and the submodules are public too.
 """
 
-from .exactnum import (
-    ONE,
-    DomainError,
-    FactoredInteger,
-    NonDivisible,
-    factorial_valuation,
-    fi_cmp,
-    fi_div_exact,
-    fi_mul,
-    fi_to_decimal,
-    fi_to_factored_str,
-)
-from .totient import euler_phi, invphi_all, invphi_max
-from .cyclotomic import (
-    Conductor,
-    CycloInvariants,
-    DegreeOnly,
-    ExactCyclotomic,
-    QQ,
-    all_invariants,
-    canonical_conductor,
-    contains_root_of_unity,
-    real_cyclo_member,
-)
-from .bounds import (
-    gl2_max_order,
-    minkowski_bound,
-    minkowski_exponent,
-    pgl2_admissible,
-    pgl2_max_order,
-    rough_bound,
-    rough_exponent,
-    schur_bound,
-    schur_exponent,
-    serre_bound,
-    serre_exponent,
-    table,
-)
-from .diophantine import (
-    EquationSolution,
-    SolutionConstraints,
-    max_schur_exponent,
-    solve_standard_equation,
-)
-from .ledger import (
-    BadDeclaredValue,
-    CycleError,
-    DanglingChild,
-    Ledger,
-    LedgerError,
-    LedgerNode,
-    ScaleNotExact,
-    SchemaError,
-    VerificationReport,
-    VerificationRow,
-    dumps_ledger,
-    eval_node,
-    explain,
-    final_bound,
-    load_ledger,
-    paper_ledger,
-    verify_ledger,
-)
+from .exactnum import *
+from .totient import *
+from .cyclotomic import *
+from .bounds import *
+from .diophantine import *
+from .ledger import *
 
-# Written out, so that a name a later import brings in joins the API only
-# when it is listed here.  The submodules are public too.
-__all__ = [
-    "bounds", "cyclotomic", "diophantine", "exactnum", "ledger", "totient",
-    # exactnum
-    "ONE", "DomainError", "FactoredInteger", "NonDivisible", "factorial_valuation", "fi_cmp",
-    "fi_div_exact", "fi_mul", "fi_to_decimal", "fi_to_factored_str",
-    # totient
-    "euler_phi", "invphi_all", "invphi_max",
-    # cyclotomic
-    "Conductor", "CycloInvariants", "DegreeOnly", "ExactCyclotomic", "QQ", "all_invariants",
-    "canonical_conductor", "contains_root_of_unity", "real_cyclo_member",
-    # bounds
-    "gl2_max_order", "minkowski_bound", "minkowski_exponent", "pgl2_admissible",
-    "pgl2_max_order", "rough_bound", "rough_exponent", "schur_bound", "schur_exponent",
-    "serre_bound", "serre_exponent", "table",
-    # diophantine
-    "EquationSolution", "SolutionConstraints", "max_schur_exponent", "solve_standard_equation",
-    # ledger
-    "BadDeclaredValue", "CycleError", "DanglingChild", "Ledger", "LedgerError", "LedgerNode",
-    "ScaleNotExact", "SchemaError", "VerificationReport", "VerificationRow", "dumps_ledger",
-    "eval_node", "explain", "final_bound", "load_ledger", "paper_ledger", "verify_ledger",
-]
+# Importing a submodule also binds its name here.
+_SUBMODULES = (exactnum, totient, cyclotomic, bounds, diophantine, ledger)
+__all__ = ([module.__name__.rpartition(".")[2] for module in _SUBMODULES]
+           + [name for module in _SUBMODULES for name in module.__all__])
 __version__ = "0.1.0"

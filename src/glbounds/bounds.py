@@ -17,6 +17,12 @@ through the identity floor(n / (q p^i)) = floor(floor(n / q) / p^i).
 
 from __future__ import annotations
 
+__all__ = [
+    "gl2_max_order", "minkowski_bound", "minkowski_exponent", "pgl2_admissible",
+    "pgl2_max_order", "rough_bound", "rough_exponent", "schur_bound", "schur_exponent",
+    "serre_bound", "serre_exponent", "table",
+]
+
 import math
 from collections.abc import Callable
 
@@ -29,6 +35,7 @@ from .cyclotomic import (
 )
 from .exactnum import (
     ONE,
+    SIEVE_LIMIT,
     DomainError,
     FactoredInteger,
     Value,
@@ -187,9 +194,19 @@ def rough_bound(n: int, d: int) -> FactoredInteger:
 
 
 def table(n: int, d_max: int) -> list[tuple[int, FactoredInteger]]:
-    """Rows (d, rough_bound(n, d)) for d = 1 .. d_max."""
+    """Rows (d, rough_bound(n, d)) for d = 1 .. d_max.
+
+    Row d sieves n*d + 1 numbers, so a table costs about n * d_max^2; it is
+    refused before any row is computed when its rows would sieve more than
+    SIEVE_LIMIT numbers in all, the cost of one largest rough_bound.
+    """
     if d_max < 1:
         raise DomainError("d_max must be >= 1, got %r" % d_max)
+    _check_n(n)
+    sieved = n * d_max * (d_max + 1) // 2 + d_max  # sum of n*d + 1 over d <= d_max
+    if sieved > SIEVE_LIMIT:
+        raise DomainError("the rows d = 1 .. %d would sieve %d numbers in all; a table "
+                          "sieves at most SIEVE_LIMIT = %d" % (d_max, sieved, SIEVE_LIMIT))
     return [(d, rough_bound(n, d)) for d in range(1, d_max + 1)]
 
 

@@ -32,6 +32,7 @@ from .cyclotomic import (
 )
 from .diophantine import T_MAX_LIMIT, SolutionConstraints, solve_standard_equation
 from .exactnum import (
+    _TRIAL_LIMIT,
     DomainError,
     FactoredInteger,
     fi_to_decimal,
@@ -66,7 +67,7 @@ def _below_1e8(text: str) -> int:
     """A positive integer below 10^8, where primality and factoring of
     conductors and primes stay cheap."""
     value = _positive_int(text)
-    if value >= 10**8:
+    if value >= _TRIAL_LIMIT:
         raise argparse.ArgumentTypeError("expected an integer below 10^8, got %s" % text)
     return value
 
@@ -141,8 +142,12 @@ def _field(conductor: int) -> ExactCyclotomic:
 
 
 def _load(ns) -> ledger_mod.Ledger:
-    if getattr(ns, "file", None):
-        return ledger_mod.load_ledger(ns.file)
+    if ns.file:
+        # A Path, so that load_ledger reads it as a path whatever its first
+        # character; pathlib loads only when a file is named.
+        from pathlib import Path
+
+        return ledger_mod.load_ledger(Path(ns.file))
     return ledger_mod.paper_ledger()
 
 
@@ -197,15 +202,15 @@ def _cmd_invariants(ns) -> int:
 
 
 def _cmd_invphi(ns) -> int:
-    top = invphi_max(ns.bound)
-    if ns.format == "json":
-        _print_json({"bound": ns.bound, "max": top, "all": invphi_all(ns.bound)})
+    if not (ns.format == "json" or ns.all):
+        print(invphi_max(ns.bound))
         return EXIT_OK
-    if ns.all:
-        for n in invphi_all(ns.bound):
-            print(n)
+    found = invphi_all(ns.bound)  # ascending, so its maximum is the last
+    if ns.format == "json":
+        _print_json({"bound": ns.bound, "max": found[-1], "all": found})
     else:
-        print(top)
+        for n in found:
+            print(n)
     return EXIT_OK
 
 

@@ -34,6 +34,11 @@ exactly when its conductor divides N:
 
 from __future__ import annotations
 
+__all__ = [
+    "Conductor", "CycloInvariants", "DegreeOnly", "ExactCyclotomic", "QQ", "all_invariants",
+    "canonical_conductor", "contains_root_of_unity", "real_cyclo_member",
+]
+
 import math
 
 from .exactnum import DomainError, Value, _valuation, is_prime

@@ -9,6 +9,11 @@ yields exponent 0.
 
 from __future__ import annotations
 
+__all__ = [
+    "EquationSolution", "SolutionConstraints", "max_schur_exponent",
+    "solve_standard_equation",
+]
+
 from .bounds import _check_n, _schur_odd_exponent
 from .exactnum import DomainError, Value, is_prime
 

@@ -7,6 +7,11 @@ expanded to decimal for display.  No floats anywhere.
 
 from __future__ import annotations
 
+__all__ = [
+    "ONE", "DomainError", "FactoredInteger", "NonDivisible", "factorial_valuation",
+    "fi_cmp", "fi_div_exact", "fi_mul", "fi_to_decimal", "fi_to_factored_str",
+]
+
 import math
 
 
@@ -97,6 +102,9 @@ def primes_upto(limit: int) -> list[int]:
 
 
 # factorize divides by trial up to here: 5 * 10^7 odd divisors, about 8 s.
+# Primes below it are the factoring domain of the whole package: declared
+# ledger keys, ScaledProduct scales, overrides, and the CLI's conductors and
+# primes.
 _TRIAL_LIMIT = 10**8
 
 

@@ -25,6 +25,13 @@ back to the same ledger; the tests rebuild that document as their oracle.
 
 from __future__ import annotations
 
+__all__ = [
+    "BadDeclaredValue", "CycleError", "DanglingChild", "Ledger", "LedgerError",
+    "LedgerNode", "ScaleNotExact", "SchemaError", "VerificationReport", "VerificationRow",
+    "dumps_ledger", "eval_node", "explain", "final_bound", "load_ledger", "paper_ledger",
+    "verify_ledger",
+]
+
 import json
 import os
 from collections.abc import Iterable, Mapping
@@ -34,6 +41,7 @@ from .cyclotomic import DegreeOnly, QQ, TRISTATE
 from .diophantine import SolutionConstraints, max_schur_exponent
 from .exactnum import (
     ONE,
+    _TRIAL_LIMIT,
     DomainError,
     FactoredInteger,
     NonDivisible,
@@ -292,7 +300,7 @@ def _parse_equation_case(node_id: str, args: Mapping[str, object],
             raise SchemaError("%s: %s" % (node_id, exc)) from None
     p = args["p"]
     if p not in memo:
-        if p >= 10**8:
+        if p >= _TRIAL_LIMIT:
             raise SchemaError("%s: EquationCase p must be below 10^8" % node_id)
         if not (p % 2 == 1 and is_prime(p)):
             raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
@@ -304,7 +312,7 @@ def _factor_small(value: int) -> FactoredInteger | None:
     """value (>= 1) in factored form, or None if it has a prime factor of
     10^8 or more: declared keys stay below 10^8, and so does trial division.
     DomainError if a cofactor's primality is not decided."""
-    factors, rest = _factor_below(value, 10**8)
+    factors, rest = _factor_below(value, _TRIAL_LIMIT)
     if rest != 1:
         return None
     return FactoredInteger._trusted(tuple(sorted(factors.items())))
@@ -542,7 +550,8 @@ def load_ledger(source) -> Ledger:
     """Parse a ledger document and build it through LedgerNode and Ledger.
 
     Accepts an already-parsed mapping, JSON text (a string whose first
-    non-blank character is {, [ or "), or a filesystem path.  The
+    non-blank character is {, [ or "), or a filesystem path (an os.PathLike
+    is read as one whatever its first character).  The
     constructors check every invariant of a ledger; the loader checks what
     only the document form can get wrong: its top-level keys and node
     fields, a duplicate id, an optional field given as null, and each
@@ -822,7 +831,6 @@ def dumps_ledger(ledger: Ledger) -> str:
 
 def paper_ledger() -> Ledger:
     """The ledger distributed with the package."""
-    from importlib import resources  # here, not at the top: ~20 ms, and inspect on 3.12+
-
-    text = resources.files("glbounds").joinpath("data/paper_ledger.json").read_text("utf-8")
-    return load_ledger(json.loads(text))
+    path = os.path.join(os.path.dirname(__file__), "data", "paper_ledger.json")
+    with open(path, encoding="utf-8") as handle:
+        return load_ledger(json.load(handle))

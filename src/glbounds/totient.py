@@ -18,6 +18,10 @@ linearly in B (about 2 s and 114 MiB at the limit).
 
 from __future__ import annotations
 
+__all__ = [
+    "euler_phi", "invphi_all", "invphi_max",
+]
+
 from .exactnum import DomainError, factorize, primes_upto
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from glbounds.cyclotomic import (
     all_invariants,
     canonical_conductor,
 )
-from glbounds.exactnum import DomainError, FactoredInteger, fi_cmp, is_prime, primes_upto
+from glbounds.exactnum import ONE, DomainError, FactoredInteger, fi_cmp, is_prime, primes_upto
 
 
 def fi(n: int) -> FactoredInteger:
@@ -242,6 +243,30 @@ def test_table_matches_individual_rows():
         assert value == rough_bound(3, d)
     with pytest.raises(DomainError):
         table(3, 0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 4 * 10**6])
+def test_a_table_past_the_total_sieve_limit_is_refused_before_any_row(monkeypatch, n):
+    import glbounds.bounds as bounds
+
+    # the first d_max whose rows sieve n*d + 1 numbers each, more than
+    # SIEVE_LIMIT in all, counted row by row
+    total, d_max = 0, 0
+    while total <= bounds.SIEVE_LIMIT:
+        d_max += 1
+        total += n * d_max + 1
+    rows = []
+    monkeypatch.setattr(bounds, "rough_bound", lambda n, d: rows.append(d) or ONE)
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as exc:
+        table(n, d_max)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == (
+        "the rows d = 1 .. %d would sieve %d numbers in all; a table sieves at most "
+        "SIEVE_LIMIT = 10000000" % (d_max, total))
+    assert rows == []  # refused before any row was computed
+    if d_max > 1:  # one row fewer is within the limit
+        assert [d for d, _ in table(n, d_max - 1)] == rows == list(range(1, d_max))
 
 
 def test_pgl2_over_q_is_twelve():

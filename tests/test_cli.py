@@ -363,6 +363,72 @@ def test_a_ledger_file_that_is_not_json_is_a_clean_error(capsys, tmp_path, name)
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("name", ["[draft] ledger.json", "{draft}.json", '"draft".json'])
+def test_a_ledger_path_that_looks_like_json_text_is_read_as_a_path(capsys, tmp_path, name):
+    path = tmp_path / name
+    packaged = Path(__file__).resolve().parents[1] / "src" / "glbounds" / "data"
+    path.write_bytes((packaged / "paper_ledger.json").read_bytes())
+    assert main(["ledger", "final", "--file", str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "ledger_final.txt").read_text(encoding="utf-8")
+
+
+def test_a_ledger_file_that_cannot_be_read_is_a_clean_error(capsys, tmp_path):
+    for path, reason in [(tmp_path / "[missing].json", "[Errno 2] No such file or directory"),
+                         (tmp_path, "[Errno 21] Is a directory")]:
+        assert main(["ledger", "final", "--file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s: %r\n" % (reason, str(path))
+
+
+@pytest.mark.parametrize("argv", [
+    ["invphi", "-b", "12"],
+    ["invphi", "-b", "12", "--format", "json"],
+    ["invphi", "-b", "4", "--all"],
+])
+def test_invphi_enumerates_the_inverse_totient_once(capsys, monkeypatch, argv):
+    import glbounds.totient as totient
+
+    calls = []
+    enumerate_all = totient._invphi
+    monkeypatch.setattr(totient, "_invphi", lambda bound: calls.append(bound) or enumerate_all(bound))
+    assert main(argv) == 0
+    assert len(calls) == 1
+    name = next(name for name, golden_argv in CASES.items() if golden_argv == argv)
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_a_table_past_the_total_sieve_limit_is_a_quick_clean_error(capsys):
+    start = time.perf_counter()
+    assert main(["table", "-n", "3", "--dmax", "10000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the rows d = 1 .. 10000 would sieve 150025000 numbers in all; a table sieves "
+        "at most SIEVE_LIMIT = 10000000\n")
+
+
+def test_the_cold_commands_load_no_heavy_module():
+    # A clean interpreter, without site, which may preload modules: the
+    # commonest commands stay off decimal, dataclasses, typing, pathlib and
+    # importlib.resources, which would cost every invocation their import.
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from glbounds.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['minkowski', '-n', '12']), main(['ledger', 'final'])]\n"
+        "heavy = ('decimal', 'dataclasses', 'inspect', 'typing', 'pathlib', 'zipfile',\n"
+        "         'tempfile', 'importlib.resources')\n"
+        "print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(done.stdout) == [[0, 0], []]
+
+
 def test_override_with_a_prime_factor_past_the_declared_domain(capsys):
     # 2 * 100000007: the cofactor left after trial division is a prime >= 10^8
     assert main(["ledger", "final", "--override", "g10=200000014"]) == 1
