@@ -208,9 +208,8 @@ def _cmd_invphi(ns) -> int:
     found = invphi_all(ns.bound)  # ascending, so its maximum is the last
     if ns.format == "json":
         _print_json({"bound": ns.bound, "max": found[-1], "all": found})
-    else:
-        for n in found:
-            print(n)
+    else:  # one write: with unbuffered output, a print per row is a system call per row
+        print("\n".join(map(str, found)))
     return EXIT_OK
 
 

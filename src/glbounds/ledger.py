@@ -164,8 +164,10 @@ class Ledger(Value):
     calls on one ledger therefore compute each node once.  A what-if
     recomputes only the overridden nodes and their ancestors, in a memo of
     its own, and reads every other node from `node_values`; override-derived
-    values never enter it.  The memo and the parent lists a what-if walks
-    are no constructor arguments and take no part in ==, hash or repr.
+    values never enter it.  `_parents` maps each id to its parents' ids in
+    document order, one per edge; the constructor builds it with the
+    acyclicity check, and a what-if walks it up from the overridden nodes.
+    Neither is a constructor argument or takes part in ==, hash or repr.
     """
 
     _fields = ("schema_version", "root", "whitelist", "nodes", "order")
@@ -189,8 +191,10 @@ class Ledger(Value):
         if not (isinstance(order, (list, tuple)) and tuple(order) == tuple(nodes)):
             raise SchemaError("order must list the node ids once each, as nodes does")
         # Node by node, a node's args before its children: parse, arity,
-        # children that exist, then what the kind claims about them.
+        # children that exist, each edge in its child's parent list, then
+        # what the kind claims about the children.
         memos: dict[str, dict] = {}  # kind -> its parse memo, for this ledger only
+        parents: dict[str, list[str]] = {nid: [] for nid in nodes}
         for node in nodes.values():
             spec = KINDS[node.kind]
             if spec.parse is not None:
@@ -202,9 +206,10 @@ class Ledger(Value):
             for kid in node.children:
                 if kid not in nodes:
                     raise DanglingChild("%s: child %r does not exist" % (node.id, kid))
+                parents[kid].append(node.id)
             if spec.check is not None:
                 spec.check(node, nodes)
-        _check_acyclic(nodes)
+        _check_acyclic(nodes, parents)
         if root is not None and not (isinstance(root, str) and root in nodes):
             raise SchemaError("root %r is not a node id" % root)
         if not (isinstance(whitelist, (list, tuple))
@@ -221,7 +226,7 @@ class Ledger(Value):
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "node_values", {})
-        object.__setattr__(self, "_parents", None)  # built by the first what-if
+        object.__setattr__(self, "_parents", parents)
 
 
 class VerificationRow(Value):
@@ -512,28 +517,26 @@ def _parse_declared(node_id: str, raw, decimal, primes: dict[str, int],
     return value
 
 
-def _check_acyclic(nodes: Mapping[str, LedgerNode]):
-    # Iterative three-color DFS; recursion depth is unbounded by schema.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in nodes}
-    for start in nodes:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        while stack:
-            nid, i = stack.pop()
-            if i == 0:
-                color[nid] = GRAY
-            kids = nodes[nid].children
-            if i < len(kids):
-                stack.append((nid, i + 1))
-                kid = kids[i]
-                if color[kid] == GRAY:
-                    raise CycleError("cycle through %r and %r" % (nid, kid))
-                if color[kid] == WHITE:
-                    stack.append((kid, 0))
-            else:
-                color[nid] = BLACK
+def _check_acyclic(nodes: Mapping[str, LedgerNode], parents: Mapping[str, list[str]]) -> None:
+    """Kahn's algorithm: finish the leaves, then each node whose children are
+    all finished.  From the first node left in document order, follow first
+    unfinished children until a node repeats; CycleError names the edge that
+    closes the loop, the one a depth-first walk in document order meets first."""
+    pending = {nid: len(node.children) for nid, node in nodes.items()}
+    finished = [nid for nid, count in pending.items() if not count]
+    for nid in finished:  # grows as nodes finish
+        for parent in parents[nid]:
+            pending[parent] -= 1
+            if not pending[parent]:
+                finished.append(parent)
+    if len(finished) == len(nodes):
+        return
+    nid = next(nid for nid, count in pending.items() if count)
+    path = set()
+    while nid not in path:
+        path.add(nid)
+        parent, nid = nid, next(kid for kid in nodes[nid].children if pending[kid])
+    raise CycleError("cycle through %r and %r" % (parent, nid))
 
 
 def _decode(parse, source):
@@ -614,16 +617,10 @@ def _combine(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
 def _dirty(ledger: Ledger, overrides: Mapping[str, FactoredInteger]) -> set[str]:
     """The overridden nodes and all their ancestors: what a what-if changes."""
     parents = ledger._parents
-    if parents is None:
-        parents = {}
-        for nid in ledger.order:
-            for kid in ledger.nodes[nid].children:
-                parents.setdefault(kid, []).append(nid)
-        object.__setattr__(ledger, "_parents", parents)
     dirty = set(overrides)
     stack = list(dirty)
     while stack:
-        for parent in parents.get(stack.pop(), ()):
+        for parent in parents[stack.pop()]:
             if parent not in dirty:
                 dirty.add(parent)
                 stack.append(parent)

@@ -1,8 +1,10 @@
-"""The package's public names, and the python -O contract of its source."""
+"""The package's public names, the python -O contract of its source, the
+README's short session and the distribution's name and version."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ import glbounds.ledger
 
 SUBMODULES = ("exactnum", "totient", "cyclotomic", "bounds", "diophantine", "ledger")
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "glbounds"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "glbounds"
 
 # Every name `from glbounds import *` gives, the submodules the package
 # imports included.  A helper only the tests call belongs in the tests.
@@ -95,3 +98,20 @@ def test_the_package_holds_no_assert_statement():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_the_readme_session_prints_what_its_comments_say(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A short session:\n\n```python\n", 1)[1].split("```", 1)[0]
+    printed = [line for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [line.partition("# ")[2] for line in printed]
+    assert len(printed) == 5
+
+
+def test_the_distribution_is_glbounds_at_the_package_version():
+    # a regex, not tomllib, which Python 3.10 lacks
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)^\[", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'^name = "(.*)"$', project, re.M) == ["glbounds"]
+    assert re.findall(r'^version = "(.*)"$', project, re.M) == [glbounds.__version__]

@@ -17,6 +17,7 @@ from glbounds.bounds import minkowski_bound, table
 from glbounds.cli import _use_color, build_parser, main
 from glbounds.exactnum import ONE, DomainError, FactoredInteger, fi_to_decimal, fi_to_factored_str
 from glbounds.ledger import dumps_ledger, explain, load_ledger, paper_ledger
+from glbounds.totient import invphi_all
 
 from conftest import decimal_value, to_document
 from regen_golden import CASES, GOLDEN
@@ -396,6 +397,21 @@ def test_invphi_enumerates_the_inverse_totient_once(capsys, monkeypatch, argv):
     assert len(calls) == 1
     name = next(name for name, golden_argv in CASES.items() if golden_argv == argv)
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_invphi_all_writes_its_rows_at_once(monkeypatch):
+    writes = []
+
+    class Counted(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Counted()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["invphi", "-b", "100", "--all"]) == 0
+    assert out.getvalue() == "".join("%d\n" % n for n in invphi_all(100))
+    assert len(writes) <= 2  # the rows and print's end, however many rows
 
 
 def test_a_table_past_the_total_sieve_limit_is_a_quick_clean_error(capsys):

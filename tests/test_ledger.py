@@ -219,6 +219,71 @@ def test_dangling_child_and_cycle():
         ))
 
 
+def _first_back_edge(nodes):
+    """Oracle: an iterative three-colour depth-first search from each node
+    in document order, children left to right; the CycleError message of
+    the first edge it meets into a node on its own path, or None."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {nid: WHITE for nid in nodes}
+    for start in nodes:
+        if color[start] != WHITE:
+            continue
+        stack = [(start, 0)]
+        while stack:
+            nid, i = stack.pop()
+            if i == 0:
+                color[nid] = GRAY
+            kids = nodes[nid].children
+            if i < len(kids):
+                stack.append((nid, i + 1))
+                kid = kids[i]
+                if color[kid] == GRAY:
+                    return "cycle through %r and %r" % (nid, kid)
+                if color[kid] == WHITE:
+                    stack.append((kid, 0))
+            else:
+                color[nid] = BLACK
+    return None
+
+
+@st.composite
+def _digraphs(draw):
+    """1 to 9 nodes, each with up to four children, self-loops and repeats
+    allowed, in a shuffled document order.  Half the draws take node i's
+    children only from the nodes created after it, so they are acyclic."""
+    ids = ["n%d" % i for i in range(draw(st.integers(1, 9)))]
+    acyclic = draw(st.booleans())
+    children = {}
+    for i, nid in enumerate(ids):
+        pool = ids[i + 1:] if acyclic else ids
+        children[nid] = draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+    return draw(st.permutations(ids)), children
+
+
+@settings(deadline=None, max_examples=300)
+@given(_digraphs(), st.booleans())
+def test_cycles_are_refused_as_a_depth_first_search_names_them(graph, loaded):
+    order, children = graph
+    nodes = {nid: LedgerNode(nid, "Max" if children[nid] else "Constant", {},
+                             tuple(children[nid]), ONE, "crafted for tests") for nid in order}
+    message = _first_back_edge(nodes)
+    try:
+        if loaded:
+            ledger = load_ledger(doc(*[node(nid, nodes[nid].kind, {}, children=children[nid])
+                                       for nid in order]))
+        else:
+            ledger = Ledger(1, None, (), nodes, tuple(order))
+    except CycleError as exc:
+        assert str(exc) == message
+        return
+    assert message is None
+    parents = {nid: [] for nid in order}
+    for nid in order:
+        for kid in children[nid]:
+            parents[kid].append(nid)
+    assert ledger._parents == parents
+
+
 # -------------------------------------------------------------- evaluation
 
 def test_eval_combinators():
