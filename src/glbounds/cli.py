@@ -143,8 +143,8 @@ def _field(conductor: int) -> ExactCyclotomic:
 
 def _load(ns) -> ledger_mod.Ledger:
     if ns.file:
-        # A Path, so that load_ledger reads it as a path whatever its first
-        # character; pathlib loads only when a file is named.
+        # A Path, since load_ledger reads a str as JSON text; pathlib loads
+        # only when a file is named.
         from pathlib import Path
 
         return ledger_mod.load_ledger(Path(ns.file))

@@ -48,13 +48,14 @@ TRISTATE = ("yes", "no", "unknown")
 
 
 class Conductor(Value):
-    """Canonical conductor: 1, or N >= 3 with N not 2 mod 4."""
+    """Canonical conductor: the int 1, or an int N >= 3 with N not 2 mod 4."""
 
     __slots__ = _fields = ("value",)
 
     def __init__(self, value: int):
-        if value < 1 or (value != 1 and (value < 3 or value % 4 == 2)):
-            raise DomainError("%r is not a canonical conductor" % value)
+        if not (type(value) is int  # not True, 12.0 or "12"
+                and (value == 1 or (value >= 3 and value % 4 != 2))):
+            raise DomainError("%r is not a canonical conductor" % (value,))
         object.__setattr__(self, "value", value)
 
 
@@ -94,6 +95,8 @@ class ExactCyclotomic(Value):
     __slots__ = _fields = ("conductor",)
 
     def __init__(self, conductor: Conductor):
+        if not isinstance(conductor, Conductor):
+            raise DomainError("conductor must be a Conductor, got %r" % (conductor,))
         object.__setattr__(self, "conductor", conductor)
 
     @property
@@ -112,6 +115,8 @@ class DegreeOnly(Value):
         minus1_sum_of_two_squares: str = "unknown",
         contains_sqrt5: str = "unknown",
     ):
+        if type(degree) is not int:  # not True, 2.5 or "x"
+            raise DomainError("degree must be an int, got %r" % (degree,))
         if degree < 1:
             raise DomainError("degree must be >= 1, got %r" % degree)
         for flag in (minus1_sum_of_two_squares, contains_sqrt5):

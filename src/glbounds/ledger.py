@@ -13,10 +13,13 @@ inner, how it parses its args or checks its children if it must, and how it
 evaluates from its children's values; the constructors and the evaluator read
 kinds only there.  LedgerNode and Ledger check every invariant as they are
 built, so a value of either is valid however it was made, and evaluation and
-export assume it.  Parsed args (EquationCase's constraints, ScaledProduct's
-num and den in factored form) are parsed by Ledger's constructor, once per
-distinct argument set, and kept in each node's private `_parsed` slot, so
-the nodes that share an argument set share the result.
+export assume it.  Each LedgerNode parses its own args (EquationCase's
+constraints, ScaledProduct's num and den in factored form) as it is built
+and keeps the result in its private `_parsed` slot.  Parsing, like reading
+a declared key and rendering a declared value, goes through pure functions
+of hashable arguments, each cached in a bounded lru_cache, so every
+distinct argument set, key and value is parsed once per process and the
+nodes that share one share the result.
 
 dumps_ledger writes each node's fields straight from the ledger, in the
 layout json.dumps(indent=2, ensure_ascii=False) gives the document that loads
@@ -35,6 +38,7 @@ __all__ = [
 import json
 import os
 from collections.abc import Iterable, Mapping
+from functools import lru_cache
 from json.encoder import encode_basestring
 
 from .cyclotomic import DegreeOnly, QQ, TRISTATE
@@ -96,16 +100,21 @@ _NODE_OPTIONAL = frozenset({"paper_prints", "note"})
 _NODE_ALLOWED = _NODE_FIELDS | _NODE_OPTIONAL  # built once, not per node
 # yes/no/unknown arguments; every other but "constraints" is a positive integer
 _TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
+# Entries each parse and render cache keeps.  The packaged ledger fills at
+# most about a hundred (its distinct declared values), so loading it evicts
+# nothing, and a stream of other ledgers cannot grow the caches past this.
+_CACHE_SIZE = 512
 
 
 class LedgerNode(Value):
     """One node, checked as it is built: a known kind, the arg keys and
-    values the kind takes, children a list or tuple of ids (kept as a tuple),
-    declared a FactoredInteger, and id, citation, paper_prints and note
-    strings without a lone surrogate.  What needs the kind's parse or the
-    other nodes, the Ledger that holds the node checks; it keeps what the
-    kind parses from args in `_parsed`, which is no constructor argument and
-    takes no part in ==, hash or repr."""
+    values the kind takes and the kind's parse of them, children a list or
+    tuple of ids (kept as a tuple), declared a FactoredInteger, and id,
+    citation, paper_prints and note strings without a lone surrogate.  What
+    needs the other nodes, the Ledger that holds the node checks.  What the
+    kind parses from args is kept in `_parsed` (None for a kind with no
+    parse), which is no constructor argument and takes no part in ==, hash
+    or repr."""
 
     _fields = ("id", "kind", "args", "children", "declared", "citation", "paper_prints", "note")
     __slots__ = _fields + ("_parsed",)
@@ -131,6 +140,7 @@ class LedgerNode(Value):
             _check_text(id, "paper_prints", paper_prints)
         if note is not None:
             _check_text(id, "note", note)
+        parsed = None if spec.parse is None else spec.parse(id, args)
         # Each slot's own setter, bound once below the class: cheaper than
         # object.__setattr__.
         _set_id(self, id)
@@ -141,7 +151,7 @@ class LedgerNode(Value):
         _set_citation(self, citation)
         _set_paper_prints(self, paper_prints)
         _set_note(self, note)
-        _set_parsed(self, None)
+        _set_parsed(self, parsed)
 
 
 (_set_id, _set_kind, _set_args, _set_children, _set_declared, _set_citation,
@@ -151,12 +161,13 @@ class LedgerNode(Value):
 
 class Ledger(Value):
     """A DAG of LedgerNodes, checked as it is built: schema_version 1, nodes
-    a mapping from each node's id to the node, `order` its ids in the
-    mapping's order, each node's args parsed by its kind, no children for a
-    leaf kind and some for an inner one, children that exist, each kind's
-    claims about its children held, no cycle, and root and whitelist ids of
-    nodes.  A failed check raises the LedgerError that load_ledger raises
-    for the same fault.  The nodes that share args share one parse.
+    a mapping from each node's id to the node, no children for a leaf kind
+    and some for an inner one, children that exist, each kind's claims about
+    its children held, no cycle, and root and whitelist ids of nodes.  A
+    failed check raises the LedgerError that load_ledger raises for the same
+    fault.  `order` holds the node ids in the mapping's order, the document
+    order; it is no constructor argument and takes no part in ==, hash or
+    repr.
 
     The ledger memoizes what it computes: `node_values` maps a node's id to
     its value without overrides, leaf or inner, filled by whichever
@@ -170,8 +181,8 @@ class Ledger(Value):
     Neither is a constructor argument or takes part in ==, hash or repr.
     """
 
-    _fields = ("schema_version", "root", "whitelist", "nodes", "order")
-    __slots__ = _fields + ("node_values", "_parents")
+    _fields = ("schema_version", "root", "whitelist", "nodes")
+    __slots__ = _fields + ("order", "node_values", "_parents")
 
     def __init__(
         self,
@@ -179,7 +190,6 @@ class Ledger(Value):
         root: str | None,
         whitelist: tuple[str, ...],
         nodes: Mapping[str, LedgerNode],
-        order: tuple[str, ...],
     ):
         if not (type(schema_version) is int and schema_version == SCHEMA_VERSION):  # not True, 1.0
             raise SchemaError("schema_version must be %d" % SCHEMA_VERSION)
@@ -188,17 +198,11 @@ class Ledger(Value):
         for key, node in nodes.items():
             if not (isinstance(node, LedgerNode) and node.id == key):
                 raise SchemaError("nodes[%r] is no LedgerNode of that id" % (key,))
-        if not (isinstance(order, (list, tuple)) and tuple(order) == tuple(nodes)):
-            raise SchemaError("order must list the node ids once each, as nodes does")
-        # Node by node, a node's args before its children: parse, arity,
-        # children that exist, each edge in its child's parent list, then
-        # what the kind claims about the children.
-        memos: dict[str, dict] = {}  # kind -> its parse memo, for this ledger only
+        # Node by node: arity, children that exist, each edge in its child's
+        # parent list, then what the kind claims about the children.
         parents: dict[str, list[str]] = {nid: [] for nid in nodes}
         for node in nodes.values():
             spec = KINDS[node.kind]
-            if spec.parse is not None:
-                _set_parsed(node, spec.parse(node.id, node.args, memos.setdefault(node.kind, {})))
             if spec.leaf and node.children:
                 raise SchemaError("%s: %s takes no children" % (node.id, node.kind))
             if not (spec.leaf or node.children):
@@ -224,7 +228,7 @@ class Ledger(Value):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "whitelist", tuple(whitelist))
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "order", tuple(nodes))
         object.__setattr__(self, "node_values", {})
         object.__setattr__(self, "_parents", parents)
 
@@ -266,10 +270,9 @@ class _Kind:
     """One node kind: the argument keys it requires and allows, leaf (no
     children) or inner (at least one child), value(node, kids), the node's
     value from its children's values in child order, and, for a kind whose
-    args need more than a type check, parse(node_id, args, memo), which
-    checks them and returns what value() reads from the node's `_parsed`
-    slot.  Ledger passes each kind one memo dict, so args that several nodes
-    share are parsed once and their result is shared.  A kind whose args
+    args need more than a type check, parse(node_id, args), which checks them
+    and returns what value() reads from the node's `_parsed` slot; LedgerNode
+    calls it once its args pass the type check.  A kind whose args
     make a claim about its children has check(node, nodes), which Ledger
     runs once the children are known to exist and which raises SchemaError
     if the claim fails."""
@@ -285,34 +288,43 @@ class _Kind:
         self.check = check
 
 
+# The cached functions below are pure in their hashable arguments and reach
+# what they call through this module's globals, as the value functions do.
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _constraints(e_min: int, t_max: int, tags: tuple[str, ...]) -> SolutionConstraints:
+    """The solver's constraints, one record per distinct argument set.
+    DomainError for a bad tag."""
+    return SolutionConstraints(e_min=e_min, extra=tags, t_max=t_max)
+
+
 # is_prime and trial division are cheap only inside the domain of declared
 # keys, primes below 10^8.
-def _parse_equation_case(node_id: str, args: Mapping[str, object],
-                         memo: dict) -> SolutionConstraints:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _odd_prime(p: int) -> bool:
+    return p % 2 == 1 and is_prime(p)
+
+
+def _parse_equation_case(node_id: str, args: Mapping[str, object]) -> SolutionConstraints:
     """The solver's constraints, with t_max clamped to n as max_schur_exponent
-    would clamp it, so that it builds no second record.  memo maps each
-    (e_min, clamped t_max, tags) already parsed to its constraints, and each
-    p already accepted to True."""
-    n, t_max, e_min = args["n"], args.get("t_max"), args.get("e_min", 1)
+    would clamp it, so that it builds no second record."""
+    n, t_max = args["n"], args.get("t_max")
     if t_max is None or t_max > n:
         t_max = n
-    key = (e_min, t_max, tuple(args.get("constraints", ())))
-    constraints = memo.get(key)
-    if constraints is None:
-        try:
-            constraints = memo[key] = SolutionConstraints(e_min=e_min, extra=key[2], t_max=t_max)
-        except DomainError as exc:  # a bad tag
-            raise SchemaError("%s: %s" % (node_id, exc)) from None
+    try:
+        constraints = _constraints(args.get("e_min", 1), t_max,
+                                   tuple(args.get("constraints", ())))
+    except DomainError as exc:  # a bad tag
+        raise SchemaError("%s: %s" % (node_id, exc)) from None
     p = args["p"]
-    if p not in memo:
-        if p >= _TRIAL_LIMIT:
-            raise SchemaError("%s: EquationCase p must be below 10^8" % node_id)
-        if not (p % 2 == 1 and is_prime(p)):
-            raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
-        memo[p] = True
+    if p >= _TRIAL_LIMIT:
+        raise SchemaError("%s: EquationCase p must be below 10^8" % node_id)
+    if not _odd_prime(p):
+        raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
     return constraints
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _factor_small(value: int) -> FactoredInteger | None:
     """value (>= 1) in factored form, or None if it has a prime factor of
     10^8 or more: declared keys stay below 10^8, and so does trial division.
@@ -323,25 +335,19 @@ def _factor_small(value: int) -> FactoredInteger | None:
     return FactoredInteger._trusted(tuple(sorted(factors.items())))
 
 
-def _parse_scaled_product(node_id: str, args: Mapping[str, object],
-                          memo: dict) -> tuple[FactoredInteger, FactoredInteger]:
-    """num and den as FactoredIntegers.  memo maps each (num, den) already
-    parsed to this pair, which every node with those args shares."""
-    key = (args["num"], args["den"])
-    scale = memo.get(key)
-    if scale is None:
-        pair = []
-        for name, value in zip(("num", "den"), key):
-            try:
-                factored = _factor_small(value)
-            except DomainError as exc:
-                raise SchemaError("%s: arg %r: %s" % (node_id, name, exc)) from None
-            if factored is None:
-                raise SchemaError(
-                    "%s: arg %r has a prime factor of 10^8 or more" % (node_id, name))
-            pair.append(factored)
-        scale = memo[key] = tuple(pair)
-    return scale
+def _parse_scaled_product(node_id: str, args: Mapping[str, object]
+                          ) -> tuple[FactoredInteger, FactoredInteger]:
+    """num and den as FactoredIntegers."""
+    pair = []
+    for name in ("num", "den"):
+        try:
+            factored = _factor_small(args[name])
+        except DomainError as exc:
+            raise SchemaError("%s: arg %r: %s" % (node_id, name, exc)) from None
+        if factored is None:
+            raise SchemaError("%s: arg %r has a prime factor of 10^8 or more" % (node_id, name))
+        pair.append(factored)
+    return tuple(pair)
 
 
 # Value functions reach the bound functions, fi_mul and fi_cmp through this
@@ -459,39 +465,45 @@ def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
     return dict(args)
 
 
-def _parse_declared(node_id: str, raw, decimal, primes: dict[str, int],
-                    rendered: dict[tuple, tuple[FactoredInteger, str]]) -> FactoredInteger:
-    """The declared value, checked against its decimal.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _declared_prime(key) -> int:
+    """The prime a declared key names; BadDeclaredValue, its message without
+    the node id, if the key is no decimal string of a prime below 10^8."""
+    # isdigit alone also accepts non-ASCII digits such as "²", which int() refuses.
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        raise BadDeclaredValue("declared key %r is not a prime string" % (key,))
+    # Longer keys are refused unparsed: declared primes are below 10**8.
+    digits = key.lstrip("0")
+    if len(digits) > 8:
+        raise BadDeclaredValue(
+            "declared key of %d digits is not a prime below 10^8" % len(digits))
+    p = int(digits or "0")
+    if not is_prime(p):
+        raise BadDeclaredValue("declared key %s is not prime" % key)
+    return p
 
-    primes maps each declared key already accepted during this load to its
-    prime, so a key repeated across nodes is parsed and prime-tested once.
-    rendered maps each factors tuple already seen during this load to its
-    value and grouped decimal, so a value repeated across nodes is rendered
-    once and every node declaring it shares one FactoredInteger.  node_id is
-    still unchecked, LedgerNode checks it next, so each message formats it
-    as one item of a tuple, whatever its type.
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _rendered(factors: tuple[tuple[int, int], ...]) -> tuple[FactoredInteger, str]:
+    """The value of a canonical factors tuple and its grouped decimal, which
+    the loader checks a declared decimal against and dumps_ledger writes."""
+    value = FactoredInteger._trusted(factors)
+    return value, fi_to_decimal(value, group=True)
+
+
+def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
+    """The declared value, checked against its decimal.  node_id is still
+    unchecked, LedgerNode checks it next, so each message formats it as one
+    item of a tuple, whatever its type.
     """
     if not isinstance(raw, dict):
         raise BadDeclaredValue("%s: declared must be a map prime -> exponent" % (node_id,))
     factors: dict[int, int] = {}
     for key, exp in raw.items():
-        p = primes.get(key)
-        if p is None:
-            # isdigit alone also accepts non-ASCII digits such as "²", which int() refuses.
-            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
-                raise BadDeclaredValue(
-                    "%s: declared key %r is not a prime string" % (node_id, key))
-            # Longer keys are refused unparsed: declared primes are below 10**8.
-            digits = key.lstrip("0")
-            if len(digits) > 8:
-                raise BadDeclaredValue(
-                    "%s: declared key of %d digits is not a prime below 10^8"
-                    % (node_id, len(digits))
-                )
-            p = int(digits or "0")
-            if not is_prime(p):
-                raise BadDeclaredValue("%s: declared key %s is not prime" % (node_id, key))
-            primes[key] = p
+        try:
+            p = _declared_prime(key)
+        except BadDeclaredValue as exc:
+            raise BadDeclaredValue("%s: %s" % (node_id, exc)) from None
         if not (type(exp) is int and exp >= 1):
             raise BadDeclaredValue(
                 "%s: declared exponent for %s must be a positive integer" % (node_id, key)
@@ -501,14 +513,9 @@ def _parse_declared(node_id: str, raw, decimal, primes: dict[str, int],
         factors[p] = exp
     if not isinstance(decimal, str):
         raise BadDeclaredValue("%s: decimal must be a string" % (node_id,))
-    key = tuple(sorted(factors.items()))
-    seen = rendered.get(key)
-    if seen is None:
-        # Prime bases, positive exponents, no prime twice: the checks above
-        # are the validation, so sorting is all that is left.
-        value = FactoredInteger._trusted(key)
-        seen = rendered[key] = (value, fi_to_decimal(value, group=True))
-    value, expect = seen
+    # Prime bases, positive exponents, no prime twice: the checks above are
+    # the validation, so sorting is all that is left.
+    value, expect = _rendered(tuple(sorted(factors.items())))
     if decimal != expect:
         raise BadDeclaredValue(
             "%s: decimal %r does not match declared factorization (%s)"
@@ -552,23 +559,20 @@ def _decode(parse, source):
 def load_ledger(source) -> Ledger:
     """Parse a ledger document and build it through LedgerNode and Ledger.
 
-    Accepts an already-parsed mapping, JSON text (a string whose first
-    non-blank character is {, [ or "), or a filesystem path (an os.PathLike
-    is read as one whatever its first character).  The
+    The source's type decides how it is read: a Mapping is the document, a
+    str is always JSON text, and an os.PathLike names a UTF-8 JSON file.  The
     constructors check every invariant of a ledger; the loader checks what
     only the document form can get wrong: its top-level keys and node
     fields, a duplicate id, an optional field given as null, and each
     declared map against its decimal.
     """
-    if isinstance(source, (str, os.PathLike)) and not isinstance(source, Mapping):
-        text = str(source)
-        if isinstance(source, os.PathLike) or not text.lstrip().startswith(("{", "[", '"')):
-            with open(source, "r", encoding="utf-8") as handle:
-                doc = _decode(json.load, handle)
-        else:
-            doc = _decode(json.loads, text)
-    elif isinstance(source, Mapping):
+    if isinstance(source, Mapping):
         doc = source
+    elif isinstance(source, str):
+        doc = _decode(json.loads, source)
+    elif isinstance(source, os.PathLike):
+        with open(source, "r", encoding="utf-8") as handle:
+            doc = _decode(json.load, handle)
     else:
         raise SchemaError("unsupported ledger source %r" % type(source))
 
@@ -582,8 +586,6 @@ def load_ledger(source) -> Ledger:
         raise SchemaError("nodes must be a list")
 
     nodes: dict[str, LedgerNode] = {}
-    primes: dict[str, int] = {}  # declared key -> its prime, for this load only
-    rendered: dict[tuple, tuple[FactoredInteger, str]] = {}  # for this load only
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise SchemaError("node entries must be objects")
@@ -594,7 +596,7 @@ def load_ledger(source) -> Ledger:
                 % (sorted(_NODE_FIELDS), sorted(_NODE_OPTIONAL), sorted(fields))
             )
         nid = raw["id"]
-        declared = _parse_declared(nid, raw["declared"], raw["decimal"], primes, rendered)
+        declared = _parse_declared(nid, raw["declared"], raw["decimal"])
         node = LedgerNode(nid, raw["kind"], raw["args"], raw["children"], declared,
                           raw["citation"], raw.get("paper_prints"), raw.get("note"))
         if nid in nodes:
@@ -603,8 +605,7 @@ def load_ledger(source) -> Ledger:
             if field in fields and raw[field] is None:
                 raise SchemaError("%s: %s must be a string" % (nid, field))
         nodes[nid] = node
-    return Ledger(doc.get("schema_version"), doc.get("root"), doc.get("whitelist", []),
-                  nodes, tuple(nodes))
+    return Ledger(doc.get("schema_version"), doc.get("root"), doc.get("whitelist", []), nodes)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -795,7 +796,6 @@ def dumps_ledger(ledger: Ledger) -> str:
         top.append('"root": ' + enc(ledger.root))
     top.append('"whitelist": ' + _join(list(map(enc, ledger.whitelist)), "[]", "  "))
     nodes = []
-    rendered: dict[tuple, str] = {}  # factors -> declared and decimal fields, for this call only
     for nid in ledger.order:
         node = ledger.nodes[nid]
         args = []
@@ -807,16 +807,12 @@ def dumps_ledger(ledger: Ledger) -> str:
             else:  # constraints, a list of tags
                 args.append(enc(key) + ": " + _join(list(map(enc, value)), "[]", "        "))
         factors = node.declared.factors
-        declared = rendered.get(factors)
-        if declared is None:
-            declared = rendered[factors] = '"declared": %s,\n      "decimal": %s' % (
-                _join(['"%d": %d' % pair for pair in factors], "{}", "      "),
-                enc(fi_to_decimal(node.declared, group=True)))
         text = ('{\n      "id": %s,\n      "kind": %s,\n      "args": %s,\n      "children": %s,'
-                '\n      %s,\n      "citation": %s' % (
+                '\n      "declared": %s,\n      "decimal": %s,\n      "citation": %s' % (
                     enc(node.id), enc(node.kind), _join(args, "{}", "      "),
-                    _join(list(map(enc, node.children)), "[]", "      "), declared,
-                    enc(node.citation)))
+                    _join(list(map(enc, node.children)), "[]", "      "),
+                    _join(['"%d": %d' % pair for pair in factors], "{}", "      "),
+                    enc(_rendered(factors)[1]), enc(node.citation)))
         if node.paper_prints is not None:
             text += ',\n      "paper_prints": ' + enc(node.paper_prints)
         if node.note is not None:

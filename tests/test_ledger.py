@@ -66,12 +66,28 @@ def test_load_accepts_dict_string_and_path(tmp_path):
     by_string = load_ledger(json.dumps(d))
     path = tmp_path / "ledger.json"
     path.write_text(json.dumps(d), encoding="utf-8")
-    by_path = load_ledger(str(path))
+    by_path = load_ledger(path)
     for ledger in (by_dict, by_string, by_path):
         assert ledger.root == "c"
         assert ledger.nodes["c"].declared == fi(8)
     with pytest.raises(SchemaError):
         load_ledger(42)
+
+
+def test_the_source_type_alone_decides_how_it_is_read(tmp_path, monkeypatch):
+    # A path is read whatever its first character; a str is JSON text even
+    # when it names a file.
+    text = json.dumps(doc(node("c", "Constant", {"2": 3}), root="c"))
+    path = tmp_path / "[draft] ledger.json"
+    path.write_text(text, encoding="utf-8")
+    assert load_ledger(path) == load_ledger(text)
+    monkeypatch.chdir(tmp_path)
+    for name, column in ((str(path), 1), (path.name, 2)):
+        with pytest.raises(SchemaError) as info:
+            load_ledger(name)
+        assert str(info.value) == (
+            "ledger is not valid JSON: Expecting value: line 1 column %d (char %d)"
+            % (column, column - 1))
 
 
 def test_schema_rejections():
@@ -219,6 +235,17 @@ def test_dangling_child_and_cycle():
         ))
 
 
+def test_a_later_nodes_bad_args_are_reported_before_an_earlier_dangling_child():
+    # Each node parses its args as it is built, before Ledger looks at any child.
+    dangling = node("m", "Max", {"2": 1}, children=["ghost"])
+    for args, message in (({"p": 9, "n": 3, "d": 4}, "e: EquationCase needs an odd prime p"),
+                          ({"p": 3, "n": 3, "d": 4, "constraints": ["bogus"]},
+                           "e: unknown constraint tag 'bogus'")):
+        with pytest.raises(LedgerError) as info:
+            load_ledger(doc(dangling, node("e", "EquationCase", {}, args=args)))
+        assert type(info.value) is SchemaError and str(info.value) == message
+
+
 def _first_back_edge(nodes):
     """Oracle: an iterative three-colour depth-first search from each node
     in document order, children left to right; the CycleError message of
@@ -272,7 +299,7 @@ def test_cycles_are_refused_as_a_depth_first_search_names_them(graph, loaded):
             ledger = load_ledger(doc(*[node(nid, nodes[nid].kind, {}, children=children[nid])
                                        for nid in order]))
         else:
-            ledger = Ledger(1, None, (), nodes, tuple(order))
+            ledger = Ledger(1, None, (), nodes)
     except CycleError as exc:
         assert str(exc) == message
         return
@@ -525,14 +552,14 @@ def _hand_built_ledgers(draw):
     nodes = {nid: LedgerNode(nid, kind, args, tuple(children), draw(_writer_values),
                              draw(_text), draw(st.none() | _text), draw(st.none() | _text))
              for nid, (kind, args, children) in zip(ids, shapes)}
-    return Ledger(1, root, tuple(whitelist), nodes, tuple(ids))
+    return Ledger(1, root, tuple(whitelist), nodes)
 
 
 @settings(deadline=None)
 @given(st.one_of(_loaded_ledgers(), _hand_built_ledgers()))
 @example(Ledger(1, None, (), {"c": LedgerNode(
     "c", "Constant", {}, (), _WRITER_VALUES[-1],
-    "\u00e9 \"q\" \\ \x01\u2028")}, ("c",)))
+    "\u00e9 \"q\" \\ \x01\u2028")}))
 def test_writer_matches_json_dumps_of_the_document(ledger):
     want = json.dumps(to_document(ledger), indent=2, ensure_ascii=False) + "\n"
     assert dumps_ledger(ledger) == want
@@ -680,31 +707,13 @@ def test_paper_ledger_serialization_is_stable(ledger):
     assert text == packaged
 
 
-def test_each_declared_value_is_rendered_once_per_load_and_per_export(monkeypatch):
+def test_each_arg_set_key_and_value_is_parsed_once_per_process(monkeypatch):
     import glbounds.ledger as ledger_mod
 
     text = dumps_ledger(paper_ledger())
-    calls = []
-    real = ledger_mod.fi_to_decimal
-
-    def counting(value, group=False):
-        calls.append(value)
-        return real(value, group)
-
-    monkeypatch.setattr(ledger_mod, "fi_to_decimal", counting)
-    loaded = load_ledger(json.loads(text))
-    assert len(loaded.order) == 218
-    assert len(calls) == len({node.declared for node in loaded.nodes.values()}) == 99
-    calls.clear()
-    assert dumps_ledger(loaded) == text
-    assert len(calls) == 99
-
-
-def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
-    import glbounds.ledger as ledger_mod
-
-    document = json.loads(dumps_ledger(paper_ledger()))
-    built, tested, factored = [], [], []
+    document = json.loads(text)
+    logs = {name: [] for name in ("SolutionConstraints", "is_prime", "_factor_below",
+                                  "fi_to_decimal")}
 
     def counting(log, real):
         def wrapper(*args, **kw):
@@ -712,24 +721,38 @@ def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
             return real(*args, **kw)
         return wrapper
 
-    monkeypatch.setattr(ledger_mod, "SolutionConstraints",
-                        counting(built, ledger_mod.SolutionConstraints))
-    monkeypatch.setattr(ledger_mod, "is_prime", counting(tested, ledger_mod.is_prime))
-    monkeypatch.setattr(ledger_mod, "_factor_below", counting(factored, ledger_mod._factor_below))
-    for _ in range(2):  # each load parses afresh
-        for log in (built, tested, factored):
-            log.clear()
-        loaded = load_ledger(document)
-        cases = [n for n in loaded.nodes.values() if n.kind == "EquationCase"]
-        scaled = [n for n in loaded.nodes.values() if n.kind == "ScaledProduct"]
-        assert len(cases) == 74 and len(scaled) == 18
-        assert len(built) == len({id(n._parsed) for n in cases}) == 18
-        assert len({n._parsed for n in cases}) == 18
-        keys = {str(p) for n in loaded.nodes.values() for p, _ in n.declared.factors}
-        assert len(tested) == len(keys) + len({n.args["p"] for n in cases})
-        assert len({id(n._parsed) for n in scaled}) == 6 and len(factored) == 2 * 6
-        assert all(type(n._parsed) is tuple and len(n._parsed) == 2 for n in scaled)
-        assert final_bound(loaded) == fi(24103053950976000)
+    for name, log in logs.items():
+        monkeypatch.setattr(ledger_mod, name, counting(log, getattr(ledger_mod, name)))
+    # The caches live for the process; earlier tests may have warmed them.
+    for cached in (ledger_mod._constraints, ledger_mod._odd_prime, ledger_mod._factor_small,
+                   ledger_mod._declared_prime, ledger_mod._rendered):
+        cached.cache_clear()
+    loaded = load_ledger(document)
+    cases = [n for n in loaded.nodes.values() if n.kind == "EquationCase"]
+    scaled = [n for n in loaded.nodes.values() if n.kind == "ScaledProduct"]
+    assert len(cases) == 74 and len(scaled) == 18
+    # One record per distinct (e_min, clamped t_max, tags), shared by its nodes.
+    assert len(logs["SolutionConstraints"]) == len({id(n._parsed) for n in cases}) == 18
+    assert len({n._parsed for n in cases}) == 18
+    # One prime test per distinct declared key and per distinct p.
+    keys = {str(p) for n in loaded.nodes.values() for p, _ in n.declared.factors}
+    assert len(logs["is_prime"]) == len(keys) + len({n.args["p"] for n in cases})
+    # One factoring per distinct num or den, one rendering per distinct value.
+    scales = {n.args[name] for n in scaled for name in ("num", "den")}
+    assert len(logs["_factor_below"]) == len(scales) == len({id(f) for n in scaled
+                                                             for f in n._parsed})
+    values = {n.declared for n in loaded.nodes.values()}
+    assert len(logs["fi_to_decimal"]) == len(values) == len({id(v) for v in values}) == 99
+    counts = {name: len(log) for name, log in logs.items()}
+    again = load_ledger(document)
+    assert again == loaded and dumps_ledger(again) == text
+    assert {name: len(log) for name, log in logs.items()} == counts
+    assert final_bound(again) == fi(24103053950976000)
+    # A plain-int override is factored once, however often the what-if runs.
+    logs["_factor_below"].clear()
+    for _ in range(3):
+        assert final_bound(again, {"g10": 2592}) == fi(735746457600)
+    assert logs["_factor_below"] == [(2592, ledger_mod._TRIAL_LIMIT)]
 
 
 def test_a_shared_constraint_set_still_checks_each_p():
@@ -743,7 +766,8 @@ def test_a_shared_constraint_set_still_checks_each_p():
         node("two", "Constant", {"2": 1}),
         node("a", "ScaledProduct", {}, args=half, children=["two"]),
         node("b", "ScaledProduct", {}, args=dict(half), children=["two"])))
-    assert loaded.nodes["a"]._parsed is loaded.nodes["b"]._parsed
+    a, b = loaded.nodes["a"]._parsed, loaded.nodes["b"]._parsed
+    assert a == b and all(x is y for x, y in zip(a, b))
     assert eval_node(loaded, "b") == ONE
 
 
@@ -1280,9 +1304,8 @@ def _bnode(nid, kind, args=None, children=(), declared=ONE, citation="crafted fo
     return LedgerNode(nid, kind, {} if args is None else args, children, declared, citation)
 
 
-def _built(*nodes, version=1, root=None, whitelist=(), order=None):
-    by_id = {n.id: n for n in nodes}
-    return Ledger(version, root, whitelist, by_id, tuple(by_id) if order is None else order)
+def _built(*nodes, version=1, root=None, whitelist=()):
+    return Ledger(version, root, whitelist, {n.id: n for n in nodes})
 
 
 _CONSTANT = _bnode("c", "Constant")
@@ -1296,11 +1319,10 @@ _BUILT_ERRORS = {
         lambda: _bnode("e", "EquationCase", {"p": 3, "n": 3, "d": 4, "constraints": "e = 2"}),
         "constraints-not-tags"),
     "bad-tag": (
-        lambda: _built(_bnode("e", "EquationCase",
-                              {"p": 3, "n": 3, "d": 4, "constraints": ["e even", "bogus"]})),
+        lambda: _bnode("e", "EquationCase",
+                       {"p": 3, "n": 3, "d": 4, "constraints": ["e even", "bogus"]}),
         "constraint-tag-unknown"),
-    "even-p": (
-        lambda: _built(_bnode("e", "EquationCase", {"p": 2, "n": 3, "d": 4})), "equation-even-p"),
+    "even-p": (lambda: _bnode("e", "EquationCase", {"p": 2, "n": 3, "d": 4}), "equation-even-p"),
     "children-not-ids": (lambda: _bnode("p", "Product", children="a"), "children-not-ids"),
     "leaf-with-children": (
         lambda: _built(_bnode("a", "Constant"), _bnode("b", "Constant", children=("a",))),
@@ -1323,20 +1345,14 @@ _BUILT_ERRORS = {
                        _bnode("a", "AppendixProp", {"n": 4, "d_max": 1}, children=("r1",))),
         (SchemaError, "a: child 'r1' must have n = 4, d = 1")),
     "key-not-id": (
-        lambda: Ledger(1, None, (), {"k": _CONSTANT}, ("k",)),
+        lambda: Ledger(1, None, (), {"k": _CONSTANT}),
         (SchemaError, "nodes['k'] is no LedgerNode of that id")),
     "value-not-node": (
-        lambda: Ledger(1, None, (), {"c": "c"}, ("c",)),
+        lambda: Ledger(1, None, (), {"c": "c"}),
         (SchemaError, "nodes['c'] is no LedgerNode of that id")),
     "nodes-not-mapping": (
-        lambda: Ledger(1, None, (), [_CONSTANT], ("c",)),
+        lambda: Ledger(1, None, (), [_CONSTANT]),
         (SchemaError, "nodes must map ids to nodes")),
-    "order-missing-a-node": (
-        lambda: _built(_CONSTANT, order=()),
-        (SchemaError, "order must list the node ids once each, as nodes does")),
-    "order-twice": (
-        lambda: _built(_CONSTANT, order=("c", "c")),
-        (SchemaError, "order must list the node ids once each, as nodes does")),
     "root-not-node": (lambda: _built(_CONSTANT, root="missing"), "root-not-node"),
     "whitelist-unknown-id": (
         lambda: _built(_CONSTANT, whitelist=("missing",)), "whitelist-unknown-id"),
@@ -1362,7 +1378,7 @@ def test_pickle_and_deepcopy_rebuild_the_paper_ledger_through_the_constructors()
     verify_ledger(original)  # a warm memo is not carried over
     for twin in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
         assert type(twin) is Ledger and twin == original and twin.node_values == {}
-        # _parsed is no field: only Ledger's constructor can have filled it
+        # _parsed is no field: only LedgerNode's constructor can have filled it
         parsed = [n._parsed for n in twin.nodes.values()
                   if n.kind in ("EquationCase", "ScaledProduct")]
         assert len(parsed) == 74 + 18 and None not in parsed

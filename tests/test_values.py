@@ -3,7 +3,8 @@
 Each type is built from its constructor arguments, cannot be changed after
 construction, compares and hashes by its fields, never equals an instance
 of another class, and has a Name(field=value, ...) repr.  Ledger's leaf memo
-and a FactoredInteger's kept int are the slots outside that contract.
+and node order and a FactoredInteger's kept int are the slots outside that
+contract.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from glbounds.bounds import GroupFamily
+from glbounds.bounds import GroupFamily, pgl2_admissible, schur_bound
 from glbounds.cyclotomic import (
     Conductor,
     CycloInvariants,
@@ -59,10 +60,9 @@ CASES = {
          "citation": "cite", "paper_prints": "8", "note": "n"},
         ("a", "Constant", {}, (), NINE, "cite", "8", "n")),
     "Ledger": (
-        Ledger, (1, "a", (), {"a": NODE}, ("a",)),
-        {"schema_version": 1, "root": "a", "whitelist": (), "nodes": {"a": NODE},
-         "order": ("a",)},
-        (1, None, (), {"a": NODE}, ("a",))),
+        Ledger, (1, "a", (), {"a": NODE}),
+        {"schema_version": 1, "root": "a", "whitelist": (), "nodes": {"a": NODE}},
+        (1, None, (), {"a": NODE})),
     "VerificationRow": (
         VerificationRow, ("a", EIGHT, NINE, "Mismatch", "note"),
         {"id": "a", "declared": EIGHT, "computed": NINE, "status": "Mismatch",
@@ -128,6 +128,28 @@ def test_validation_messages():
         with pytest.raises(DomainError) as info:
             build()
         assert str(info.value) == message
+
+
+# Field constructors take exact types: an int, not a bool, float or string,
+# and a Conductor, not the int it holds.
+_MISTYPED_FIELDS = {
+    "schur-bound-of-an-int-conductor": (
+        lambda: schur_bound(3, ExactCyclotomic(12)), "conductor must be a Conductor, got 12"),
+    "degree-str": (lambda: DegreeOnly("x"), "degree must be an int, got 'x'"),
+    "conductor-str": (lambda: Conductor("12"), "'12' is not a canonical conductor"),
+    "degree-float": (lambda: DegreeOnly(2.5), "degree must be an int, got 2.5"),
+    "conductor-bool": (lambda: Conductor(True), "True is not a canonical conductor"),
+    "pgl2-of-a-float-degree": (
+        lambda: pgl2_admissible(DegreeOnly(2.5)), "degree must be an int, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISTYPED_FIELDS))
+def test_field_constructors_refuse_mistyped_values(case):
+    build, message = _MISTYPED_FIELDS[case]
+    with pytest.raises(DomainError) as info:
+        build()
+    assert type(info.value) is DomainError and str(info.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -198,20 +220,22 @@ def test_reprs():
         "ExactCyclotomic(conductor=Conductor(value=5))")
     assert repr(GroupFamily("A5")) == "GroupFamily(kind='A5', m=0)"
     assert repr(SolutionConstraints()) == "SolutionConstraints(e_min=1, t_max=None, extra=())"
-    assert repr(Ledger(1, None, (), {}, ())) == (
-        "Ledger(schema_version=1, root=None, whitelist=(), nodes={}, order=())")
+    assert repr(Ledger(1, None, (), {})) == (
+        "Ledger(schema_version=1, root=None, whitelist=(), nodes={})")
 
 
 def test_leaf_memo_is_per_instance_and_outside_the_contract():
-    a, b = Ledger(1, None, (), {}, ()), Ledger(1, None, (), {}, ())
+    a, b = Ledger(1, None, (), {}), Ledger(1, None, (), {})
     assert a.node_values == {} and a.node_values is not b.node_values
     a.node_values["x"] = EIGHT
     assert a == b
     assert "node_values" not in repr(a)
     with pytest.raises(TypeError):
-        Ledger(1, None, (), {}, (), {})
+        Ledger(1, None, (), {}, {})
     with pytest.raises(TypeError):
-        Ledger(1, None, (), {}, (), node_values={})
+        Ledger(1, None, (), {}, node_values={})
+    with pytest.raises(TypeError):
+        Ledger(1, None, (), {}, order=())
     with pytest.raises(AttributeError):
         a.node_values = {}
 
