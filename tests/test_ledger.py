@@ -707,13 +707,8 @@ def test_paper_ledger_serialization_is_stable(ledger):
     assert text == packaged
 
 
-def test_each_arg_set_key_and_value_is_parsed_once_per_process(monkeypatch):
-    import glbounds.ledger as ledger_mod
-
-    text = dumps_ledger(paper_ledger())
-    document = json.loads(text)
-    logs = {name: [] for name in ("SolutionConstraints", "is_prime", "_factor_below",
-                                  "fi_to_decimal")}
+def _count_calls(monkeypatch, ledger_mod, names):
+    logs = {name: [] for name in names}
 
     def counting(log, real):
         def wrapper(*args, **kw):
@@ -723,6 +718,35 @@ def test_each_arg_set_key_and_value_is_parsed_once_per_process(monkeypatch):
 
     for name, log in logs.items():
         monkeypatch.setattr(ledger_mod, name, counting(log, getattr(ledger_mod, name)))
+    return logs
+
+
+def test_each_declared_value_is_rendered_once_per_load_and_per_export(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    text = dumps_ledger(paper_ledger())
+    document = json.loads(text)
+    calls = _count_calls(monkeypatch, ledger_mod, ["fi_to_decimal"])["fi_to_decimal"]
+    # The caches live for the process; earlier tests may have warmed them.
+    ledger_mod._declared_prime.cache_clear()
+    ledger_mod._rendered.cache_clear()
+    loaded = load_ledger(document)
+    assert len(loaded.order) == 218
+    # One rendering per distinct value, which its nodes share.
+    values = {n.declared for n in loaded.nodes.values()}
+    assert len(calls) == len(values) == len({id(v) for v in values}) == 99
+    # A second load and an export of the same values render nothing new.
+    again = load_ledger(document)
+    assert again == loaded and dumps_ledger(again) == text
+    assert len(calls) == 99
+
+
+def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    document = json.loads(dumps_ledger(paper_ledger()))
+    logs = _count_calls(monkeypatch, ledger_mod,
+                        ["SolutionConstraints", "is_prime", "_factor_below"])
     # The caches live for the process; earlier tests may have warmed them.
     for cached in (ledger_mod._constraints, ledger_mod._odd_prime, ledger_mod._factor_small,
                    ledger_mod._declared_prime, ledger_mod._rendered):
@@ -737,15 +761,15 @@ def test_each_arg_set_key_and_value_is_parsed_once_per_process(monkeypatch):
     # One prime test per distinct declared key and per distinct p.
     keys = {str(p) for n in loaded.nodes.values() for p, _ in n.declared.factors}
     assert len(logs["is_prime"]) == len(keys) + len({n.args["p"] for n in cases})
-    # One factoring per distinct num or den, one rendering per distinct value.
+    # One factoring per distinct num or den.
     scales = {n.args[name] for n in scaled for name in ("num", "den")}
     assert len(logs["_factor_below"]) == len(scales) == len({id(f) for n in scaled
                                                              for f in n._parsed})
-    values = {n.declared for n in loaded.nodes.values()}
-    assert len(logs["fi_to_decimal"]) == len(values) == len({id(v) for v in values}) == 99
+    assert all(type(n._parsed) is tuple and len(n._parsed) == 2 for n in scaled)
+    # A second load of the same document parses nothing new.
     counts = {name: len(log) for name, log in logs.items()}
     again = load_ledger(document)
-    assert again == loaded and dumps_ledger(again) == text
+    assert again == loaded
     assert {name: len(log) for name, log in logs.items()} == counts
     assert final_bound(again) == fi(24103053950976000)
     # A plain-int override is factored once, however often the what-if runs.
