@@ -4,7 +4,7 @@ Four families of bounds, all returned in factored form:
 
   minkowski_bound   GL_n(Q), sharp for every n
   schur_bound       GL_n(K) for an exact cyclotomic K, prime by prime
-  serre_bound       PGL_n(K), prime by prime
+  serre_bound       PGL_n(K), prime by prime; not claimed at n = 2
   rough_bound       GL_n(K) knowing only d = [K : Q]
 
 plus the classification of finite subgroups of PGL_2 (cyclic, dihedral,
@@ -30,6 +30,7 @@ from .cyclotomic import (
     CycloInvariants,
     DegreeOnly,
     ExactCyclotomic,
+    _check_field,
     all_invariants,
     real_cyclo_member,
 )
@@ -50,8 +51,14 @@ from .totient import euler_phi, invphi_all, invphi_max
 
 
 def _check_n(n: int):
-    if n < 1:
-        raise DomainError("matrix size n must be >= 1, got %r" % n)
+    if type(n) is not int or n < 1:  # not True, 2.5 or "3"
+        raise DomainError(_not_positive("matrix size n", n))
+
+
+def _not_positive(name: str, value) -> str:
+    if type(value) is not int:
+        return "%s must be an int, got %r" % (name, value)
+    return "%s must be >= 1, got %r" % (name, value)
 
 
 def _check_invariants(p: int, inv: CycloInvariants):
@@ -128,6 +135,7 @@ def schur_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
     prime is at most n*d + 1.
     """
     _check_n(n)
+    _check_field(field)
     return _prime_product(
         n * field.degree + 1, lambda p: schur_exponent(n, p, all_invariants(field, p))
     )
@@ -138,6 +146,11 @@ def schur_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
 def serre_exponent(n: int, p: int, inv: CycloInvariants) -> int:
     """Exponent bound for p in |G|, G a finite subgroup of PGL_n(K):
     m * floor((n-1) / phi(t)) + v_p((n-1)!).
+
+    Not claimed at n = 2, where it fails at p = 2: over Q, A = [[1, -1],
+    [1, 1]] has order 4 in PGL_2(Q) and B = [[0, 1], [1, 0]] inverts it, so
+    they make a dihedral group of order 8 (pgl2_admissible lists D8), while
+    serre_bound(2, QQ) = 12.  For PGL_2 use pgl2_admissible.
     """
     _check_n(n)
     _check_invariants(p, inv)
@@ -145,13 +158,15 @@ def serre_exponent(n: int, p: int, inv: CycloInvariants) -> int:
 
 
 def serre_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
-    """Product over the contributing primes of p^serre_exponent.
+    """Product over the contributing primes of p^serre_exponent; not an
+    upper bound at n = 2 (see serre_exponent).
 
     The first term survives only while phi(t_p) <= n - 1.  For p prime to
     the conductor t_p = p - 1, so contributing primes are bounded by
     invphi_max(n-1) + 1; primes dividing the conductor stay below d + 2.
     """
     _check_n(n)
+    _check_field(field)
     if n == 1:
         return ONE
     cutoff = max(field.degree + 1, invphi_max(n - 1) + 1, n - 1)
@@ -168,8 +183,8 @@ def rough_exponent(n: int, d: int, p: int) -> int:
                  n + 2*floor(n/2) + L_2(floor(n/2))            for odd d
     """
     _check_n(n)
-    if d < 1:
-        raise DomainError("degree d must be >= 1, got %r" % d)
+    if type(d) is not int or d < 1:  # inline: this runs once per prime
+        raise DomainError(_not_positive("degree d", d))
     if not is_prime(p):
         raise DomainError("%r is not prime" % p)
     if p != 2:
@@ -188,8 +203,8 @@ def rough_bound(n: int, d: int) -> FactoredInteger:
     p <= n*d + 1.
     """
     _check_n(n)
-    if d < 1:
-        raise DomainError("degree d must be >= 1, got %r" % d)
+    if type(d) is not int or d < 1:
+        raise DomainError(_not_positive("degree d", d))
     return _prime_product(n * d + 1, lambda p: rough_exponent(n, d, p))
 
 
@@ -200,8 +215,8 @@ def table(n: int, d_max: int) -> list[tuple[int, FactoredInteger]]:
     refused before any row is computed when its rows would sieve more than
     SIEVE_LIMIT numbers in all, the cost of one largest rough_bound.
     """
-    if d_max < 1:
-        raise DomainError("d_max must be >= 1, got %r" % d_max)
+    if type(d_max) is not int or d_max < 1:
+        raise DomainError(_not_positive("d_max", d_max))
     _check_n(n)
     sieved = n * d_max * (d_max + 1) // 2 + d_max  # sum of n*d + 1 over d <= d_max
     if sieved > SIEVE_LIMIT:

@@ -5,6 +5,11 @@ Values print as plain decimals in text mode, or as
 {"factored": {...}, "decimal": "..."} with --format json.  Ledger values
 additionally show the power product, since declared node values are stored
 factored and that is the form worth eyeballing.
+
+Each command builds its whole output as one text, which main writes to
+stdout at once, so a command that fails writes nothing there.  Every value
+becomes text through _render, which first holds it to the _MAX_DIGITS
+budget; that covers every value any subcommand prints, ledger values too.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
-# Most decimal digits a bound subcommand prints for one value.  Rendering
+# Most decimal digits any subcommand prints for one value.  Rendering
 # grows with the square of the digits: minkowski -n 100000 prints 509 886 in
 # seconds, while minkowski -n 1000000, 6 098 582 digits, runs for minutes.
 _MAX_DIGITS = 10**6
@@ -96,32 +101,26 @@ def _check_digits(value: FactoredInteger) -> None:
                           % (-(-bits * 30103 // 100000), _MAX_DIGITS))
 
 
-def _fi_json(value: FactoredInteger) -> dict:
-    return {
-        "factored": {str(p): e for p, e in value.factors},
-        "decimal": str(value),
-    }
-
-
-def _print_json(obj) -> None:
-    print(json.dumps(obj, ensure_ascii=False))
-
-
-def _emit_plain(value: FactoredInteger, fmt: str) -> int:
+def _render(value: FactoredInteger, form: str = "plain"):
+    """value as the CLI prints it, once _check_digits has passed it: its
+    "plain" or "grouped" decimal, its "factored" power product = grouped
+    decimal, or its "json" object {"factored": {...}, "decimal": "..."}."""
     _check_digits(value)
-    if fmt == "json":
-        _print_json(_fi_json(value))
-    else:
-        print(str(value))
-    return EXIT_OK
+    if form == "json":
+        return {"factored": {str(p): e for p, e in value.factors}, "decimal": str(value)}
+    if form == "plain":
+        return str(value)
+    grouped = fi_to_decimal(value, group=True)
+    return grouped if form == "grouped" else "%s = %s" % (fi_to_factored_str(value), grouped)
 
 
-def _emit_factored(value: FactoredInteger, fmt: str) -> int:
-    if fmt == "json":
-        _print_json(_fi_json(value))
-    else:
-        print("%s = %s" % (fi_to_factored_str(value), fi_to_decimal(value, group=True)))
-    return EXIT_OK
+def _json(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def _value_text(value: FactoredInteger, fmt: str, form: str = "plain") -> str:
+    """One value's output: its JSON object with --format json, else form."""
+    return _json(_render(value, "json")) if fmt == "json" else _render(value, form) + "\n"
 
 
 def _use_color(stream) -> bool:
@@ -153,44 +152,34 @@ def _load(ns) -> ledger_mod.Ledger:
 
 # --------------------------------------------------------------- subcommands
 
-def _cmd_minkowski(ns) -> int:
-    return _emit_plain(minkowski_bound(ns.n), ns.format)
+def _cmd_minkowski(ns) -> str:
+    return _value_text(minkowski_bound(ns.n), ns.format)
 
 
-def _cmd_schur(ns) -> int:
-    return _emit_plain(schur_bound(ns.n, _field(ns.conductor)), ns.format)
+def _cmd_schur(ns) -> str:
+    return _value_text(schur_bound(ns.n, _field(ns.conductor)), ns.format)
 
 
-def _cmd_serre(ns) -> int:
-    return _emit_plain(serre_bound(ns.n, _field(ns.conductor)), ns.format)
+def _cmd_serre(ns) -> str:
+    return _value_text(serre_bound(ns.n, _field(ns.conductor)), ns.format)
 
 
-def _cmd_rough(ns) -> int:
-    return _emit_plain(rough_bound(ns.n, ns.d), ns.format)
+def _cmd_rough(ns) -> str:
+    return _value_text(rough_bound(ns.n, ns.d), ns.format)
 
 
-def _cmd_table(ns) -> int:
+def _cmd_table(ns) -> str:
     rows = table(ns.n, ns.dmax)
-    for _, value in rows:
-        _check_digits(value)
     if ns.format == "json":
-        _print_json({
-            "n": ns.n,
-            "rows": [
-                {"d": d, **_fi_json(value)}
-                for d, value in rows
-            ],
-        })
-        return EXIT_OK
-    for d, value in rows:
-        print("%d\t%s\t%s" % (d, fi_to_factored_str(value), fi_to_decimal(value, group=True)))
-    return EXIT_OK
+        return _json({"n": ns.n, "rows": [{"d": d, **_render(value, "json")} for d, value in rows]})
+    return "".join("%d\t%s\t%s\n" % (d, fi_to_factored_str(value), _render(value, "grouped"))
+                   for d, value in rows)
 
 
-def _cmd_invariants(ns) -> int:
+def _cmd_invariants(ns) -> str:
     field = _field(ns.conductor)
     inv = all_invariants(field, ns.prime)
-    _print_json({
+    return _json({
         "p": inv.p,
         "t": inv.t_p,
         "m": inv.m_p,
@@ -198,33 +187,28 @@ def _cmd_invariants(ns) -> int:
         "xi4": inv.xi4_in_k,
         "degree": field.degree,
     })
-    return EXIT_OK
 
 
-def _cmd_invphi(ns) -> int:
+def _cmd_invphi(ns) -> str:
     if not (ns.format == "json" or ns.all):
-        print(invphi_max(ns.bound))
-        return EXIT_OK
+        return "%d\n" % invphi_max(ns.bound)
     found = invphi_all(ns.bound)  # ascending, so its maximum is the last
     if ns.format == "json":
-        _print_json({"bound": ns.bound, "max": found[-1], "all": found})
-    else:  # one write: with unbuffered output, a print per row is a system call per row
-        print("\n".join(map(str, found)))
-    return EXIT_OK
+        return _json({"bound": ns.bound, "max": found[-1], "all": found})
+    return "".join("%d\n" % n for n in found)
 
 
-def _cmd_solve_eq(ns) -> int:
+def _cmd_solve_eq(ns) -> str:
     cons = SolutionConstraints(
         e_min=ns.emin,
         t_max=ns.tmax,
         extra=tuple(ns.constraint or ()),
     )
     rows = solve_standard_equation(ns.p, ns.d, cons)
-    _print_json([{"m": s.m, "e": s.e, "t": s.t} for s in rows])
-    return EXIT_OK
+    return _json([{"m": s.m, "e": s.e, "t": s.t} for s in rows])
 
 
-def _cmd_pgl2(ns) -> int:
+def _cmd_pgl2(ns) -> str:
     field = DegreeOnly(
         degree=ns.d,
         minus1_sum_of_two_squares=ns.minus1_sum_of_two_squares,
@@ -232,59 +216,52 @@ def _cmd_pgl2(ns) -> int:
     )
     families, top = pgl2_admissible(field)
     if ns.format == "json":
-        _print_json({
+        return _json({
             "families": [
                 {"label": f.label, "kind": f.kind, "m": f.m, "order": f.order}
                 for f in families
             ],
-            "max": _fi_json(top),
+            "max": _render(top, "json"),
         })
-        return EXIT_OK
-    for f in families:
-        print("%s order %d" % (f.label, f.order))
-    print("max %s" % str(top))
-    return EXIT_OK
+    return "".join("%s order %d\n" % (f.label, f.order) for f in families) + (
+        "max %s\n" % _render(top))
 
 
-def _cmd_ledger_verify(ns) -> int:
+def _cmd_ledger_verify(ns) -> tuple[str, int]:
     ledger = _load(ns)
     report = ledger_mod.verify_ledger(ledger)
     whitelisted = set(ledger.whitelist)
-    unexpected = report.unexpected(ledger.whitelist)
+    status = EXIT_MISMATCH if report.unexpected(ledger.whitelist) else EXIT_OK
     if ns.format == "json":
-        _print_json({
-            "ok": not unexpected,
+        return _json({
+            "ok": status == EXIT_OK,
             "rows": [
                 {
                     "id": row.id,
                     "status": row.status,
-                    "declared": str(row.declared),
-                    "computed": str(row.computed),
+                    "declared": _render(row.declared),
+                    "computed": _render(row.computed),
                     "whitelisted": row.id in whitelisted,
                     "annotation": row.annotation,
                 }
                 for row in report.rows
             ],
-        })
-        return EXIT_MISMATCH if unexpected else EXIT_OK
+        }), status
     colored = _use_color(sys.stdout)
     counts = {"Match": 0, "Mismatch": 0, "Unchecked": 0}
+    lines = []
     for row in report.rows:
         counts[row.status] += 1
+        tail = _render(row.declared, "grouped")
         if row.status == "Mismatch":
-            tail = "declared %s, computed %s" % (
-                fi_to_decimal(row.declared, group=True),
-                fi_to_decimal(row.computed, group=True),
-            )
+            tail = "declared %s, computed %s" % (tail, _render(row.computed, "grouped"))
             if row.id in whitelisted:
                 tail += " (whitelisted)"
-        else:
-            tail = fi_to_decimal(row.declared, group=True)
         if row.annotation:
             tail += "  [%s]" % row.annotation
-        print("%-9s  %-28s %s" % (_paint(row.status, colored), row.id, tail))
-    print(
-        "%d nodes: %d match, %d unchecked, %d mismatch (%d whitelisted)"
+        lines.append("%-9s  %-28s %s\n" % (_paint(row.status, colored), row.id, tail))
+    lines.append(
+        "%d nodes: %d match, %d unchecked, %d mismatch (%d whitelisted)\n"
         % (
             len(report.rows),
             counts["Match"],
@@ -293,30 +270,35 @@ def _cmd_ledger_verify(ns) -> int:
             sum(1 for row in report.mismatches() if row.id in whitelisted),
         )
     )
-    return EXIT_MISMATCH if unexpected else EXIT_OK
+    return "".join(lines), status
 
 
-def _cmd_ledger_eval(ns) -> int:
+def _cmd_ledger_eval(ns) -> str:
     ledger = _load(ns)
-    return _emit_factored(ledger_mod.eval_node(ledger, ns.id), ns.format)
+    return _value_text(ledger_mod.eval_node(ledger, ns.id), ns.format, "factored")
 
 
-def _cmd_ledger_explain(ns) -> int:
+def _cmd_ledger_explain(ns) -> str:
     ledger = _load(ns)
-    print(ledger_mod.explain(ledger, ns.id))
-    return EXIT_OK
+    # A fresh ledger: evaluating ns.id fills node_values with exactly the
+    # values explain renders, so each is held to the budget first.
+    ledger_mod.eval_node(ledger, ns.id)
+    for value in ledger.node_values.values():
+        _check_digits(value)
+    return ledger_mod.explain(ledger, ns.id) + "\n"
 
 
-def _cmd_ledger_final(ns) -> int:
+def _cmd_ledger_final(ns) -> str:
     ledger = _load(ns)
     overrides = dict(ns.override or ())
-    return _emit_factored(ledger_mod.final_bound(ledger, overrides), ns.format)
+    return _value_text(ledger_mod.final_bound(ledger, overrides), ns.format, "factored")
 
 
-def _cmd_ledger_export(ns) -> int:
+def _cmd_ledger_export(ns) -> str:
     ledger = _load(ns)
-    # UTF-8 bytes to a file or to stdout, whatever the stream's encoding, so
-    # that a redirected export loads back.
+    # UTF-8 bytes to a file or to stdout's buffer, whatever the stream's
+    # encoding, so that a redirected export loads back; main writes only the
+    # text a stream without a buffer takes.
     data = ledger_mod.dumps_ledger(ledger).encode("utf-8")
     if ns.output:
         with open(ns.output, "wb") as handle:
@@ -325,8 +307,8 @@ def _cmd_ledger_export(ns) -> int:
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
     else:  # a stream of text only, such as io.StringIO
-        sys.stdout.write(data.decode("utf-8"))
-    return EXIT_OK
+        return data.decode("utf-8")
+    return ""
 
 
 # -------------------------------------------------------------------- parser
@@ -456,7 +438,12 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        return ns.func(ns)
+        # Each command returns its whole output, and ledger verify its exit
+        # status too, so an error leaves stdout empty.
+        out = ns.func(ns)
+        text, status = out if isinstance(out, tuple) else (out, EXIT_OK)
+        sys.stdout.write(text)
+        return status
     except UnicodeEncodeError as exc:  # text the output stream cannot encode
         print("error: cannot write the output: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN

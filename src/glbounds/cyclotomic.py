@@ -59,8 +59,15 @@ class Conductor(Value):
         object.__setattr__(self, "value", value)
 
 
+def _check_conductor(n):
+    if not isinstance(n, Conductor):
+        raise DomainError("conductor must be a Conductor, got %r" % (n,))
+
+
 def canonical_conductor(n: int) -> Conductor:
     """Smallest N' with Q(z_N') = Q(z_n): halve n when n = 2 mod 4."""
+    if type(n) is not int:  # not True, 12.0 or "12"
+        raise DomainError("conductor must be an int, got %r" % (n,))
     if n < 1:
         raise DomainError("conductor must be positive, got %r" % n)
     if n % 4 == 2:
@@ -75,6 +82,8 @@ def lcm_conductor(a: Conductor, k: int) -> Conductor:
 
 def contains_root_of_unity(n: Conductor, k: int) -> bool:
     """Whether z_k lies in Q(z_n)."""
+    if not isinstance(n, Conductor):  # inline: all_invariants runs this once per prime
+        _check_conductor(n)
     return n.value % canonical_conductor(k).value == 0
 
 
@@ -84,8 +93,11 @@ def real_cyclo_member(m: int, n: Conductor) -> bool:
     The element is rational for m in {1, 2, 3, 4, 6}.  Otherwise it
     generates Q(z_m)+, which has the conductor of Q(z_m).
     """
+    if type(m) is not int:
+        raise DomainError("m must be an int, got %r" % (m,))
     if m < 1:
         raise DomainError("m must be positive, got %r" % m)
+    _check_conductor(n)
     return m in (1, 2, 3, 4, 6) or n.value % canonical_conductor(m).value == 0
 
 
@@ -95,8 +107,7 @@ class ExactCyclotomic(Value):
     __slots__ = _fields = ("conductor",)
 
     def __init__(self, conductor: Conductor):
-        if not isinstance(conductor, Conductor):
-            raise DomainError("conductor must be a Conductor, got %r" % (conductor,))
+        _check_conductor(conductor)
         object.__setattr__(self, "conductor", conductor)
 
     @property
@@ -125,6 +136,11 @@ class DegreeOnly(Value):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "minus1_sum_of_two_squares", minus1_sum_of_two_squares)
         object.__setattr__(self, "contains_sqrt5", contains_sqrt5)
+
+
+def _check_field(k):
+    if not isinstance(k, ExactCyclotomic):
+        raise DomainError("field must be an ExactCyclotomic, got %r" % (k,))
 
 
 QQ = ExactCyclotomic(Conductor(1))
@@ -176,6 +192,8 @@ def cyclo_e_p(k: ExactCyclotomic, p: int) -> int:
 
 def all_invariants(k: ExactCyclotomic, p: int) -> CycloInvariants:
     """Compute (t_p, m_p, e_p, xi4) together."""
+    if not isinstance(k, ExactCyclotomic):  # inline: the bounds run this once per prime
+        _check_field(k)
     t = cyclo_t_p(k, p)
     m = cyclo_m_p(k, p)
     e = cyclo_e_p(k, p)

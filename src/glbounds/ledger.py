@@ -40,6 +40,7 @@ import os
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from json.encoder import encode_basestring
+from types import MappingProxyType
 
 from .cyclotomic import DegreeOnly, QQ, TRISTATE
 from .diophantine import SolutionConstraints, max_schur_exponent
@@ -106,18 +107,27 @@ _TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
 _CACHE_SIZE = 512
 
 
+def _reduce(value):
+    """pickle and copy rebuild through the constructor, which takes each
+    read-only mapping back as a plain dict: a mappingproxy does not pickle."""
+    return value.__class__, tuple([dict(field) if type(field) is MappingProxyType else field
+                                   for field in value._key()])
+
+
 class LedgerNode(Value):
     """One node, checked as it is built: a known kind, the arg keys and
     values the kind takes and the kind's parse of them, children a list or
     tuple of ids (kept as a tuple), declared a FactoredInteger, and id,
     citation, paper_prints and note strings without a lone surrogate.  What
-    needs the other nodes, the Ledger that holds the node checks.  What the
-    kind parses from args is kept in `_parsed` (None for a kind with no
-    parse), which is no constructor argument and takes no part in ==, hash
-    or repr."""
+    needs the other nodes, the Ledger that holds the node checks.  args is
+    kept as a read-only view of the node's own copy, so nothing can change
+    what was checked.  What the kind parses from args is kept in `_parsed`
+    (None for a kind with no parse), which is no constructor argument and
+    takes no part in ==, hash or repr."""
 
     _fields = ("id", "kind", "args", "children", "declared", "citation", "paper_prints", "note")
     __slots__ = _fields + ("_parsed",)
+    __reduce__ = _reduce
 
     def __init__(self, id: str, kind: str, args: Mapping[str, object], children: tuple[str, ...],
                  declared: FactoredInteger, citation: str, paper_prints: str | None = None,
@@ -145,7 +155,7 @@ class LedgerNode(Value):
         # object.__setattr__.
         _set_id(self, id)
         _set_kind(self, kind)
-        _set_args(self, args)
+        _set_args(self, MappingProxyType(args))
         _set_children(self, tuple(children))
         _set_declared(self, declared)
         _set_citation(self, citation)
@@ -165,9 +175,10 @@ class Ledger(Value):
     and some for an inner one, children that exist, each kind's claims about
     its children held, no cycle, and root and whitelist ids of nodes.  A
     failed check raises the LedgerError that load_ledger raises for the same
-    fault.  `order` holds the node ids in the mapping's order, the document
-    order; it is no constructor argument and takes no part in ==, hash or
-    repr.
+    fault.  nodes is kept as a read-only view of the ledger's own copy, so
+    no node can be added, replaced or deleted once checked.  `order` holds
+    the node ids in the mapping's order, the document order; it is no
+    constructor argument and takes no part in ==, hash or repr.
 
     The ledger memoizes what it computes: `node_values` maps a node's id to
     its value without overrides, leaf or inner, filled by whichever
@@ -183,6 +194,7 @@ class Ledger(Value):
 
     _fields = ("schema_version", "root", "whitelist", "nodes")
     __slots__ = _fields + ("order", "node_values", "_parents")
+    __reduce__ = _reduce
 
     def __init__(
         self,
@@ -195,6 +207,7 @@ class Ledger(Value):
             raise SchemaError("schema_version must be %d" % SCHEMA_VERSION)
         if not isinstance(nodes, Mapping):
             raise SchemaError("nodes must map ids to nodes")
+        nodes = dict(nodes)
         for key, node in nodes.items():
             if not (isinstance(node, LedgerNode) and node.id == key):
                 raise SchemaError("nodes[%r] is no LedgerNode of that id" % (key,))
@@ -227,7 +240,7 @@ class Ledger(Value):
         object.__setattr__(self, "schema_version", schema_version)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "whitelist", tuple(whitelist))
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", MappingProxyType(nodes))
         object.__setattr__(self, "order", tuple(nodes))
         object.__setattr__(self, "node_values", {})
         object.__setattr__(self, "_parents", parents)
@@ -439,7 +452,7 @@ def _check_text(node_id: str, field: str, text) -> None:
 
 
 def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
-    if not isinstance(args, dict):
+    if not isinstance(args, (dict, MappingProxyType)):  # a node's own args build a node again
         raise SchemaError("%s: args must be an object" % node_id)
     keys = args.keys()
     if not spec.required <= keys <= spec.allowed:

@@ -28,11 +28,14 @@ from glbounds.bounds import (
 from glbounds.cyclotomic import (
     QQ,
     TRISTATE,
+    Conductor,
     CycloInvariants,
     DegreeOnly,
     ExactCyclotomic,
     all_invariants,
     canonical_conductor,
+    contains_root_of_unity,
+    real_cyclo_member,
 )
 from glbounds.exactnum import ONE, DomainError, FactoredInteger, fi_cmp, is_prime, primes_upto
 
@@ -205,6 +208,19 @@ def test_serre_bound_over_q():
     assert serre_bound(1, QQ) == fi(1)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "serre_bound(2, K) is half the lcm of the PGL_2(K) family orders: over Q, "
+    "D8 has order 8 and serre_bound(2, QQ) is 12"))
+def test_every_pgl2_family_order_divides_serre_bound_at_n_2():
+    # A lower-bound oracle: each admissible family is a subgroup of PGL_2(K),
+    # so an upper bound on every finite subgroup's order is a multiple of it.
+    for conductor in (1, 3, 4, 5, 12):
+        field = ExactCyclotomic(Conductor(conductor))
+        bound = int(serre_bound(2, field))
+        families, _ = pgl2_admissible(field)
+        assert [f.label for f in families if bound % f.order] == [], conductor
+
+
 def test_serre_exponent_spot_values():
     assert serre_exponent(3, 2, all_invariants(QQ, 2)) == 2 * 2 + 1
     assert serre_exponent(3, 13, all_invariants(QQ, 13)) == 0
@@ -234,6 +250,33 @@ def test_rough_dominates_schur_small_conductors():
         k = field(c)
         for n in (2, 3, 4):
             assert fi_cmp(schur_bound(n, k), rough_bound(n, k.degree)) <= 0, (c, n)
+
+
+# (function, arguments, the mistyped one)
+_MISTYPED = [
+    (minkowski_bound, (2.5,), 2.5),
+    (minkowski_bound, ("3",), "3"),
+    (rough_bound, (2.5, 1), 2.5),
+    (rough_bound, (True, 2), True),
+    (rough_bound, (3, 2.0), 2.0),
+    (rough_exponent, (3, True, 5), True),
+    (table, (3, 2.0), 2.0),
+    (schur_bound, (3, Conductor(12)), Conductor(12)),
+    (serre_bound, (1, 12), 12),
+    (canonical_conductor, ("12",), "12"),
+    (real_cyclo_member, (5, 5), 5),
+    (real_cyclo_member, (5.0, Conductor(5)), 5.0),
+    (contains_root_of_unity, (12, 4), 12),
+    (all_invariants, (Conductor(12), 3), Conductor(12)),
+]
+
+
+@pytest.mark.parametrize("func, args, value", _MISTYPED,
+                         ids=["%s%r" % (func.__name__, args) for func, args, _ in _MISTYPED])
+def test_mistyped_arguments_are_domain_errors_naming_the_value(func, args, value):
+    with pytest.raises(DomainError) as info:
+        func(*args)
+    assert repr(value) in str(info.value)
 
 
 def test_table_matches_individual_rows():

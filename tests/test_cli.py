@@ -399,19 +399,31 @@ def test_invphi_enumerates_the_inverse_totient_once(capsys, monkeypatch, argv):
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
 def test_invphi_all_writes_its_rows_at_once(monkeypatch):
-    writes = []
-
-    class Counted(io.StringIO):
-        def write(self, text):
-            writes.append(text)
-            return super().write(text)
-
-    out = Counted()
+    out = _CountedWrites()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["invphi", "-b", "100", "--all"]) == 0
     assert out.getvalue() == "".join("%d\n" % n for n in invphi_all(100))
-    assert len(writes) <= 2  # the rows and print's end, however many rows
+    assert len(out.writes) == 1  # however many rows
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_command_writes_its_whole_output_once(name, monkeypatch):
+    monkeypatch.setenv("NO_COLOR", "1")
+    out = _CountedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(CASES[name]) == 0
+    assert out.writes == [(GOLDEN / name).read_text(encoding="utf-8")]
 
 
 def test_a_table_past_the_total_sieve_limit_is_a_quick_clean_error(capsys):
@@ -517,6 +529,56 @@ def test_the_digit_limit_on_either_side(capsys, monkeypatch):
             assert captured.out == ""  # no row is printed before the refusal
             assert captured.err == (
                 "error: the value has up to 1000001 digits; at most 1000000 are printed\n")
+
+
+@pytest.fixture
+def budget_ledger(tmp_path):
+    """A constant 8, then a Minkowski leaf m of 24 103 053 950 976 000, whose
+    17 digits the budget bounds at 18, declared 1 so verify reports it."""
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({"schema_version": 1, "root": "m", "nodes": [
+        {"id": "c", "kind": "Constant", "args": {}, "children": [], "declared": {"2": 3},
+         "decimal": "8", "citation": "c"},
+        {"id": "m", "kind": "Minkowski", "args": {"n": 12}, "children": [], "declared": {},
+         "decimal": "1", "citation": "m"},
+    ]}), encoding="utf-8")
+    return str(path)
+
+
+_LEDGER_VALUE_COMMANDS = [
+    ["final"], ["final", "--format", "json"], ["eval", "m"], ["eval", "m", "--format", "json"],
+    ["verify"], ["verify", "--format", "json"], ["explain", "m"],
+]
+
+
+@pytest.mark.parametrize("argv", _LEDGER_VALUE_COMMANDS, ids=" ".join)
+def test_ledger_values_are_held_to_the_digit_budget(capsys, monkeypatch, budget_ledger, argv):
+    import glbounds.cli as cli
+
+    argv = ["ledger", *argv, "--file", budget_ledger]
+    monkeypatch.setattr(cli, "_MAX_DIGITS", 18)
+    assert main(argv) == (3 if "verify" in argv else 0)  # m is no whitelisted mismatch
+    assert "24" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "_MAX_DIGITS", 17)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the value has up to 18 digits; at most 17 are printed\n"
+
+
+def test_a_verify_row_past_the_budget_prints_none_of_the_rows_before_it(
+        capsys, monkeypatch, budget_ledger):
+    import glbounds.cli as cli
+
+    monkeypatch.setattr(cli, "_MAX_DIGITS", 18)
+    assert main(["ledger", "verify", "--file", budget_ledger]) == 3
+    assert capsys.readouterr().out.startswith("Unchecked  c ")
+    monkeypatch.setattr(cli, "_MAX_DIGITS", 17)
+    assert main(["ledger", "verify", "--file", budget_ledger]) == 1
+    assert capsys.readouterr().out == ""
+    # explain holds only the values below its node to the budget
+    assert main(["ledger", "explain", "c", "--file", budget_ledger]) == 0
+    assert capsys.readouterr().out == "c [Constant] = 2^3 = 8  (c)\n"
 
 
 @settings(deadline=None)

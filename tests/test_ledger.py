@@ -1413,3 +1413,24 @@ def test_pickle_and_deepcopy_rebuild_the_paper_ledger_through_the_constructors()
         assert counts == {"Match": 167, "Unchecked": 49, "Mismatch": 2}
         assert {r.id for r in report.mismatches()} == set(twin.whitelist)
         assert final_bound(twin) == fi(24103053950976000)
+
+
+def test_nodes_and_args_are_read_only_views_of_the_constructors_copies():
+    ledger = paper_ledger()
+    with pytest.raises(TypeError):
+        del ledger.nodes["g10"]
+    with pytest.raises(TypeError):
+        ledger.nodes["g10"] = ledger.nodes["theorem-cr3"]
+    with pytest.raises(TypeError):
+        ledger.nodes["sch3-d12-final"].args["n"] = 4
+    assert final_bound(ledger) == fi(24103053950976000)
+    # what the caller handed in stays the caller's
+    args, nodes = {"n": 3}, {}
+    leaf = LedgerNode("m", "Minkowski", args, (), fi(48), "cite")
+    nodes["m"] = leaf
+    small = Ledger(1, "m", (), nodes)
+    args["n"], nodes["x"] = 4, leaf
+    assert dict(leaf.args) == {"n": 3} and list(small.nodes) == ["m"]
+    assert final_bound(small) == fi(48)
+    # a node's own args build a node again
+    assert LedgerNode(leaf.id, leaf.kind, leaf.args, (), leaf.declared, leaf.citation) == leaf

@@ -220,8 +220,13 @@ def test_reprs():
         "ExactCyclotomic(conductor=Conductor(value=5))")
     assert repr(GroupFamily("A5")) == "GroupFamily(kind='A5', m=0)"
     assert repr(SolutionConstraints()) == "SolutionConstraints(e_min=1, t_max=None, extra=())"
+    # a ledger's nodes and a node's args are read-only views
     assert repr(Ledger(1, None, (), {})) == (
-        "Ledger(schema_version=1, root=None, whitelist=(), nodes={})")
+        "Ledger(schema_version=1, root=None, whitelist=(), nodes=mappingproxy({}))")
+    assert repr(NODE) == (
+        "LedgerNode(id='a', kind='Constant', args=mappingproxy({}), children=(), "
+        "declared=FactoredInteger(factors=((2, 3),)), citation='cite', paper_prints=None, "
+        "note=None)")
 
 
 def test_leaf_memo_is_per_instance_and_outside_the_contract():
