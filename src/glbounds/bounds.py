@@ -13,6 +13,12 @@ A4, S4, A5) filtered by what the field can support.
 Every exponent below is a linear term plus a Legendre sum
 L_p(k) = sum_{i>=1} floor(k / p^i) = v_p(k!), taken at k = floor(n / q)
 through the identity floor(n / (q p^i)) = floor(floor(n / q) / p^i).
+
+Each bound is the product of p to its exponent over candidate primes that
+hold every prime with a nonzero exponent.  Minkowski's and the rough
+bound's exponents come from unchecked helpers that the public *_exponent
+wraps in its argument checks, so these two bounds prove no candidate prime
+twice; their candidates are listed at minkowski_bound and rough_bound.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from .exactnum import (
     DomainError,
     FactoredInteger,
     Value,
+    _check_prime,
+    _check_sieve_limit,
     _legendre,
     _valuation,
     factorial_valuation,
@@ -61,19 +69,27 @@ def _not_positive(name: str, value) -> str:
     return "%s must be >= 1, got %r" % (name, value)
 
 
+def _check_degree(d: int):
+    if type(d) is not int or d < 1:
+        raise DomainError(_not_positive("degree d", d))
+
+
 def _check_invariants(p: int, inv: CycloInvariants):
+    if type(p) is not int:  # not True, 2.0 or "2"
+        raise DomainError("p must be an int, got %r" % (p,))
+    if not isinstance(inv, CycloInvariants):
+        raise DomainError("invariants must be a CycloInvariants, got %r" % (inv,))
     if inv.p != p:
         raise DomainError("invariants are for p=%d, not p=%d" % (inv.p, p))
 
 
-def _prime_product(limit: int, exponent: Callable[[int], int]) -> FactoredInteger:
-    """Product of p^exponent(p) over the primes p <= limit.
+def _prime_product(primes: list[int], exponent: Callable[[int], int]) -> FactoredInteger:
+    """Product of p^exponent(p) over primes, which ascend and are all prime.
 
-    The sieve yields primes in increasing order and zero exponents are
-    dropped, so the factors need no re-validation.
+    Zero exponents are dropped, so the factors need no re-validation.
     """
     out = []
-    for p in primes_upto(limit):
+    for p in primes:
         e = exponent(p)
         if e:
             out.append((p, e))
@@ -89,15 +105,22 @@ def minkowski_exponent(n: int, p: int) -> int:
     q = floor(n / (p-1)).
     """
     _check_n(n)
-    if not is_prime(p):
-        raise DomainError("%r is not prime" % p)
+    _check_prime(p)
+    return _minkowski_exponent(n, p)
+
+
+def _minkowski_exponent(n: int, p: int) -> int:
+    """minkowski_exponent for an int n >= 1 and a prime p, unchecked."""
     q = n // (p - 1)
     return q + _legendre(p, q)
 
 
 def minkowski_bound(n: int) -> FactoredInteger:
+    """Minkowski's bound for GL_n(Q): p^minkowski_exponent over the primes p
+    <= n + 1, the ones with p - 1 <= n, taken from the sieve unchecked.
+    """
     _check_n(n)
-    return _prime_product(n + 1, lambda p: minkowski_exponent(n, p))
+    return _prime_product(primes_upto(n + 1), lambda p: _minkowski_exponent(n, p))
 
 
 # -------------------------------------------------------------------- Schur
@@ -137,7 +160,8 @@ def schur_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
     _check_n(n)
     _check_field(field)
     return _prime_product(
-        n * field.degree + 1, lambda p: schur_exponent(n, p, all_invariants(field, p))
+        primes_upto(n * field.degree + 1),
+        lambda p: schur_exponent(n, p, all_invariants(field, p)),
     )
 
 
@@ -170,7 +194,8 @@ def serre_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
     if n == 1:
         return ONE
     cutoff = max(field.degree + 1, invphi_max(n - 1) + 1, n - 1)
-    return _prime_product(cutoff, lambda p: serre_exponent(n, p, all_invariants(field, p)))
+    return _prime_product(primes_upto(cutoff),
+                          lambda p: serre_exponent(n, p, all_invariants(field, p)))
 
 
 # -------------------------------------------------- rough degree-only bound
@@ -183,10 +208,13 @@ def rough_exponent(n: int, d: int, p: int) -> int:
                  n + 2*floor(n/2) + L_2(floor(n/2))            for odd d
     """
     _check_n(n)
-    if type(d) is not int or d < 1:  # inline: this runs once per prime
-        raise DomainError(_not_positive("degree d", d))
-    if not is_prime(p):
-        raise DomainError("%r is not prime" % p)
+    _check_degree(d)
+    _check_prime(p)
+    return _rough_exponent(n, d, p)
+
+
+def _rough_exponent(n: int, d: int, p: int) -> int:
+    """rough_exponent for ints n, d >= 1 and a prime p, unchecked."""
     if p != 2:
         tmin = (p - 1) // math.gcd(p - 1, d)
         return (_valuation(p, d) + 1) * (n // tmin) + _legendre(p, n)
@@ -200,20 +228,61 @@ def rough_bound(n: int, d: int) -> FactoredInteger:
     """B_{n,d}: order bound for GL_n over any field of degree d.
 
     A prime with nonzero exponent satisfies (p-1)/gcd(p-1,d) <= n, hence
-    p <= n*d + 1.
+    p <= n*d + 1, and the bound is refused when n*d + 1 passes SIEVE_LIMIT,
+    the domain of a sieve up to there.  The product runs over _rough_primes
+    only, so its work grows with n times the number of divisors of d, not
+    with n*d.
     """
     _check_n(n)
-    if type(d) is not int or d < 1:
-        raise DomainError(_not_positive("degree d", d))
-    return _prime_product(n * d + 1, lambda p: rough_exponent(n, d, p))
+    _check_degree(d)
+    _check_sieve_limit(n * d + 1)
+    return _prime_product(_rough_primes(n, d), lambda p: _rough_exponent(n, d, p))
+
+
+def _rough_primes(n: int, d: int) -> list[int]:
+    """The primes with a nonzero rough exponent, ascending.
+
+    Every prime p <= n + 1 has one: L_p(n) >= 1 for p <= n, and for
+    p = n + 1, (p-1)/gcd(p-1, d) <= n.  Above n + 1, L_p(n) = 0 and p
+    counts exactly when k = (p-1)/g <= n for g = gcd(p-1, d); then g >= 2
+    divides d and gcd(k, d/g) = 1.  So each larger prime is g*k + 1 for
+    exactly one such pair, and only those candidates are tested.  p - 1 is
+    even, so for even d so is g, and for odd d so is k.
+    """
+    large = []
+    even = d % 2 == 0
+    for g in _divisors(d):
+        if g == 1 or (even and g % 2):
+            continue
+        rest, step = d // g, 2 if g % 2 else 1
+        first = n // g + 1  # the least k with g*k + 1 > n + 1
+        if step == 2 and first % 2:
+            first += 1
+        for k in range(first, n + 1, step):
+            if math.gcd(k, rest) == 1 and is_prime(g * k + 1):
+                large.append(g * k + 1)
+    large.sort()
+    return primes_upto(n + 1) + large
+
+
+def _divisors(d: int) -> list[int]:
+    """The divisors of d >= 1, in no particular order."""
+    out = []
+    for g in range(1, math.isqrt(d) + 1):
+        if d % g == 0:
+            out.append(g)
+            if g * g != d:
+                out.append(d // g)
+    return out
 
 
 def table(n: int, d_max: int) -> list[tuple[int, FactoredInteger]]:
     """Rows (d, rough_bound(n, d)) for d = 1 .. d_max.
 
-    Row d sieves n*d + 1 numbers, so a table costs about n * d_max^2; it is
-    refused before any row is computed when its rows would sieve more than
-    SIEVE_LIMIT numbers in all, the cost of one largest rough_bound.
+    A table is refused before any row is computed when its rows would sieve
+    more than SIEVE_LIMIT numbers in all, the sum of n*d + 1 over d <= d_max
+    as if each row sieved up to its cutoff; row d itself tests only about n
+    times the number of divisors of d candidates.
     """
     if type(d_max) is not int or d_max < 1:
         raise DomainError(_not_positive("d_max", d_max))
@@ -297,6 +366,8 @@ def pgl2_admissible(field) -> tuple[list[GroupFamily], FactoredInteger]:
     not a sum of two squares, so A5 is never admitted for d <= 2.  Tristate
     "unknown" admits the family, keeping the result an upper bound.
     """
+    if not isinstance(field, (ExactCyclotomic, DegreeOnly)):
+        raise DomainError("field must be an ExactCyclotomic or a DegreeOnly, got %r" % (field,))
     minus1, sqrt5 = _flags(field)
     ms = _admissible_m(field)
     fams = [GroupFamily("cyclic", m) for m in ms]

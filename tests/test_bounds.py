@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glbounds.bounds import (
@@ -37,7 +37,15 @@ from glbounds.cyclotomic import (
     contains_root_of_unity,
     real_cyclo_member,
 )
-from glbounds.exactnum import ONE, DomainError, FactoredInteger, fi_cmp, is_prime, primes_upto
+from glbounds.exactnum import (
+    ONE,
+    DomainError,
+    FactoredInteger,
+    factorial_valuation,
+    fi_cmp,
+    is_prime,
+    primes_upto,
+)
 
 
 def fi(n: int) -> FactoredInteger:
@@ -260,6 +268,12 @@ _MISTYPED = [
     (rough_bound, (True, 2), True),
     (rough_bound, (3, 2.0), 2.0),
     (rough_exponent, (3, True, 5), True),
+    (rough_exponent, (3, 2, 3.0), 3.0),
+    (minkowski_exponent, (3, 2.0), 2.0),
+    (factorial_valuation, (2.0, 5), 2.0),
+    (schur_exponent, (3, 2, QQ), QQ),
+    (serre_exponent, (3, 2, QQ), QQ),
+    (pgl2_admissible, (Conductor(12),), Conductor(12)),
     (table, (3, 2.0), 2.0),
     (schur_bound, (3, Conductor(12)), Conductor(12)),
     (serre_bound, (1, 12), 12),
@@ -379,8 +393,10 @@ def test_gl2_factorization(d):
     st.integers(min_value=1, max_value=60),
 )
 def test_bounds_pass_the_public_constructor(n, d, conductor):
-    # The four bounds build their results unchecked from sieved primes;
-    # the public constructor must accept every one of them unchanged.
+    # The four bounds build their results unchecked from their candidate
+    # primes: the sieve's primes up to a cutoff, and for rough_bound also the
+    # candidates above n + 1 that passed is_prime.  The public constructor
+    # must accept every one of them unchanged.
     for value in (
         minkowski_bound(n),
         rough_bound(n, d),
@@ -391,7 +407,8 @@ def test_bounds_pass_the_public_constructor(n, d, conductor):
         assert FactoredInteger(value.factors) == value
 
 
-def test_rough_bound_prime_tests_each_sieved_prime_once(monkeypatch):
+def _count_prime_tests(monkeypatch) -> list[int]:
+    """Route every is_prime call of bounds and exactnum through a recorder."""
     import glbounds.bounds as bounds_mod
     import glbounds.exactnum as exactnum_mod
 
@@ -403,9 +420,92 @@ def test_rough_bound_prime_tests_each_sieved_prime_once(monkeypatch):
 
     monkeypatch.setattr(bounds_mod, "is_prime", counting)
     monkeypatch.setattr(exactnum_mod, "is_prime", counting)
-    rough_bound(3, 200)
-    assert len(primes_upto(3 * 200 + 1)) == 110
-    assert sorted(calls) == primes_upto(3 * 200 + 1)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 50, 300, 3000])
+def test_minkowski_bound_trusts_the_sieve(monkeypatch, n):
+    calls = _count_prime_tests(monkeypatch)
+    value = minkowski_bound(n)
+    assert calls == []
+    assert [p for p, _ in value.factors] == primes_upto(n + 1)
+
+
+def test_rough_bound_tests_each_candidate_above_n_plus_1_once(monkeypatch):
+    n, d = 3, 200
+    calls = _count_prime_tests(monkeypatch)
+    value = rough_bound(n, d)
+    assert len(calls) == len(set(calls))
+    divisors = [g for g in range(2, d + 1) if d % g == 0]
+    for c in calls:
+        assert c > n + 1 and any((c - 1) % g == 0 and (c - 1) // g <= n for g in divisors), c
+    # every prime of the bound above n + 1 was one of the candidates
+    assert [p for p, _ in value.factors if p > n + 1] == sorted(filter(is_prime, calls))
+
+
+# ----------------------------------- products over every sieved prime
+#
+# minkowski_bound and rough_bound multiply over candidate primes only; these
+# oracles multiply the public exponent over every prime up to the old cutoff.
+
+def _every_prime_product(limit: int, exponent) -> FactoredInteger:
+    return FactoredInteger.from_map({p: exponent(p) for p in primes_upto(limit)})
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(min_value=1, max_value=3000))
+@example(n=1)
+@example(n=3000)
+def test_minkowski_bound_is_the_product_over_every_sieved_prime(n):
+    want = _every_prime_product(n + 1, lambda p: minkowski_exponent(n, p))
+    assert minkowski_bound(n) == want
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=2000))
+@example(n=3, d=720)
+@example(n=2, d=5040)
+@example(n=1, d=55440)
+@example(n=40, d=1)
+def test_rough_bound_is_the_product_over_every_sieved_prime(n, d):
+    want = _every_prime_product(n * d + 1, lambda p: rough_exponent(n, d, p))
+    assert rough_bound(n, d) == want
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_rough_bound_keeps_the_domain_of_a_sieve_to_n_d_plus_1(monkeypatch, n):
+    import glbounds.bounds as bounds_mod
+
+    # n*d + 1 = SIEVE_LIMIT is accepted; one more d is refused before any prime test
+    d = (bounds_mod.SIEVE_LIMIT - 1) // n
+    assert rough_bound(n, d).factors[0][0] == 2
+    calls = _count_prime_tests(monkeypatch)
+    with pytest.raises(DomainError) as info:
+        rough_bound(n, d + 1)
+    assert str(info.value) == (
+        "primes are sieved up to SIEVE_LIMIT = 10000000, got %d" % (n * (d + 1) + 1))
+    assert calls == []
+
+
+def test_rough_bound_of_a_degree_with_many_divisors_is_quick():
+    # 720720 has 240 divisors.  Every prime up to 3*720720 + 1 comes from a
+    # bytearray sieve written here, and the exponents are written out as in
+    # test_rough_exponent_is_its_sum_of_floors.
+    n, d = 3, 720720
+    limit = n * d + 1
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, limit + 1, q)))
+    want = {2: n * (v(2, d) + 1) + floors(n, 2, 2)}
+    for p in range(3, limit + 1, 2):
+        if sieve[p]:
+            want[p] = (v(p, d) + 1) * (n // ((p - 1) // math.gcd(p - 1, d))) + floors(n, p, p)
+    start = time.perf_counter()
+    value = rough_bound(n, d)
+    assert time.perf_counter() - start < 1.0
+    assert value == FactoredInteger.from_map(want)
 
 
 # ------------------------------------------- an independent group-order oracle
