@@ -15,10 +15,11 @@ L_p(k) = sum_{i>=1} floor(k / p^i) = v_p(k!), taken at k = floor(n / q)
 through the identity floor(n / (q p^i)) = floor(floor(n / q) / p^i).
 
 Each bound is the product of p to its exponent over candidate primes that
-hold every prime with a nonzero exponent.  Minkowski's and the rough
-bound's exponents come from unchecked helpers that the public *_exponent
-wraps in its argument checks, so these two bounds prove no candidate prime
-twice; their candidates are listed at minkowski_bound and rough_bound.
+hold every prime with a nonzero exponent.  The exponents come from
+unchecked helpers that the public *_exponent wraps in its argument checks,
+so a bound checks its arguments once, not once per candidate.  The
+candidates are listed at each bound; minkowski_bound and rough_bound prove
+none of them prime twice.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ from .exactnum import (
     DomainError,
     FactoredInteger,
     Value,
+    _check_int,
     _check_prime,
     _check_sieve_limit,
     _legendre,
     _valuation,
-    factorial_valuation,
     fi_mul,
     is_prime,
     primes_upto,
@@ -58,25 +59,8 @@ from .exactnum import (
 from .totient import euler_phi, invphi_all, invphi_max
 
 
-def _check_n(n: int):
-    if type(n) is not int or n < 1:  # not True, 2.5 or "3"
-        raise DomainError(_not_positive("matrix size n", n))
-
-
-def _not_positive(name: str, value) -> str:
-    if type(value) is not int:
-        return "%s must be an int, got %r" % (name, value)
-    return "%s must be >= 1, got %r" % (name, value)
-
-
-def _check_degree(d: int):
-    if type(d) is not int or d < 1:
-        raise DomainError(_not_positive("degree d", d))
-
-
 def _check_invariants(p: int, inv: CycloInvariants):
-    if type(p) is not int:  # not True, 2.0 or "2"
-        raise DomainError("p must be an int, got %r" % (p,))
+    _check_prime(p)
     if not isinstance(inv, CycloInvariants):
         raise DomainError("invariants must be a CycloInvariants, got %r" % (inv,))
     if inv.p != p:
@@ -104,7 +88,7 @@ def minkowski_exponent(n: int, p: int) -> int:
     Sum of floor(n / (p^i * (p-1))) over i >= 0, that is q + L_p(q) with
     q = floor(n / (p-1)).
     """
-    _check_n(n)
+    _check_int("matrix size n", n)
     _check_prime(p)
     return _minkowski_exponent(n, p)
 
@@ -119,7 +103,7 @@ def minkowski_bound(n: int) -> FactoredInteger:
     """Minkowski's bound for GL_n(Q): p^minkowski_exponent over the primes p
     <= n + 1, the ones with p - 1 <= n, taken from the sieve unchecked.
     """
-    _check_n(n)
+    _check_int("matrix size n", n)
     return _prime_product(primes_upto(n + 1), lambda p: _minkowski_exponent(n, p))
 
 
@@ -134,8 +118,13 @@ def schur_exponent(n: int, p: int, inv: CycloInvariants) -> int:
       p = 2, z_4 in K:  m*n + L_2(n)
       p = 2 otherwise:  n + m*floor(n/2) + L_2(floor(n/2))
     """
-    _check_n(n)
+    _check_int("matrix size n", n)
     _check_invariants(p, inv)
+    return _schur_exponent(n, p, inv)
+
+
+def _schur_exponent(n: int, p: int, inv: CycloInvariants) -> int:
+    """schur_exponent for an int n >= 1 and the invariants at p, unchecked."""
     m = inv.m_p
     if p != 2:
         return _schur_odd_exponent(n, p, inv.t_p, m)
@@ -157,11 +146,11 @@ def schur_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
     Primes dividing the conductor satisfy p - 1 <= d, so every contributing
     prime is at most n*d + 1.
     """
-    _check_n(n)
+    _check_int("matrix size n", n)
     _check_field(field)
     return _prime_product(
         primes_upto(n * field.degree + 1),
-        lambda p: schur_exponent(n, p, all_invariants(field, p)),
+        lambda p: _schur_exponent(n, p, all_invariants(field, p)),
     )
 
 
@@ -176,9 +165,14 @@ def serre_exponent(n: int, p: int, inv: CycloInvariants) -> int:
     they make a dihedral group of order 8 (pgl2_admissible lists D8), while
     serre_bound(2, QQ) = 12.  For PGL_2 use pgl2_admissible.
     """
-    _check_n(n)
+    _check_int("matrix size n", n)
     _check_invariants(p, inv)
-    return inv.m_p * ((n - 1) // euler_phi(inv.t_p)) + factorial_valuation(p, n - 1)
+    return _serre_exponent(n, p, inv)
+
+
+def _serre_exponent(n: int, p: int, inv: CycloInvariants) -> int:
+    """serre_exponent for an int n >= 1 and the invariants at p, unchecked."""
+    return inv.m_p * ((n - 1) // euler_phi(inv.t_p)) + _legendre(p, n - 1)
 
 
 def serre_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
@@ -189,13 +183,13 @@ def serre_bound(n: int, field: ExactCyclotomic) -> FactoredInteger:
     the conductor t_p = p - 1, so contributing primes are bounded by
     invphi_max(n-1) + 1; primes dividing the conductor stay below d + 2.
     """
-    _check_n(n)
+    _check_int("matrix size n", n)
     _check_field(field)
     if n == 1:
         return ONE
     cutoff = max(field.degree + 1, invphi_max(n - 1) + 1, n - 1)
     return _prime_product(primes_upto(cutoff),
-                          lambda p: serre_exponent(n, p, all_invariants(field, p)))
+                          lambda p: _serre_exponent(n, p, all_invariants(field, p)))
 
 
 # -------------------------------------------------- rough degree-only bound
@@ -207,8 +201,8 @@ def rough_exponent(n: int, d: int, p: int) -> int:
       p = 2:     n*(v_2(d)+1) + L_2(n)                         for even d
                  n + 2*floor(n/2) + L_2(floor(n/2))            for odd d
     """
-    _check_n(n)
-    _check_degree(d)
+    _check_int("matrix size n", n)
+    _check_int("degree d", d)
     _check_prime(p)
     return _rough_exponent(n, d, p)
 
@@ -233,8 +227,8 @@ def rough_bound(n: int, d: int) -> FactoredInteger:
     only, so its work grows with n times the number of divisors of d, not
     with n*d.
     """
-    _check_n(n)
-    _check_degree(d)
+    _check_int("matrix size n", n)
+    _check_int("degree d", d)
     _check_sieve_limit(n * d + 1)
     return _prime_product(_rough_primes(n, d), lambda p: _rough_exponent(n, d, p))
 
@@ -284,9 +278,8 @@ def table(n: int, d_max: int) -> list[tuple[int, FactoredInteger]]:
     as if each row sieved up to its cutoff; row d itself tests only about n
     times the number of divisors of d candidates.
     """
-    if type(d_max) is not int or d_max < 1:
-        raise DomainError(_not_positive("d_max", d_max))
-    _check_n(n)
+    _check_int("d_max", d_max)
+    _check_int("matrix size n", n)
     sieved = n * d_max * (d_max + 1) // 2 + d_max  # sum of n*d + 1 over d <= d_max
     if sieved > SIEVE_LIMIT:
         raise DomainError("the rows d = 1 .. %d would sieve %d numbers in all; a table "
@@ -392,5 +385,6 @@ def gl2_max_order(d: int) -> FactoredInteger:
     """GL_2 bound over degree-d fields: the center mu_N with phi(N) <= d
     times the PGL_2 part, i.e. invphi_max(d) * pgl2_max_order(d).
     """
+    _check_int("degree d", d)
     return fi_mul(FactoredInteger.from_int(invphi_max(d)), pgl2_max_order(d))
 

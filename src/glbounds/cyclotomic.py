@@ -41,7 +41,7 @@ __all__ = [
 
 import math
 
-from .exactnum import DomainError, Value, _valuation, is_prime
+from .exactnum import DomainError, Value, _check_int, _check_prime, _valuation, is_prime
 from .totient import euler_phi
 
 TRISTATE = ("yes", "no", "unknown")
@@ -66,10 +66,8 @@ def _check_conductor(n):
 
 def canonical_conductor(n: int) -> Conductor:
     """Smallest N' with Q(z_N') = Q(z_n): halve n when n = 2 mod 4."""
-    if type(n) is not int:  # not True, 12.0 or "12"
-        raise DomainError("conductor must be an int, got %r" % (n,))
-    if n < 1:
-        raise DomainError("conductor must be positive, got %r" % n)
+    if type(n) is not int or n < 1:  # inline: all_invariants runs this for every prime
+        _check_int("conductor", n)
     if n % 4 == 2:
         n //= 2
     return Conductor(n)
@@ -82,7 +80,9 @@ def lcm_conductor(a: Conductor, k: int) -> Conductor:
 
 def contains_root_of_unity(n: Conductor, k: int) -> bool:
     """Whether z_k lies in Q(z_n)."""
-    if not isinstance(n, Conductor):  # inline: all_invariants runs this once per prime
+    if type(k) is not int or k < 1:  # inline: all_invariants runs this once per prime
+        _check_int("k", k)
+    if not isinstance(n, Conductor):
         _check_conductor(n)
     return n.value % canonical_conductor(k).value == 0
 
@@ -93,10 +93,8 @@ def real_cyclo_member(m: int, n: Conductor) -> bool:
     The element is rational for m in {1, 2, 3, 4, 6}.  Otherwise it
     generates Q(z_m)+, which has the conductor of Q(z_m).
     """
-    if type(m) is not int:
-        raise DomainError("m must be an int, got %r" % (m,))
-    if m < 1:
-        raise DomainError("m must be positive, got %r" % m)
+    if type(m) is not int or m < 1:  # inline: pgl2_admissible runs this once per m
+        _check_int("m", m)
     _check_conductor(n)
     return m in (1, 2, 3, 4, 6) or n.value % canonical_conductor(m).value == 0
 
@@ -126,10 +124,7 @@ class DegreeOnly(Value):
         minus1_sum_of_two_squares: str = "unknown",
         contains_sqrt5: str = "unknown",
     ):
-        if type(degree) is not int:  # not True, 2.5 or "x"
-            raise DomainError("degree must be an int, got %r" % (degree,))
-        if degree < 1:
-            raise DomainError("degree must be >= 1, got %r" % degree)
+        _check_int("degree", degree)
         for flag in (minus1_sum_of_two_squares, contains_sqrt5):
             if flag not in TRISTATE:
                 raise DomainError("flag must be yes/no/unknown, got %r" % flag)
@@ -163,16 +158,16 @@ def _adjoined_conductor(k: ExactCyclotomic, p: int) -> Conductor:
 
 
 def cyclo_t_p(k: ExactCyclotomic, p: int) -> int:
-    if not is_prime(p):
-        raise DomainError("%r is not prime" % p)
+    if type(p) is not int or not is_prime(p):  # inline: all_invariants runs this once per prime
+        _check_prime(p)
     big = euler_phi(_adjoined_conductor(k, p).value)
     small = euler_phi(k.conductor.value)
     return big // small
 
 
 def cyclo_m_p(k: ExactCyclotomic, p: int) -> int:
-    if not is_prime(p):
-        raise DomainError("%r is not prime" % p)
+    if type(p) is not int or not is_prime(p):  # inline: all_invariants runs this once per prime
+        _check_prime(p)
     v = _valuation(p, k.conductor.value)
     if p != 2:
         return max(1, v)

@@ -14,8 +14,8 @@ __all__ = [
     "solve_standard_equation",
 ]
 
-from .bounds import _check_n, _schur_odd_exponent
-from .exactnum import DomainError, Value, is_prime
+from .bounds import _schur_odd_exponent
+from .exactnum import DomainError, Value, _check_int, _check_prime
 
 
 class EquationSolution(Value):
@@ -48,10 +48,9 @@ class SolutionConstraints(Value):
     __slots__ = _fields + ("_preds",)
 
     def __init__(self, e_min: int = 1, t_max: int | None = None, extra: tuple[str, ...] = ()):
-        if e_min < 1:
-            raise DomainError("e_min must be >= 1, got %r" % e_min)
-        if t_max is not None and t_max < 1:
-            raise DomainError("t_max must be >= 1, got %r" % t_max)
+        _check_int("e_min", e_min)
+        if t_max is not None:
+            _check_int("t_max", t_max)
         preds = tuple([_parse_tag(tag) for tag in extra])  # validates every tag
         object.__setattr__(self, "e_min", e_min)
         object.__setattr__(self, "t_max", t_max)
@@ -99,10 +98,8 @@ def solve_standard_equation(p: int, d: int, c: SolutionConstraints) -> list[Equa
 
     Ordered by t then m.  Requires a concrete t_max of at most T_MAX_LIMIT.
     """
-    if not is_prime(p):
-        raise DomainError("%r is not prime" % p)
-    if d < 1:
-        raise DomainError("degree d must be >= 1, got %r" % d)
+    _check_prime(p)
+    _check_int("degree d", d)
     if c.t_max is None:
         raise DomainError("solve_standard_equation needs a concrete t_max")
     if c.t_max > T_MAX_LIMIT:
@@ -135,9 +132,10 @@ def max_schur_exponent(
     never runs past n, whatever t_max says: t > n forces exponent 0, so a
     missing or larger t_max means n.
     """
-    if not is_prime(p) or p == 2:
-        raise DomainError("p must be an odd prime, got %r" % p)
-    _check_n(n)
+    _check_prime(p)
+    if p == 2:
+        raise DomainError("p must be an odd prime, got 2")
+    _check_int("matrix size n", n)  # solve_standard_equation checks d
     if c is None:
         c = SolutionConstraints(t_max=n)
     elif c.t_max is None or c.t_max > n:

@@ -123,6 +123,8 @@ def factorize(n: int) -> dict[int, int]:
     below _TRIAL_LIMIT^2, or below _SPRP_EXACT_BELOW and Miller-Rabin calls
     it prime.  Any other cofactor is refused with a DomainError.
     """
+    if type(n) is not int or n < 1:  # inline: euler_phi runs this once per prime
+        _check_int("n", n)
     factors, rest = _factor_below(n, _TRIAL_LIMIT)
     if rest != 1:
         if rest >= _TRIAL_LIMIT**2:
@@ -142,7 +144,7 @@ def _undecided(n: int) -> DomainError:
 
 
 def _factor_below(n: int, limit: int) -> tuple[dict[int, int], int]:
-    """Prime factors below limit of a positive n by trial division that stops
+    """Prime factors below limit of an int n >= 1 by trial division that stops
     at limit, and the cofactor: 1 or a product of primes >= limit.
 
     Each new cofactor from _SPRP_FROM on is tested by Miller-Rabin first.
@@ -150,8 +152,6 @@ def _factor_below(n: int, limit: int) -> tuple[dict[int, int], int]:
     past it one that passes raises a DomainError at once, since its
     primality is not decided and division would run on to the limit.
     """
-    if n < 1:
-        raise DomainError("can only factor positive integers, got %r" % n)
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n or p >= limit:
@@ -232,7 +232,7 @@ class FactoredInteger(Value):
     """A positive integer as a sorted tuple of (prime, exponent) pairs.
 
     The empty tuple is 1.  The public constructor, from_map and from_int
-    validate primality of every base and positivity of every exponent, so a
+    check that every base is a prime int and every exponent an int >= 1, so a
     value that exists is well formed.  Code that already holds such a tuple
     (a product of valid values, primes from a sieve or trial division, keys
     the ledger loader has checked) builds through _trusted, skipping them.
@@ -253,10 +253,12 @@ class FactoredInteger(Value):
     def __post_init__(self):
         last = 0
         for p, e in self.factors:
+            if type(p) is not int:
+                _check_int("base", p)
             if not is_prime(p):
                 raise DomainError("base %r is not prime" % p)
-            if e < 1:
-                raise DomainError("exponent for %d must be >= 1, got %r" % (p, e))
+            if type(e) is not int or e < 1:
+                _check_int("exponent for %d" % p, e)
             if p <= last:
                 raise DomainError("factors must be strictly increasing by prime")
             last = p
@@ -433,9 +435,19 @@ def _legendre(p: int, k: int) -> int:
     return total
 
 
+def _check_int(name: str, value: int, least: int = 1) -> None:
+    """The package's one check of a plain int argument: refuse a value that
+    is no int (True, 2.0 and "2" are none) or is below least."""
+    if type(value) is not int:
+        raise DomainError("%s must be an int, got %r" % (name, value))
+    if value < least:
+        raise DomainError("%s must be >= %d, got %r" % (name, least, value))
+
+
 def _check_prime(p: int) -> None:
-    if type(p) is not int:  # not True, 2.0 or "2"
-        raise DomainError("p must be an int, got %r" % (p,))
+    """The package's one check of a prime argument p."""
+    if type(p) is not int:
+        _check_int("p", p)  # raises
     if not is_prime(p):
         raise DomainError("%r is not prime" % p)
 
@@ -443,8 +455,5 @@ def _check_prime(p: int) -> None:
 def factorial_valuation(p: int, k: int) -> int:
     """v_p(k!) by Legendre: sum of floor(k / p^i)."""
     _check_prime(p)
-    if type(k) is not int:
-        raise DomainError("k must be an int, got %r" % (k,))
-    if k < 0:
-        raise DomainError("factorial of a negative integer")
+    _check_int("k", k, 0)
     return _legendre(p, k)

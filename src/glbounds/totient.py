@@ -22,12 +22,11 @@ __all__ = [
     "euler_phi", "invphi_all", "invphi_max",
 ]
 
-from .exactnum import DomainError, factorize, primes_upto
+from .exactnum import DomainError, _check_int, factorize, primes_upto
 
 
 def euler_phi(n: int) -> int:
-    if n < 1:
-        raise DomainError("phi is defined for positive integers, got %r" % n)
+    """phi(n); factorize refuses an n that is no int >= 1."""
     out = 1
     for p, e in factorize(n).items():
         out *= p ** (e - 1) * (p - 1)
@@ -40,8 +39,7 @@ INVPHI_LIMIT = 10**6
 
 
 def _invphi(bound: int) -> list[int]:
-    if bound < 1:
-        raise DomainError("bound must be >= 1, got %r" % bound)
+    _check_int("bound", bound)
     if bound > INVPHI_LIMIT:
         raise DomainError("bound must be <= %d, got %d" % (INVPHI_LIMIT, bound))
     # (p, phi(p)) for every prime that can divide an n with phi(n) <= bound;

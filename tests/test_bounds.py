@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from glbounds import bounds, cyclotomic, diophantine, exactnum, totient
 from glbounds.bounds import (
     gl2_max_order,
     minkowski_bound,
@@ -37,15 +39,18 @@ from glbounds.cyclotomic import (
     contains_root_of_unity,
     real_cyclo_member,
 )
+from glbounds.diophantine import SolutionConstraints, max_schur_exponent, solve_standard_equation
 from glbounds.exactnum import (
     ONE,
     DomainError,
     FactoredInteger,
     factorial_valuation,
+    factorize,
     fi_cmp,
     is_prime,
     primes_upto,
 )
+from glbounds.totient import euler_phi, invphi_all, invphi_max
 
 
 def fi(n: int) -> FactoredInteger:
@@ -267,21 +272,51 @@ _MISTYPED = [
     (rough_bound, (2.5, 1), 2.5),
     (rough_bound, (True, 2), True),
     (rough_bound, (3, 2.0), 2.0),
+    (rough_exponent, (2.5, 2, 3), 2.5),
     (rough_exponent, (3, True, 5), True),
     (rough_exponent, (3, 2, 3.0), 3.0),
+    (minkowski_exponent, (2.5, 3), 2.5),
     (minkowski_exponent, (3, 2.0), 2.0),
     (factorial_valuation, (2.0, 5), 2.0),
+    (factorial_valuation, (2, -1), -1),
+    (schur_exponent, (2.5, 3, QQ), 2.5),
     (schur_exponent, (3, 2, QQ), QQ),
+    (schur_exponent, (3, 4, CycloInvariants(4, 1, 1, 1, False)), 4),
+    (serre_exponent, (2.5, 3, QQ), 2.5),
+    (serre_exponent, (3, 2.0, QQ), 2.0),
     (serre_exponent, (3, 2, QQ), QQ),
     (pgl2_admissible, (Conductor(12),), Conductor(12)),
+    (pgl2_max_order, (2.5,), 2.5),
+    (gl2_max_order, (2.5,), 2.5),
+    (table, ("3", 2), "3"),
     (table, (3, 2.0), 2.0),
+    (schur_bound, (2.5, QQ), 2.5),
     (schur_bound, (3, Conductor(12)), Conductor(12)),
+    (serre_bound, (2.5, QQ), 2.5),
     (serre_bound, (1, 12), 12),
+    (Conductor, ("12",), "12"),
+    (DegreeOnly, (2.5,), 2.5),
     (canonical_conductor, ("12",), "12"),
     (real_cyclo_member, (5, 5), 5),
     (real_cyclo_member, (5.0, Conductor(5)), 5.0),
     (contains_root_of_unity, (12, 4), 12),
+    (contains_root_of_unity, (Conductor(5), 2.0), 2.0),
     (all_invariants, (Conductor(12), 3), Conductor(12)),
+    (all_invariants, (QQ, 2.0), 2.0),
+    (euler_phi, (2.0,), 2.0),
+    (invphi_all, (2.5,), 2.5),
+    (invphi_max, (2.5,), 2.5),
+    (SolutionConstraints, (2.5,), 2.5),
+    (SolutionConstraints, (1, 2.5), 2.5),
+    (solve_standard_equation, (7.0, 12, SolutionConstraints(t_max=3)), 7.0),
+    (solve_standard_equation, (7, 2.5, SolutionConstraints(t_max=3)), 2.5),
+    (max_schur_exponent, (7.0, 3, 12), 7.0),
+    (max_schur_exponent, (7, 2.5, 12), 2.5),
+    (max_schur_exponent, (7, 3, 2.5), 2.5),
+    (FactoredInteger, (((2.0, 1),),), 2.0),
+    (FactoredInteger, (((2, 1.5),),), 1.5),
+    (FactoredInteger.from_int, (2.0,), 2.0),
+    (factorize, (2.0,), 2.0),
 ]
 
 
@@ -291,6 +326,42 @@ def test_mistyped_arguments_are_domain_errors_naming_the_value(func, args, value
     with pytest.raises(DomainError) as info:
         func(*args)
     assert repr(value) in str(info.value)
+
+
+# Public records the package builds for its own results, one per prime or
+# solution, whose int fields no entry point reads unchecked as an argument.
+_RESULT_RECORDS = {"CycloInvariants", "EquationSolution"}
+
+
+def _int_parameters(func) -> list[str]:
+    return [name for name, param in inspect.signature(func).parameters.items()
+            if param.annotation in ("int", "int | None")]
+
+
+def test_every_int_parameter_of_the_public_api_has_a_mistyped_row():
+    covered = set()
+    for func, args, value in _MISTYPED:
+        bound = inspect.signature(func).bind(*args).arguments
+        names = [name for name, arg in bound.items() if arg is value]
+        if len(names) == 1:  # the row's value is passed as exactly one argument
+            covered.add((func.__qualname__, names[0]))
+    missing = []
+    for module in (exactnum, totient, cyclotomic, bounds, diophantine):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            entries = []
+            if inspect.isfunction(obj):
+                entries.append(obj)
+            elif inspect.isclass(obj) and name not in _RESULT_RECORDS:
+                if "__init__" in vars(obj):
+                    entries.append(obj)
+                entries += [getattr(obj, attr) for attr, member in vars(obj).items()
+                            if isinstance(member, classmethod) and not attr.startswith("_")]
+            for entry in entries:
+                missing += ["%s(%s)" % (entry.__qualname__, param)
+                            for param in _int_parameters(entry)
+                            if (entry.__qualname__, param) not in covered]
+    assert missing == []
 
 
 def test_table_matches_individual_rows():
@@ -304,8 +375,6 @@ def test_table_matches_individual_rows():
 
 @pytest.mark.parametrize("n", [1, 3, 12, 4 * 10**6])
 def test_a_table_past_the_total_sieve_limit_is_refused_before_any_row(monkeypatch, n):
-    import glbounds.bounds as bounds
-
     # the first d_max whose rows sieve n*d + 1 numbers each, more than
     # SIEVE_LIMIT in all, counted row by row
     total, d_max = 0, 0
@@ -409,17 +478,14 @@ def test_bounds_pass_the_public_constructor(n, d, conductor):
 
 def _count_prime_tests(monkeypatch) -> list[int]:
     """Route every is_prime call of bounds and exactnum through a recorder."""
-    import glbounds.bounds as bounds_mod
-    import glbounds.exactnum as exactnum_mod
-
     calls = []
 
     def counting(p):
         calls.append(p)
         return is_prime(p)
 
-    monkeypatch.setattr(bounds_mod, "is_prime", counting)
-    monkeypatch.setattr(exactnum_mod, "is_prime", counting)
+    monkeypatch.setattr(bounds, "is_prime", counting)
+    monkeypatch.setattr(exactnum, "is_prime", counting)
     return calls
 
 
@@ -474,10 +540,8 @@ def test_rough_bound_is_the_product_over_every_sieved_prime(n, d):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_rough_bound_keeps_the_domain_of_a_sieve_to_n_d_plus_1(monkeypatch, n):
-    import glbounds.bounds as bounds_mod
-
     # n*d + 1 = SIEVE_LIMIT is accepted; one more d is refused before any prime test
-    d = (bounds_mod.SIEVE_LIMIT - 1) // n
+    d = (bounds.SIEVE_LIMIT - 1) // n
     assert rough_bound(n, d).factors[0][0] == 2
     calls = _count_prime_tests(monkeypatch)
     with pytest.raises(DomainError) as info:

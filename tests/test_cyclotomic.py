@@ -164,7 +164,7 @@ def test_real_membership_matches_the_unit_group():
 
 
 def test_real_cyclo_member_domain():
-    with pytest.raises(DomainError, match="m must be positive, got 0"):
+    with pytest.raises(DomainError, match="m must be >= 1, got 0"):
         real_cyclo_member(0, Conductor(5))
 
 

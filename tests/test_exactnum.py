@@ -140,8 +140,9 @@ def test_factor_below_stops_at_the_limit():
     # 10^20 + 39 is prime; unbounded trial division would run to 10^10
     assert _factor_below(10**20 + 39, 1000) == ({}, 10**20 + 39)
     assert _factor_below(2**5 * 1009 * 1013, 1010) == ({2: 5, 1009: 1}, 1013)
-    with pytest.raises(DomainError):
-        _factor_below(0, 1000)
+    # it takes an int n >= 1 unchecked; factorize, its public caller, checks n
+    with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
+        factorize(0)
 
 
 M61 = 2**61 - 1  # prime

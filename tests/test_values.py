@@ -19,15 +19,16 @@ from pathlib import Path
 
 import pytest
 
-from glbounds.bounds import GroupFamily, pgl2_admissible, schur_bound
+from glbounds.bounds import GroupFamily, pgl2_admissible, schur_bound, schur_exponent
 from glbounds.cyclotomic import (
     Conductor,
     CycloInvariants,
     DegreeOnly,
     ExactCyclotomic,
+    contains_root_of_unity,
 )
 from glbounds.diophantine import EquationSolution, SolutionConstraints
-from glbounds.exactnum import DomainError, FactoredInteger
+from glbounds.exactnum import DomainError, FactoredInteger, factorial_valuation
 from glbounds.ledger import Ledger, LedgerNode, VerificationReport, VerificationRow
 
 EIGHT = FactoredInteger(((2, 3),))
@@ -123,6 +124,10 @@ def test_validation_messages():
         (lambda: DegreeOnly(2, contains_sqrt5="maybe"), "flag must be yes/no/unknown, got 'maybe'"),
         (lambda: SolutionConstraints(e_min=0), "e_min must be >= 1, got 0"),
         (lambda: SolutionConstraints(t_max=0), "t_max must be >= 1, got 0"),
+        # the three shapes every plain int or prime argument is refused in
+        (lambda: contains_root_of_unity(Conductor(5), 2.0), "k must be an int, got 2.0"),
+        (lambda: factorial_valuation(2, -1), "k must be >= 0, got -1"),
+        (lambda: schur_exponent(3, 4, CycloInvariants(4, 1, 1, 1, False)), "4 is not prime"),
     ]
     for build, message in cases:
         with pytest.raises(DomainError) as info:
