@@ -199,11 +199,7 @@ def _cmd_invphi(ns) -> str:
 
 
 def _cmd_solve_eq(ns) -> str:
-    cons = SolutionConstraints(
-        e_min=ns.emin,
-        t_max=ns.tmax,
-        extra=tuple(ns.constraint or ()),
-    )
+    cons = SolutionConstraints(e_min=ns.emin, t_max=ns.tmax, extra=ns.constraint or ())
     rows = solve_standard_equation(ns.p, ns.d, cons)
     return _json([{"m": s.m, "e": s.e, "t": s.t} for s in rows])
 

@@ -15,7 +15,7 @@ __all__ = [
 ]
 
 from .bounds import _schur_odd_exponent
-from .exactnum import DomainError, Value, _check_int, _check_prime
+from .exactnum import DomainError, Value, _check_int, _check_prime, _check_tuple
 
 
 class EquationSolution(Value):
@@ -51,6 +51,7 @@ class SolutionConstraints(Value):
         _check_int("e_min", e_min)
         if t_max is not None:
             _check_int("t_max", t_max)
+        extra = _check_tuple("extra", extra, "tags", lambda tag: isinstance(tag, str))
         preds = tuple([_parse_tag(tag) for tag in extra])  # validates every tag
         object.__setattr__(self, "e_min", e_min)
         object.__setattr__(self, "t_max", t_max)
@@ -100,6 +101,8 @@ def solve_standard_equation(p: int, d: int, c: SolutionConstraints) -> list[Equa
     """
     _check_prime(p)
     _check_int("degree d", d)
+    if not isinstance(c, SolutionConstraints):
+        raise DomainError("constraints must be a SolutionConstraints, got %r" % (c,))
     if c.t_max is None:
         raise DomainError("solve_standard_equation needs a concrete t_max")
     if c.t_max > T_MAX_LIMIT:
@@ -135,10 +138,10 @@ def max_schur_exponent(
     _check_prime(p)
     if p == 2:
         raise DomainError("p must be an odd prime, got 2")
-    _check_int("matrix size n", n)  # solve_standard_equation checks d
+    _check_int("matrix size n", n)  # solve_standard_equation checks d and c
     if c is None:
         c = SolutionConstraints(t_max=n)
-    elif c.t_max is None or c.t_max > n:
+    elif isinstance(c, SolutionConstraints) and (c.t_max is None or c.t_max > n):
         c = SolutionConstraints(e_min=c.e_min, t_max=n, extra=c.extra)
     best = 0
     for sol in solve_standard_equation(p, d, c):

@@ -15,6 +15,7 @@ __all__ = [
 import bisect
 import itertools
 import math
+from types import MappingProxyType
 
 
 class DomainError(ValueError):
@@ -35,9 +36,9 @@ _SMALL_PRIMES = (
 
 
 # Below _SPRP_FROM trial division to the square root takes at most 50 000
-# steps.  From there on is_prime and the factoring loop test n by Miller-Rabin
-# with the 13 primes up to 41 as bases, which is exact below _SPRP_EXACT_BELOW
-# (Sorenson and Webster, Math. Comp. 86 (2017)); is_prime refuses n past it.
+# steps.  From there on is_prime and the factoring loop ask _sprp_verdict,
+# Miller-Rabin with the 13 primes up to 41 as bases, which is exact below
+# _SPRP_EXACT_BELOW (Sorenson and Webster, Math. Comp. 86 (2017)).
 _SPRP_FROM = 10**10
 _SPRP_EXACT_BELOW = 3317044064679887385961981
 
@@ -61,9 +62,20 @@ def _strong_probable_prime(n: int) -> bool:
     return True
 
 
+def _sprp_verdict(n: int) -> bool:
+    """Whether an odd n > 41 is prime, by Miller-Rabin; DomainError for a
+    strong probable prime past _SPRP_EXACT_BELOW, where that is not decided."""
+    if not _strong_probable_prime(n):
+        return False
+    if n >= _SPRP_EXACT_BELOW:
+        raise DomainError("a cofactor of %d bits is a strong probable prime past %d, where "
+                          "primality is not decided" % (n.bit_length(), _SPRP_EXACT_BELOW))
+    return True
+
+
 def is_prime(n: int) -> bool:
-    """Trial division to the square root of n below _SPRP_FROM, Miller-Rabin
-    from there up to _SPRP_EXACT_BELOW; DomainError from it on."""
+    """Trial division to the square root of n below _SPRP_FROM, _sprp_verdict
+    from there on."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -72,9 +84,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return False  # p < n, since p * p <= n
     if n >= _SPRP_FROM:
-        if n >= _SPRP_EXACT_BELOW:
-            raise DomainError("primality is decided below %d only" % _SPRP_EXACT_BELOW)
-        return _strong_probable_prime(n)  # odd and > 41: no small prime divides it
+        return _sprp_verdict(n)  # odd and > 41: no small prime divides it
     d = 101
     while d * d <= n:
         if n % d == 0:
@@ -120,37 +130,27 @@ def factorize(n: int) -> dict[int, int]:
     """Factor a positive integer by trial division below _TRIAL_LIMIT.
 
     What is left is accepted as one more prime when that is proved: it is
-    below _TRIAL_LIMIT^2, or below _SPRP_EXACT_BELOW and Miller-Rabin calls
-    it prime.  Any other cofactor is refused with a DomainError.
+    below _TRIAL_LIMIT^2, or _sprp_verdict calls it prime.  Any other
+    cofactor is refused with a DomainError.
     """
     if type(n) is not int or n < 1:  # inline: euler_phi runs this once per prime
         _check_int("n", n)
     factors, rest = _factor_below(n, _TRIAL_LIMIT)
     if rest != 1:
-        if rest >= _TRIAL_LIMIT**2:
-            if not _strong_probable_prime(rest):
-                raise DomainError("a cofactor of %d bits has no prime factor below %d and is "
-                                  "composite; it is not factored"
-                                  % (rest.bit_length(), _TRIAL_LIMIT))
-            if rest >= _SPRP_EXACT_BELOW:
-                raise _undecided(rest)
+        if rest >= _TRIAL_LIMIT**2 and not _sprp_verdict(rest):
+            raise DomainError("a cofactor of %d bits has no prime factor below %d and is "
+                              "composite; it is not factored" % (rest.bit_length(), _TRIAL_LIMIT))
         factors[rest] = 1
     return factors
-
-
-def _undecided(n: int) -> DomainError:
-    return DomainError("a cofactor of %d bits is a strong probable prime past %d, where "
-                       "primality is not decided" % (n.bit_length(), _SPRP_EXACT_BELOW))
 
 
 def _factor_below(n: int, limit: int) -> tuple[dict[int, int], int]:
     """Prime factors below limit of an int n >= 1 by trial division that stops
     at limit, and the cofactor: 1 or a product of primes >= limit.
 
-    Each new cofactor from _SPRP_FROM on is tested by Miller-Rabin first.
-    Below _SPRP_EXACT_BELOW one that passes is prime and ends the division;
-    past it one that passes raises a DomainError at once, since its
-    primality is not decided and division would run on to the limit.
+    Each new cofactor from _SPRP_FROM on goes to _sprp_verdict first: one it
+    proves prime ends the division, and an undecided one raises at once,
+    since division would run on to the limit.
     """
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -162,9 +162,7 @@ def _factor_below(n: int, limit: int) -> tuple[dict[int, int], int]:
     d = 101  # the loop below runs only if the one above tried every small prime
     fresh = True  # n changed since it was last tested for primality
     while d * d <= n and d < limit:
-        if fresh and n >= _SPRP_FROM and _strong_probable_prime(n):
-            if n >= _SPRP_EXACT_BELOW:
-                raise _undecided(n)
+        if fresh and n >= _SPRP_FROM and _sprp_verdict(n):
             break  # n is prime: trial division would run to its square root
         fresh = False
         while n % d == 0:
@@ -176,6 +174,14 @@ def _factor_below(n: int, limit: int) -> tuple[dict[int, int], int]:
         out[n] = out.get(n, 0) + 1
         n = 1
     return out, n
+
+
+def _check_tuple(name: str, value, items: str, is_item) -> tuple:
+    """The package's one check of a record's tuple argument, each item passing
+    is_item; a list becomes a tuple, so the record stays hashable."""
+    if not (isinstance(value, (tuple, list)) and all([is_item(item) for item in value])):
+        raise DomainError("%s must be a tuple of %s, got %r" % (name, items, value))
+    return tuple(value)
 
 
 class Value:
@@ -211,8 +217,10 @@ class Value:
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, which
-        # __setattr__ would otherwise refuse them
-        return self.__class__, self._key()
+        # __setattr__ would otherwise refuse them; a read-only mapping goes
+        # back as a plain dict, since a mappingproxy does not pickle
+        return self.__class__, tuple([dict(field) if type(field) is MappingProxyType else field
+                                      for field in self._key()])
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -246,6 +254,8 @@ class FactoredInteger(Value):
     __slots__ = _fields + ("_int",)
 
     def __init__(self, factors: tuple[tuple[int, int], ...]):
+        factors = _check_tuple("factors", factors, "(prime, exponent) pairs",
+                               lambda pair: type(pair) is tuple and len(pair) == 2)
         _set_factors(self, factors)
         _set_int(self, None)
         self.__post_init__()  # looked up by name: perfbench/tracer.py wraps it to count
@@ -275,6 +285,8 @@ class FactoredInteger(Value):
     @classmethod
     def from_map(cls, factors: dict[int, int]) -> "FactoredInteger":
         """Build from a prime -> exponent map, dropping zero exponents."""
+        if not isinstance(factors, dict):
+            raise DomainError("factors must be a dict of prime -> exponent, got %r" % (factors,))
         return cls(tuple(sorted((p, e) for p, e in factors.items() if e != 0)))
 
     @classmethod

@@ -51,7 +51,6 @@ from .exactnum import (
     FactoredInteger,
     NonDivisible,
     Value,
-    _factor_below,
     fi_cmp,
     fi_div_exact,
     fi_mul,
@@ -107,13 +106,6 @@ _TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
 _CACHE_SIZE = 512
 
 
-def _reduce(value):
-    """pickle and copy rebuild through the constructor, which takes each
-    read-only mapping back as a plain dict: a mappingproxy does not pickle."""
-    return value.__class__, tuple([dict(field) if type(field) is MappingProxyType else field
-                                   for field in value._key()])
-
-
 class LedgerNode(Value):
     """One node, checked as it is built: a known kind, the arg keys and
     values the kind takes and the kind's parse of them, children a list or
@@ -127,7 +119,6 @@ class LedgerNode(Value):
 
     _fields = ("id", "kind", "args", "children", "declared", "citation", "paper_prints", "note")
     __slots__ = _fields + ("_parsed",)
-    __reduce__ = _reduce
 
     def __init__(self, id: str, kind: str, args: Mapping[str, object], children: tuple[str, ...],
                  declared: FactoredInteger, citation: str, paper_prints: str | None = None,
@@ -176,9 +167,8 @@ class Ledger(Value):
     its children held, no cycle, and root and whitelist ids of nodes.  A
     failed check raises the LedgerError that load_ledger raises for the same
     fault.  nodes is kept as a read-only view of the ledger's own copy, so
-    no node can be added, replaced or deleted once checked.  `order` holds
-    the node ids in the mapping's order, the document order; it is no
-    constructor argument and takes no part in ==, hash or repr.
+    no node can be added, replaced or deleted once checked.  `order` reads
+    the node ids off nodes, in the document order.
 
     The ledger memoizes what it computes: `node_values` maps a node's id to
     its value without overrides, leaf or inner, filled by whichever
@@ -193,8 +183,7 @@ class Ledger(Value):
     """
 
     _fields = ("schema_version", "root", "whitelist", "nodes")
-    __slots__ = _fields + ("order", "node_values", "_parents")
-    __reduce__ = _reduce
+    __slots__ = _fields + ("node_values", "_parents")
 
     def __init__(
         self,
@@ -241,9 +230,12 @@ class Ledger(Value):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "whitelist", tuple(whitelist))
         object.__setattr__(self, "nodes", MappingProxyType(nodes))
-        object.__setattr__(self, "order", tuple(nodes))
         object.__setattr__(self, "node_values", {})
         object.__setattr__(self, "_parents", parents)
+
+    @property
+    def order(self) -> tuple[str, ...]:
+        return tuple(self.nodes)
 
 
 class VerificationRow(Value):
@@ -338,29 +330,28 @@ def _parse_equation_case(node_id: str, args: Mapping[str, object]) -> SolutionCo
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _factor_small(value: int) -> FactoredInteger | None:
-    """value (>= 1) in factored form, or None if it has a prime factor of
-    10^8 or more: declared keys stay below 10^8, and so does trial division.
-    DomainError if a cofactor's primality is not decided."""
-    factors, rest = _factor_below(value, _TRIAL_LIMIT)
-    if rest != 1:
-        return None
-    return FactoredInteger._trusted(tuple(sorted(factors.items())))
+def _factor_small(value: int) -> FactoredInteger:
+    """FactoredInteger.from_int(value), once per distinct value."""
+    return FactoredInteger.from_int(value)
+
+
+def _factor_arg(value: int, what: str, error: type) -> FactoredInteger:
+    """value (>= 1) factored, or an error naming what if from_int refuses it
+    or it has a prime factor of 10^8 or more, past the declared keys' domain."""
+    try:
+        factored = _factor_small(value)
+    except DomainError as exc:
+        raise error("%s: %s" % (what, exc)) from None
+    if factored.factors and factored.factors[-1][0] >= _TRIAL_LIMIT:
+        raise error("%s has a prime factor of 10^8 or more" % what)
+    return factored
 
 
 def _parse_scaled_product(node_id: str, args: Mapping[str, object]
                           ) -> tuple[FactoredInteger, FactoredInteger]:
     """num and den as FactoredIntegers."""
-    pair = []
-    for name in ("num", "den"):
-        try:
-            factored = _factor_small(args[name])
-        except DomainError as exc:
-            raise SchemaError("%s: arg %r: %s" % (node_id, name, exc)) from None
-        if factored is None:
-            raise SchemaError("%s: arg %r has a prime factor of 10^8 or more" % (node_id, name))
-        pair.append(factored)
-    return tuple(pair)
+    return tuple([_factor_arg(args[name], "%s: arg %r" % (node_id, name), SchemaError)
+                  for name in ("num", "den")])
 
 
 # Value functions reach the bound functions, fi_mul and fi_cmp through this
@@ -693,10 +684,9 @@ def _normalize_overrides(
 ) -> dict[str, FactoredInteger]:
     """Coerce override values to FactoredInteger.
 
-    Plain ints are accepted; 0 maps to the empty product, which removes
-    the branch from maxima without deleting the node.  Their prime factors
-    must lie below 10^8, the domain of declared keys, where trial division
-    stops.
+    Plain ints >= 0 are accepted; 0 maps to the empty product, which
+    removes the branch from maxima without deleting the node.  Their prime
+    factors must lie below 10^8, the domain of declared keys.
     """
     out: dict[str, FactoredInteger] = {}
     for nid, value in (overrides or {}).items():
@@ -705,13 +695,9 @@ def _normalize_overrides(
         if isinstance(value, FactoredInteger):
             out[nid] = value
         elif isinstance(value, int) and not isinstance(value, bool):
-            try:
-                factored = _factor_small(value or 1)
-            except DomainError as exc:
-                raise LedgerError("override for %r: %s" % (nid, exc)) from None
-            if factored is None:
-                raise LedgerError("override for %r has a prime factor of 10^8 or more" % nid)
-            out[nid] = factored
+            if value < 0:
+                raise LedgerError("override for %r must be >= 0, got %d" % (nid, value))
+            out[nid] = _factor_arg(value or 1, "override for %r" % nid, LedgerError)
         else:
             raise LedgerError("override for %r is not an integer" % nid)
     return out
@@ -722,8 +708,8 @@ def eval_node(
     nid: str,
     overrides: Mapping[str, FactoredInteger | int] | None = None,
 ) -> FactoredInteger:
-    if nid not in ledger.nodes:
-        raise LedgerError("no node %r" % nid)
+    if not (isinstance(nid, str) and nid in ledger.nodes):
+        raise LedgerError("no node %r" % (nid,))
     return _eval(ledger, [nid], _normalize_overrides(ledger, overrides))[0]
 
 
@@ -764,8 +750,8 @@ def final_bound(
 
 def explain(ledger: Ledger, nid: str) -> str:
     """Indented derivation tree for a node, children in document order."""
-    if nid not in ledger.nodes:
-        raise LedgerError("no node %r" % nid)
+    if not (isinstance(nid, str) and nid in ledger.nodes):
+        raise LedgerError("no node %r" % (nid,))
     _eval(ledger, [nid])  # fills node_values for nid and everything below it
     lines: list[str] = []
     stack = [(nid, 0)]

@@ -308,13 +308,20 @@ _MISTYPED = [
     (invphi_max, (2.5,), 2.5),
     (SolutionConstraints, (2.5,), 2.5),
     (SolutionConstraints, (1, 2.5), 2.5),
+    (SolutionConstraints, (1, None, (1,)), (1,)),
+    (SolutionConstraints, (1, None, None), None),
     (solve_standard_equation, (7.0, 12, SolutionConstraints(t_max=3)), 7.0),
     (solve_standard_equation, (7, 2.5, SolutionConstraints(t_max=3)), 2.5),
     (max_schur_exponent, (7.0, 3, 12), 7.0),
     (max_schur_exponent, (7, 2.5, 12), 2.5),
     (max_schur_exponent, (7, 3, 2.5), 2.5),
+    (solve_standard_equation, (7, 12, "x"), "x"),
+    (max_schur_exponent, (7, 3, 12, "x"), "x"),
     (FactoredInteger, (((2.0, 1),),), 2.0),
     (FactoredInteger, (((2, 1.5),),), 1.5),
+    (FactoredInteger, (((2,),),), ((2,),)),
+    (FactoredInteger, (None,), None),
+    (FactoredInteger.from_map, ([(2, 1)],), [(2, 1)]),
     (FactoredInteger.from_int, (2.0,), 2.0),
     (factorize, (2.0,), 2.0),
 ]

@@ -262,6 +262,19 @@ def test_invphi_past_the_limit_is_a_quick_clean_error(capsys, argv, bound):
     assert captured.err == "error: bound must be <= 1000000, got %d\n" % bound
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["minkowski", "-n", "x"], "error: argument -n: 'x' is not an integer\n"),
+    (["ledger", "final", "--override", "g10=x"],
+     "error: argument --override: override value must be an integer, got 'x'\n"),
+])
+def test_non_integer_arguments_are_usage_errors(capsys, argv, want):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: glbounds %s" % argv[0])
+    assert captured.err.endswith(want)
+
+
 @pytest.mark.parametrize("argv, arg, value", [
     (["solve-eq", "-p", "2305843009213693951", "-d", "4"], "-p", "2305843009213693951"),
     (["schur", "-n", "2", "--conductor", "2305843009213693951"],
@@ -606,6 +619,14 @@ def test_color_gating(monkeypatch):
 
     monkeypatch.delenv("NO_COLOR", raising=False)
     assert _use_color(Tty()) is True
+    # on a terminal each status is painted, and the reset follows it
+    out = Tty()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["ledger", "verify"]) == 0
+    lines = out.getvalue().splitlines()
+    assert sum(line.startswith("\x1b[32mMatch\x1b[0m  ") for line in lines) == 167
+    assert sum(line.startswith("\x1b[2mUnchecked\x1b[0m  ") for line in lines) == 49
+    assert sum(line.startswith("\x1b[31mMismatch\x1b[0m  ") for line in lines) == 2
     monkeypatch.setenv("NO_COLOR", "1")
     assert _use_color(Tty()) is False
     assert _use_color(io.StringIO()) is False

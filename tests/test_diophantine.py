@@ -51,6 +51,9 @@ def test_constraints_compare_print_and_pickle_by_their_fields():
     assert repr(c) == "SolutionConstraints(e_min=2, t_max=3, extra=('e even',))"
     again = pickle.loads(pickle.dumps(c))
     assert again == c
+    # a list of tags is kept as a tuple, so the record hashes
+    listed = SolutionConstraints(2, 3, ["e even"])
+    assert listed.extra == ("e even",) and listed == c and hash(listed) == hash(c)
     assert solve_standard_equation(7, 12, again) == solve_standard_equation(7, 12, c)
 
 

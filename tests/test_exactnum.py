@@ -224,12 +224,16 @@ def test_is_prime_past_trial_division_is_quick_and_bounded():
     assert is_prime(10**20 + 39) and not is_prime(10**20 + 41)
     assert is_prime(10**10 + 19) and not is_prime(10**10 + 1)  # from _SPRP_FROM on
     assert not is_prime(_SPRP_EXACT_BELOW + 2)  # a small factor settles it: 3
+    # past the exact range Miller-Rabin still proves a composite composite
+    assert is_prime(101 * M89) is False
     # the bound is itself a strong pseudoprime to every base up to 41
     assert _strong_probable_prime(_SPRP_EXACT_BELOW)
     for n in (_SPRP_EXACT_BELOW, 2**127 - 1):
         with pytest.raises(DomainError) as info:
             is_prime(n)
-        assert str(info.value) == "primality is decided below %d only" % _SPRP_EXACT_BELOW
+        assert str(info.value) == (
+            "a cofactor of %d bits is a strong probable prime past %d, where primality is "
+            "not decided" % (n.bit_length(), _SPRP_EXACT_BELOW))
 
 
 def test_construction_rejects_bad_factors():
@@ -245,6 +249,11 @@ def test_construction_rejects_bad_factors():
 
 def test_from_map_drops_zero_exponents():
     assert FactoredInteger.from_map({2: 3, 5: 0}) == fi(8)
+
+
+def test_a_list_of_factors_is_kept_as_a_tuple():
+    value = FactoredInteger([(2, 3)])
+    assert value.factors == ((2, 3),) and value == fi(8) and hash(value) == hash(fi(8))
 
 
 def test_one_is_empty_product():

@@ -330,6 +330,9 @@ def test_eval_combinators():
     assert eval_node(ledger, "half") == fi(30)
     with pytest.raises(LedgerError):
         eval_node(ledger, "nowhere")
+    with pytest.raises(LedgerError) as info:  # an unhashable id is no node either
+        eval_node(ledger, ["x"])
+    assert str(info.value) == "no node ['x']"
 
 
 def test_eval_recomputable_leaves():
@@ -380,6 +383,9 @@ def test_overrides():
         final_bound(ledger, {"a": True})
     with pytest.raises(LedgerError):
         final_bound(ledger, {"a": "12"})
+    with pytest.raises(LedgerError) as info:
+        final_bound(ledger, {"a": -1})
+    assert str(info.value) == "override for 'a' must be >= 0, got -1"
     # prime factors must lie below 10^8, the domain of declared keys
     assert final_bound(ledger, {"a": 99999989 * 2}) == fi(99999989 * 2)
     for big in (100000007, 2 * 100000007, 3**40 * 100000037):
@@ -447,6 +453,9 @@ def test_explain_renders_tree():
     assert lines[1] == "  six [Constant] = 2 * 3 = 6  (crafted for tests)"
     with pytest.raises(LedgerError):
         explain(ledger, "ghost")
+    with pytest.raises(LedgerError) as info:
+        explain(ledger, ["x"])
+    assert str(info.value) == "no node ['x']"
 
 
 def test_explain_evaluates_once(monkeypatch):
@@ -707,7 +716,8 @@ def test_paper_ledger_serialization_is_stable(ledger):
     assert text == packaged
 
 
-def _count_calls(monkeypatch, ledger_mod, names):
+def _count_calls(monkeypatch, owner, names):
+    """Log the arguments of each call to owner's attributes names."""
     logs = {name: [] for name in names}
 
     def counting(log, real):
@@ -717,7 +727,7 @@ def _count_calls(monkeypatch, ledger_mod, names):
         return wrapper
 
     for name, log in logs.items():
-        monkeypatch.setattr(ledger_mod, name, counting(log, getattr(ledger_mod, name)))
+        monkeypatch.setattr(owner, name, counting(log, getattr(owner, name)))
     return logs
 
 
@@ -745,8 +755,8 @@ def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
     import glbounds.ledger as ledger_mod
 
     document = json.loads(dumps_ledger(paper_ledger()))
-    logs = _count_calls(monkeypatch, ledger_mod,
-                        ["SolutionConstraints", "is_prime", "_factor_below"])
+    logs = _count_calls(monkeypatch, ledger_mod, ["SolutionConstraints", "is_prime"])
+    logs.update(_count_calls(monkeypatch, FactoredInteger, ["from_int"]))
     # The caches live for the process; earlier tests may have warmed them.
     for cached in (ledger_mod._constraints, ledger_mod._odd_prime, ledger_mod._factor_small,
                    ledger_mod._declared_prime, ledger_mod._rendered):
@@ -763,8 +773,8 @@ def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
     assert len(logs["is_prime"]) == len(keys) + len({n.args["p"] for n in cases})
     # One factoring per distinct num or den.
     scales = {n.args[name] for n in scaled for name in ("num", "den")}
-    assert len(logs["_factor_below"]) == len(scales) == len({id(f) for n in scaled
-                                                             for f in n._parsed})
+    assert len(logs["from_int"]) == len(scales) == len({id(f) for n in scaled
+                                                        for f in n._parsed})
     assert all(type(n._parsed) is tuple and len(n._parsed) == 2 for n in scaled)
     # A second load of the same document parses nothing new.
     counts = {name: len(log) for name, log in logs.items()}
@@ -773,10 +783,11 @@ def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
     assert {name: len(log) for name, log in logs.items()} == counts
     assert final_bound(again) == fi(24103053950976000)
     # A plain-int override is factored once, however often the what-if runs.
-    logs["_factor_below"].clear()
+    want = fi(735746457600)
+    logs["from_int"].clear()
     for _ in range(3):
-        assert final_bound(again, {"g10": 2592}) == fi(735746457600)
-    assert logs["_factor_below"] == [(2592, ledger_mod._TRIAL_LIMIT)]
+        assert final_bound(again, {"g10": 2592}) == want
+    assert logs["from_int"] == [(2592,)]
 
 
 def test_a_shared_constraint_set_still_checks_each_p():

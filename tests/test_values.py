@@ -3,8 +3,7 @@
 Each type is built from its constructor arguments, cannot be changed after
 construction, compares and hashes by its fields, never equals an instance
 of another class, and has a Name(field=value, ...) repr.  Ledger's leaf memo
-and node order and a FactoredInteger's kept int are the slots outside that
-contract.
+and a FactoredInteger's kept int are the slots outside that contract.
 """
 
 from __future__ import annotations
