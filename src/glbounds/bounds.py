@@ -65,6 +65,13 @@ def _check_invariants(p: int, inv: CycloInvariants):
         raise DomainError("invariants must be a CycloInvariants, got %r" % (inv,))
     if inv.p != p:
         raise DomainError("invariants are for p=%d, not p=%d" % (inv.p, p))
+    # CycloInvariants takes any field values, and the exponents read them
+    # unchecked; m_p = 0 still gives each formula a valid exponent.
+    _check_int("t_p", inv.t_p)
+    _check_int("m_p", inv.m_p, 0)
+    _check_int("e_p", inv.e_p)
+    if type(inv.xi4_in_k) is not bool:
+        raise DomainError("xi4_in_k must be a bool, got %r" % (inv.xi4_in_k,))
 
 
 def _prime_product(primes: list[int], exponent: Callable[[int], int]) -> FactoredInteger:

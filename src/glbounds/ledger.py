@@ -104,6 +104,9 @@ _TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
 # most about a hundred (its distinct declared values), so loading it evicts
 # nothing, and a stream of other ledgers cannot grow the caches past this.
 _CACHE_SIZE = 512
+# Most characters explain renders for one query: about 300 times the
+# packaged ledger's largest tree, theorem-cr3's 32 780.
+_EXPLAIN_CHARS = 10**7
 
 
 class LedgerNode(Value):
@@ -632,35 +635,18 @@ def _dirty(ledger: Ledger, overrides: Mapping[str, FactoredInteger]) -> set[str]
     return dirty
 
 
-def _eval(
-    ledger: Ledger,
-    nids: list[str] | tuple[str, ...],
-    overrides: Mapping[str, FactoredInteger] | None = None,
-) -> list[FactoredInteger]:
-    """The values of the nodes nids, evaluated left to right; only the nodes
-    they reach are evaluated.
-
-    Each node's value lives in one of two dicts.  The overridden nodes and
-    their ancestors, the dirty ones, live in a memo of this call seeded with
-    the overrides.  Every other node is unaffected by the overrides, so it
-    lives in the ledger's node_values: a child already there is read from
-    there, never pushed, and a node not yet there is combined into it.
-    Without overrides nothing is dirty.  One explicit stack, seeded with
-    nids, visits children left to right before their parent, so depth is
-    bounded by memory, not by the interpreter's recursion limit, and a node
-    that raises stores nothing.  Nodes are combined in the order of that
-    walk, so the first error a query raises is the one the walk meets first.
-    """
-    nodes, values = ledger.nodes, ledger.node_values
-    if overrides:
-        dirty, memo = _dirty(ledger, overrides), dict(overrides)
-    else:
-        dirty, memo = (), values
+def _walk(nodes, nids, values, dirty=(), memo=None):
+    """Yield (node, kids) once for each node that nids reach and that has no
+    stored value, kids its children's values in child order; the caller
+    stores the node's value (in memo if the node is in dirty, else in
+    values) before the walk resumes.  One explicit stack, seeded with nids,
+    visits children left to right before their parent, so depth is bounded
+    by memory, not by the recursion limit.  A node whose caller raises
+    stores nothing, so the first error is the first one this walk meets."""
     stack = list(reversed(nids))
     while stack:
         top = stack[-1]
-        store = memo if top in dirty else values
-        if top in store:
+        if top in (memo if top in dirty else values):
             stack.pop()
             continue
         node = nodes[top]
@@ -673,8 +659,19 @@ def _eval(
                 break
             kids.append(value)
         else:
-            store[top] = _combine(node, kids)
+            yield node, kids
             stack.pop()
+
+
+def _eval(ledger: Ledger, nids: list[str] | tuple[str, ...],
+          overrides: Mapping[str, FactoredInteger] | None = None) -> list[FactoredInteger]:
+    """The values of the nodes nids: _walk folded with _combine.  The
+    overridden nodes and their ancestors, the dirty ones, live in a memo
+    seeded with the overrides; every other node lives in node_values."""
+    values = ledger.node_values
+    dirty, memo = (_dirty(ledger, overrides), dict(overrides)) if overrides else ((), values)
+    for node, kids in _walk(ledger.nodes, nids, values, dirty, memo):
+        (memo if node.id in dirty else values)[node.id] = _combine(node, kids)
     return [(memo if nid in dirty else values)[nid] for nid in nids]
 
 
@@ -749,29 +746,41 @@ def final_bound(
 
 
 def explain(ledger: Ledger, nid: str) -> str:
-    """Indented derivation tree for a node, children in document order."""
+    """Indented derivation tree for a node, children in document order.
+
+    A subtree shared by several parents is rendered once per path, so the
+    text can grow exponentially in a ledger's depth.  LedgerError refuses a
+    tree whose lines, each with its newline, pass _EXPLAIN_CHARS characters.
+    A value not yet multiplied out is refused before it is rendered if even
+    its decimal may pass what is left, bounded from its factors: value <
+    2^bits, bits = sum(e * bit_length(p)), has at most bits * log10(2) + 1
+    digits, and grouping adds a space per three.
+    """
     if not (isinstance(nid, str) and nid in ledger.nodes):
         raise LedgerError("no node %r" % (nid,))
     _eval(ledger, [nid])  # fills node_values for nid and everything below it
     lines: list[str] = []
+    left = _EXPLAIN_CHARS
     stack = [(nid, 0)]
     while stack:
         node_id, depth = stack.pop()
         node = ledger.nodes[node_id]
         value = ledger.node_values[node_id]
-        lines.append(
-            "%s%s [%s] = %s = %s  (%s)"
-            % (
-                "  " * depth,
-                node_id,
-                node.kind,
-                fi_to_factored_str(value),
-                fi_to_decimal(value, group=True),
-                node.citation,
-            )
-        )
+        if value._int is None:  # a kept int has at most 2 000 bits
+            digits = sum([e * p.bit_length() for p, e in value.factors]) * 30103 // 100000 + 1
+            if digits + digits // 3 > left:
+                break
+        line = "%s%s [%s] = %s = %s  (%s)" % (
+            "  " * depth, node_id, node.kind, fi_to_factored_str(value),
+            fi_to_decimal(value, group=True), node.citation)
+        left -= len(line) + 1
+        if left < 0:
+            break
+        lines.append(line)
         stack.extend((kid, depth + 1) for kid in reversed(node.children))
-    return "\n".join(lines)
+    else:
+        return "\n".join(lines)
+    raise LedgerError("%s: explain would render more than %d characters" % (nid, _EXPLAIN_CHARS))
 
 
 # -------------------------------------------------------------- (de)serial.

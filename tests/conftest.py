@@ -106,3 +106,20 @@ def to_document(ledger: Ledger) -> dict:
         nodes.append(entry)
     out["nodes"] = nodes
     return out
+
+
+def diamond(levels: int) -> dict:
+    """A ledger document whose explain grows exponentially: t_i = Max(a_i, b_i)
+    with a_i and b_i both Max(t_{i-1}), over a Constant c = 2.  It has
+    3 * levels + 1 nodes, and explain renders 2^(levels + 2) - 3 lines for
+    its root t_{levels-1}."""
+    def entry(nid, kind, children):
+        return {"id": nid, "kind": kind, "args": {}, "children": children,
+                "declared": {"2": 1}, "decimal": "2", "citation": "crafted for tests"}
+
+    nodes, below = [entry("c", "Constant", [])], "c"
+    for i in range(levels):
+        nodes += [entry("%s%d" % (half, i), "Max", [below]) for half in "ab"]
+        below = "t%d" % i
+        nodes.append(entry(below, "Max", ["a%d" % i, "b%d" % i]))
+    return {"schema_version": 1, "root": below, "nodes": nodes}

@@ -282,9 +282,16 @@ _MISTYPED = [
     (schur_exponent, (2.5, 3, QQ), 2.5),
     (schur_exponent, (3, 2, QQ), QQ),
     (schur_exponent, (3, 4, CycloInvariants(4, 1, 1, 1, False)), 4),
+    (schur_exponent, (3, 3, CycloInvariants(3, 1.5, 1, 1, False)), 1.5),
+    (schur_exponent, (3, 3, CycloInvariants(3, 0, 1, 1, False)), 0),
+    (schur_exponent, (3, 3, CycloInvariants(3, 2, -1, 1, False)), -1),
+    (schur_exponent, (3, 3, CycloInvariants(3, 2, 1, 2.0, False)), 2.0),
+    (schur_exponent, (3, 2, CycloInvariants(2, 1, 2, 1, "yes")), "yes"),
     (serre_exponent, (2.5, 3, QQ), 2.5),
     (serre_exponent, (3, 2.0, QQ), 2.0),
     (serre_exponent, (3, 2, QQ), QQ),
+    (serre_exponent, (3, 3, CycloInvariants(3, 1.5, 1, 1, False)), 1.5),
+    (serre_exponent, (3, 3, CycloInvariants(3, 2, -1, 1, False)), -1),
     (pgl2_admissible, (Conductor(12),), Conductor(12)),
     (pgl2_max_order, (2.5,), 2.5),
     (gl2_max_order, (2.5,), 2.5),

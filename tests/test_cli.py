@@ -19,7 +19,7 @@ from glbounds.exactnum import ONE, DomainError, FactoredInteger, fi_to_decimal, 
 from glbounds.ledger import dumps_ledger, explain, load_ledger, paper_ledger
 from glbounds.totient import invphi_all
 
-from conftest import decimal_value, to_document
+from conftest import decimal_value, diamond, to_document
 from regen_golden import CASES, GOLDEN
 
 
@@ -592,6 +592,17 @@ def test_a_verify_row_past_the_budget_prints_none_of_the_rows_before_it(
     # explain holds only the values below its node to the budget
     assert main(["ledger", "explain", "c", "--file", budget_ledger]) == 0
     assert capsys.readouterr().out == "c [Constant] = 2^3 = 8  (c)\n"
+
+
+def test_an_explain_past_its_character_budget_is_a_clean_error(capsys, tmp_path):
+    # The values pass the digit budget; the tree of 262 141 lines does not
+    # pass explain's own.
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(diamond(16)), encoding="utf-8")
+    assert main(["ledger", "explain", "t15", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t15: explain would render more than 10000000 characters\n"
 
 
 @settings(deadline=None)

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ from glbounds.ledger import (
     verify_ledger,
 )
 
-from conftest import to_document
+from conftest import diamond, to_document
 
 
 def fi(n: int) -> FactoredInteger:
@@ -644,6 +645,27 @@ def test_deep_chain_evaluates_without_recursion():
     assert [r.status for r in rows] == ["Match"] * depth + ["Unchecked"]
 
 
+def test_explain_refuses_a_tree_past_its_budget():
+    # 16 levels render 262 141 lines, 25.7 million characters, in about a
+    # second; 14 levels render 5.9 million, inside the budget.
+    ledger = load_ledger(diamond(16))
+    assert len(explain(ledger, "t13").splitlines()) == 2**16 - 3
+    with pytest.raises(LedgerError) as info:
+        explain(ledger, "t15")
+    assert str(info.value) == "t15: explain would render more than 10000000 characters"
+
+
+def test_explain_refuses_a_value_past_its_budget_before_rendering_it():
+    # big = 2^40000000 has 12 041 200 digits, a render of minutes; its bound
+    # from the factors alone passes the budget.
+    ledger = load_ledger(doc(node("c", "Constant", {"2": 20000}),
+                             node("big", "Product", {}, children=["c"] * 2000)))
+    start = time.perf_counter()
+    with pytest.raises(LedgerError, match="^big: explain would render more than 10000000 "):
+        explain(ledger, "big")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_evaluation_reaches_only_what_it_needs_left_to_right():
     ledger = load_ledger(doc(
         node("ten", "Constant", {"2": 1, "5": 1}),
@@ -985,17 +1007,20 @@ def test_a_what_if_off_the_queried_subtree_keeps_the_first_error():
     assert eval_node(ledger, "top", {"spare": 1}) == fi(10)
 
 
+def _reached(ledger, nid):
+    """The ids nid reaches, itself included."""
+    seen, stack = set(), [nid]
+    while stack:
+        top = stack.pop()
+        if top not in seen:
+            seen.add(top)
+            stack.extend(ledger.nodes[top].children)
+    return seen
+
+
 def test_a_what_if_recombines_only_the_overridden_ancestors(monkeypatch):
     import glbounds.ledger as ledger_mod
 
-    warm = paper_ledger()
-    assert final_bound(warm) == fi(24103053950976000)
-    assert warm.root in warm.node_values and "g10" in warm.node_values
-    ancestors, frontier = set(), {"g10"}
-    while frontier:
-        frontier = {nid for nid in warm.order
-                    if set(warm.nodes[nid].children) & frontier} - ancestors
-        ancestors |= frontier
     combined = []
     real = ledger_mod._combine
 
@@ -1004,11 +1029,38 @@ def test_a_what_if_recombines_only_the_overridden_ancestors(monkeypatch):
         return real(node, kids)
 
     monkeypatch.setattr(ledger_mod, "_combine", counting)
+    warm = paper_ledger()
+    # cold, each node the root reaches is combined once, even the 21 with
+    # several parents
+    assert final_bound(warm) == fi(24103053950976000)
+    assert sorted(combined) == sorted(_reached(warm, warm.root))
+    assert len(combined) == 170
+    assert warm.root in warm.node_values and "g10" in warm.node_values
+    ancestors, frontier = set(), {"g10"}
+    while frontier:
+        frontier = {nid for nid in warm.order
+                    if set(warm.nodes[nid].children) & frontier} - ancestors
+        ancestors |= frontier
+    combined.clear()
     before = dict(warm.node_values)
     assert final_bound(warm, {"g10": 0}) == fi(735746457600)
     assert final_bound(warm) == fi(24103053950976000)
     assert sorted(combined) == sorted(ancestors)
     assert warm.node_values == before
+
+
+def test_the_walk_folds_to_explains_line_counts():
+    # A second interpretation of the one walk: a node's line count in
+    # explain is one plus its children's, for a tree or a shared subtree.
+    from glbounds.ledger import _walk
+
+    ledger = paper_ledger()
+    for nid in ledger.order:
+        lines: dict[str, int] = {}
+        for node, kids in _walk(ledger.nodes, [nid], lines):
+            lines[node.id] = 1 + sum(kids)
+        assert lines.keys() == _reached(ledger, nid)
+        assert lines[nid] == len(explain(ledger, nid).splitlines())
 
 
 # Generated ledgers of the combinators on Constants: levels of one to three

@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from glbounds.bounds import GroupFamily, pgl2_admissible, schur_bound, schur_exponent
+from glbounds.bounds import (
+    GroupFamily, pgl2_admissible, schur_bound, schur_exponent, serre_exponent,
+)
 from glbounds.cyclotomic import (
     Conductor,
     CycloInvariants,
@@ -127,6 +129,13 @@ def test_validation_messages():
         (lambda: contains_root_of_unity(Conductor(5), 2.0), "k must be an int, got 2.0"),
         (lambda: factorial_valuation(2, -1), "k must be >= 0, got -1"),
         (lambda: schur_exponent(3, 4, CycloInvariants(4, 1, 1, 1, False)), "4 is not prime"),
+        # each invariant is refused under its own name (t_p once reached euler_phi as "n")
+        (lambda: serre_exponent(3, 3, CycloInvariants(3, 1.5, 1, 1, False)),
+         "t_p must be an int, got 1.5"),
+        (lambda: schur_exponent(3, 3, CycloInvariants(3, 2, -1, 1, False)),
+         "m_p must be >= 0, got -1"),
+        (lambda: schur_exponent(3, 2, CycloInvariants(2, 1, 2, 1, 1)),
+         "xi4_in_k must be a bool, got 1"),
     ]
     for build, message in cases:
         with pytest.raises(DomainError) as info:
