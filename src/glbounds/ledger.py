@@ -23,7 +23,8 @@ nodes that share one share the result.
 
 dumps_ledger writes each node's fields straight from the ledger, in the
 layout json.dumps(indent=2, ensure_ascii=False) gives the document that loads
-back to the same ledger; the tests rebuild that document as their oracle.
+back to the same ledger, and each node's declared block as the render cache
+holds it; the tests rebuild that document as their oracle.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ SCHEMA_VERSION = 1
 _NODE_FIELDS = frozenset(
     {"id", "kind", "args", "children", "declared", "decimal", "citation"}
 )
-_NODE_OPTIONAL = frozenset({"paper_prints", "note"})
-_NODE_ALLOWED = _NODE_FIELDS | _NODE_OPTIONAL  # built once, not per node
+_NODE_OPTIONAL = ("paper_prints", "note")  # in the order the loader checks them
+_NODE_ALLOWED = _NODE_FIELDS.union(_NODE_OPTIONAL)  # built once, not per node
 # yes/no/unknown arguments; every other but "constraints" is a positive integer
 _TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
 # Entries each parse and render cache keeps.  The packaged ledger fills at
@@ -115,10 +116,11 @@ class LedgerNode(Value):
     tuple of ids (kept as a tuple), declared a FactoredInteger, and id,
     citation, paper_prints and note strings without a lone surrogate.  What
     needs the other nodes, the Ledger that holds the node checks.  args is
-    kept as a read-only view of the node's own copy, so nothing can change
-    what was checked.  What the kind parses from args is kept in `_parsed`
-    (None for a kind with no parse), which is no constructor argument and
-    takes no part in ==, hash or repr."""
+    kept as a read-only view of the node's own copy, a constraints list
+    kept as a tuple, so nothing can change what was checked.  What the kind
+    parses from args is kept in `_parsed` (None for a kind with no parse),
+    which is no constructor argument and takes no part in ==, hash or
+    repr."""
 
     _fields = ("id", "kind", "args", "children", "declared", "citation", "paper_prints", "note")
     __slots__ = _fields + ("_parsed",)
@@ -128,18 +130,21 @@ class LedgerNode(Value):
                  note: str | None = None):
         # Each check raises with its message built only on failure: a load
         # builds one node per entry, and formatting costs more than the test.
+        # An ASCII str passes _check_text, so only other text goes through it.
         if not (isinstance(id, str) and id != ""):
             raise SchemaError("empty node id")
-        _check_text(id, "id", id)
+        if not id.isascii():
+            _check_text(id, "id", id)
         spec = KINDS.get(kind) if isinstance(kind, str) else None
         if spec is None:
             raise SchemaError("%s: unknown kind %r" % (id, kind))
         args = _check_args(id, kind, spec, args)
-        if not (isinstance(children, (list, tuple)) and all(isinstance(c, str) for c in children)):
+        if not (isinstance(children, (list, tuple)) and _all_str(children)):
             raise SchemaError("%s: children must be a list of ids" % id)
         if not isinstance(declared, FactoredInteger):
             raise BadDeclaredValue("%s: declared must be a FactoredInteger" % id)
-        _check_text(id, "citation", citation)
+        if not (type(citation) is str and citation.isascii()):
+            _check_text(id, "citation", citation)
         if paper_prints is not None:
             _check_text(id, "paper_prints", paper_prints)
         if note is not None:
@@ -221,8 +226,7 @@ class Ledger(Value):
         _check_acyclic(nodes, parents)
         if root is not None and not (isinstance(root, str) and root in nodes):
             raise SchemaError("root %r is not a node id" % root)
-        if not (isinstance(whitelist, (list, tuple))
-                and all(isinstance(wid, str) for wid in whitelist)):
+        if not (isinstance(whitelist, (list, tuple)) and _all_str(whitelist)):
             raise SchemaError("whitelist must be a list of ids")
         for wid in whitelist:
             if wid not in nodes:
@@ -320,8 +324,7 @@ def _parse_equation_case(node_id: str, args: Mapping[str, object]) -> SolutionCo
     if t_max is None or t_max > n:
         t_max = n
     try:
-        constraints = _constraints(args.get("e_min", 1), t_max,
-                                   tuple(args.get("constraints", ())))
+        constraints = _constraints(args.get("e_min", 1), t_max, args.get("constraints", ()))
     except DomainError as exc:  # a bad tag
         raise SchemaError("%s: %s" % (node_id, exc)) from None
     p = args["p"]
@@ -445,11 +448,35 @@ def _check_text(node_id: str, field: str, text) -> None:
             raise SchemaError("%r: %s holds a lone surrogate" % (node_id, field)) from None
 
 
+def _all_str(items) -> bool:
+    """Whether every item is a str: a plain loop, cheaper than all() over a
+    generator for the short lists of ids and tags a node holds."""
+    for item in items:
+        if not isinstance(item, str):
+            return False
+    return True
+
+
+def _all_int(values) -> bool:
+    """Whether every value is an int proper, not a bool or a float that
+    compares equal to one."""
+    for value in values:
+        if type(value) is not int:
+            return False
+    return True
+
+
 def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
+    """A copy of args, checked for kind, with a constraints list or tuple
+    kept as a tuple, so the node shares no mutable value with the caller."""
     if not isinstance(args, (dict, MappingProxyType)):  # a node's own args build a node again
         raise SchemaError("%s: args must be an object" % node_id)
+    if not (args or spec.required):
+        return {}
     keys = args.keys()
-    if not spec.required <= keys <= spec.allowed:
+    # The view on the left of each test: frozenset <= view returns
+    # NotImplemented, and the reflected test that follows costs twice as much.
+    if not (keys >= spec.required and keys <= spec.allowed):
         raise SchemaError(
             "%s: %s args must have %s, got %s"
             % (node_id, kind, sorted(spec.required), sorted(keys))
@@ -457,19 +484,24 @@ def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
     # One pass in document order, so the first bad key is named; a bad
     # integer arg is named before a bad yes/no/unknown arg or constraints
     # list, wherever it is.  No kind takes both.
-    late = None
+    late = tags = None
     for key, value in args.items():
         if key in _TRISTATE_ARGS:
             if late is None and value not in TRISTATE:
                 late = "arg %r must be yes/no/unknown" % key
         elif key == "constraints":
-            if not (isinstance(value, list) and all(isinstance(t, str) for t in value)):
+            if isinstance(value, (list, tuple)) and _all_str(value):
+                tags = tuple(value)
+            else:
                 late = "constraints must be a list of tag strings"
         elif not (type(value) is int and value >= 1):
             raise SchemaError("%s: arg %r must be a positive integer" % (node_id, key))
     if late is not None:
         raise SchemaError("%s: %s" % (node_id, late))
-    return dict(args)
+    own = dict(args)
+    if tags is not None:
+        own["constraints"] = tags
+    return own
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -491,11 +523,15 @@ def _declared_prime(key) -> int:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _rendered(factors: tuple[tuple[int, int], ...]) -> tuple[FactoredInteger, str]:
-    """The value of a canonical factors tuple and its grouped decimal, which
-    the loader checks a declared decimal against and dumps_ledger writes."""
+def _rendered(factors: tuple[tuple[int, int], ...]) -> tuple[FactoredInteger, str, str]:
+    """The value of a canonical factors tuple, its grouped decimal, which
+    the loader checks a declared decimal against, and the text of a node's
+    "declared" and "decimal" fields as dumps_ledger writes them."""
     value = FactoredInteger._trusted(factors)
-    return value, fi_to_decimal(value, group=True)
+    decimal = fi_to_decimal(value, group=True)
+    return value, decimal, '"declared": %s,\n      "decimal": %s' % (
+        _join(['"%d": %d' % pair for pair in factors], "{}", "      "),
+        encode_basestring(decimal))
 
 
 def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
@@ -522,7 +558,7 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
         raise BadDeclaredValue("%s: decimal must be a string" % (node_id,))
     # Prime bases, positive exponents, no prime twice: the checks above are
     # the validation, so sorting is all that is left.
-    value, expect = _rendered(tuple(sorted(factors.items())))
+    value, expect, _ = _rendered(tuple(sorted(factors.items())))
     if decimal != expect:
         raise BadDeclaredValue(
             "%s: decimal %r does not match declared factorization (%s)"
@@ -572,6 +608,12 @@ def load_ledger(source) -> Ledger:
     only the document form can get wrong: its top-level keys and node
     fields, a duplicate id, an optional field given as null, and each
     declared map against its decimal.
+
+    Within one load, a node whose decimal an earlier node's declared map
+    was accepted for, and whose map equals that map with every exponent an
+    int, takes that node's value unparsed: the checks would pass it again
+    and give the same value.  The accepted values are kept for that load
+    only.
     """
     if isinstance(source, Mapping):
         doc = source
@@ -593,24 +635,34 @@ def load_ledger(source) -> Ledger:
         raise SchemaError("nodes must be a list")
 
     nodes: dict[str, LedgerNode] = {}
+    accepted: dict[str, tuple[dict, FactoredInteger]] = {}  # decimal -> (declared, value)
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise SchemaError("node entries must be objects")
         fields = raw.keys()
-        if not _NODE_FIELDS <= fields <= _NODE_ALLOWED:
+        if not (fields >= _NODE_FIELDS and fields <= _NODE_ALLOWED):  # as in _check_args
             raise SchemaError(
                 "node fields must be %s (+ optional %s), got %s"
                 % (sorted(_NODE_FIELDS), sorted(_NODE_OPTIONAL), sorted(fields))
             )
-        nid = raw["id"]
-        declared = _parse_declared(nid, raw["declared"], raw["decimal"])
+        nid, raw_declared, decimal = raw["id"], raw["declared"], raw["decimal"]
+        # A plain dict and str only: a subclass may compare as it likes.
+        plain = type(raw_declared) is dict and type(decimal) is str
+        seen = accepted.get(decimal) if plain else None
+        if seen is not None and raw_declared == seen[0] and _all_int(raw_declared.values()):
+            declared = seen[1]
+        else:
+            declared = _parse_declared(nid, raw_declared, decimal)
+            if plain:
+                accepted[decimal] = raw_declared, declared
         node = LedgerNode(nid, raw["kind"], raw["args"], raw["children"], declared,
                           raw["citation"], raw.get("paper_prints"), raw.get("note"))
         if nid in nodes:
             raise SchemaError("duplicate node id %r" % nid)
-        for field in _NODE_OPTIONAL:  # null would read as an absent field
-            if field in fields and raw[field] is None:
-                raise SchemaError("%s: %s must be a string" % (nid, field))
+        if len(fields) > len(_NODE_FIELDS):  # an optional field: null would read as absent
+            for field in _NODE_OPTIONAL:
+                if field in fields and raw[field] is None:
+                    raise SchemaError("%s: %s must be a string" % (nid, field))
         nodes[nid] = node
     return Ledger(doc.get("schema_version"), doc.get("root"), doc.get("whitelist", []), nodes)
 
@@ -804,23 +856,23 @@ def dumps_ledger(ledger: Ledger) -> str:
         top.append('"root": ' + enc(ledger.root))
     top.append('"whitelist": ' + _join(list(map(enc, ledger.whitelist)), "[]", "  "))
     nodes = []
-    for nid in ledger.order:
-        node = ledger.nodes[nid]
-        args = []
-        for key, value in node.args.items():
-            if type(value) is int:
-                args.append("%s: %d" % (enc(key), value))
-            elif isinstance(value, str):  # yes/no/unknown
-                args.append(enc(key) + ": " + enc(value))
-            else:  # constraints, a list of tags
-                args.append(enc(key) + ": " + _join(list(map(enc, value)), "[]", "        "))
-        factors = node.declared.factors
+    for node in ledger.nodes.values():
+        args = "{}"  # no args, like no children, is written as is
+        if node.args:
+            pairs = []
+            for key, value in node.args.items():
+                if type(value) is int:
+                    pairs.append("%s: %d" % (enc(key), value))
+                elif isinstance(value, str):  # yes/no/unknown
+                    pairs.append(enc(key) + ": " + enc(value))
+                else:  # constraints, a tuple of tags
+                    pairs.append(enc(key) + ": " + _join(list(map(enc, value)), "[]", "        "))
+            args = _join(pairs, "{}", "      ")
         text = ('{\n      "id": %s,\n      "kind": %s,\n      "args": %s,\n      "children": %s,'
-                '\n      "declared": %s,\n      "decimal": %s,\n      "citation": %s' % (
-                    enc(node.id), enc(node.kind), _join(args, "{}", "      "),
-                    _join(list(map(enc, node.children)), "[]", "      "),
-                    _join(['"%d": %d' % pair for pair in factors], "{}", "      "),
-                    enc(_rendered(factors)[1]), enc(node.citation)))
+                '\n      %s,\n      "citation": %s' % (
+                    enc(node.id), enc(node.kind), args,
+                    _join(list(map(enc, node.children)), "[]", "      ") if node.children else "[]",
+                    _rendered(node.declared.factors)[2], enc(node.citation)))
         if node.paper_prints is not None:
             text += ',\n      "paper_prints": ' + enc(node.paper_prints)
         if node.note is not None:

@@ -605,6 +605,38 @@ def test_an_explain_past_its_character_budget_is_a_clean_error(capsys, tmp_path)
     assert captured.err == "error: t15: explain would render more than 10000000 characters\n"
 
 
+def test_power_bits_are_the_bit_lengths_of_the_powers():
+    import glbounds.cli as cli
+
+    cases = [(p, e) for p in (2, 3, 5, 7, 97, 65537, 99999989, 2**61 - 1)
+             for e in (1, 2, 3, 10, 53, 64, 1000, 4099)]
+    # e * log2(p) within the margin of an integer: the power decides these
+    cases += [(3, 190537), (7, 453601)]
+    for p, e in cases:
+        assert cli._power_bits(p, e) == (p**e).bit_length(), (p, e)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.sampled_from((2, 3, 5, 7, 97, 65537, 99999989)), st.integers(1, 400),
+                       max_size=4).map(FactoredInteger.from_map), st.integers(1, 1200))
+def test_the_digit_bound_reads_the_exact_bit_lengths(value, limit):
+    import glbounds.cli as cli
+
+    bits = sum([(p**e).bit_length() for p, e in value.factors])
+    real = cli._MAX_DIGITS
+    cli._MAX_DIGITS = limit
+    try:
+        if bits * 30103 > limit * 100000:
+            with pytest.raises(DomainError) as info:
+                cli._check_digits(value)
+            assert str(info.value) == "the value has up to %d digits; at most %d are printed" % (
+                -(-bits * 30103 // 100000), limit)
+        else:
+            cli._check_digits(value)
+    finally:
+        cli._MAX_DIGITS = real
+
+
 @settings(deadline=None)
 @given(st.dictionaries(st.sampled_from((2, 3, 5, 7, 97, 65537, 99999989)), st.integers(1, 40),
                        max_size=4).map(FactoredInteger.from_map))

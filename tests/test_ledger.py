@@ -837,6 +837,61 @@ def test_a_repeated_value_with_a_wrong_decimal_is_still_refused():
         "b: decimal '3072' does not match declared factorization (3 072)")
 
 
+def test_a_repeated_decimal_in_another_spelling_loads_to_the_same_value():
+    loaded = load_ledger(_repeat({"02": 10}))
+    assert loaded.nodes["b"].declared == loaded.nodes["a"].declared == fi(1024)
+    assert dumps_ledger(loaded).count('"2": 10') == 2
+
+
+def test_each_load_keeps_only_its_own_accepted_values():
+    # One decimal, three maps: each document gives its own value or error,
+    # whatever was loaded before it.
+    def one(declared):
+        return doc(dict(node("a", "Constant", {}), declared=declared, decimal="1 024"))
+
+    for _ in range(2):
+        assert load_ledger(one({"2": 10})).nodes["a"].declared == fi(1024)
+        with pytest.raises(BadDeclaredValue) as info:
+            load_ledger(one({"2": 9}))
+        assert str(info.value) == "a: decimal '1 024' does not match declared factorization (512)"
+        assert load_ledger(one({"02": 10})).nodes["a"].declared == fi(1024)
+        with pytest.raises(BadDeclaredValue) as info:
+            load_ledger(one({"2": True}))
+        assert str(info.value) == "a: declared exponent for 2 must be a positive integer"
+
+
+def test_a_loaded_nodes_constraints_are_its_own():
+    document = json.loads(dumps_ledger(paper_ledger()))
+    ledger = load_ledger(document)
+    text = dumps_ledger(ledger)
+    nid = "sch3-d12-e2-q5"
+    node_ = ledger.nodes[nid]
+    assert node_.args["constraints"] == ("t >= 2",)
+    assert eval_node(ledger, nid) == fi(5)
+    # neither the caller's list nor the node's read-only args can change it
+    raw = next(raw for raw in document["nodes"] if raw["id"] == nid)
+    raw["args"]["constraints"].append("e = 999")
+    with pytest.raises(AttributeError):
+        node_.args["constraints"].append("e = 999")
+    assert node_.args["constraints"] == ("t >= 2",)
+    assert node_._parsed.extra == ("t >= 2",)
+    assert dumps_ledger(ledger) == text
+    assert eval_node(load_ledger(dumps_ledger(ledger)), nid) == fi(5)
+    assert eval_node(ledger, nid) == fi(5)
+
+
+def test_constraints_may_be_a_list_or_a_tuple():
+    args = {"p": 3, "n": 3, "d": 4}
+    built = [LedgerNode("e", "EquationCase", dict(args, constraints=tags), (), ONE, "cite")
+             for tags in (["e even"], ("e even",))]
+    assert built[0] == built[1] and built[0].args["constraints"] == ("e even",)
+    assert '"constraints": [\n          "e even"\n        ]' in dumps_ledger(
+        Ledger(1, None, (), {"e": built[1]}))
+    with pytest.raises(SchemaError) as info:
+        LedgerNode("e", "EquationCase", dict(args, constraints=("e even", 2)), (), ONE, "cite")
+    assert str(info.value) == "e: constraints must be a list of tag strings"
+
+
 def test_each_leaf_bound_is_computed_once_per_ledger(monkeypatch):
     import glbounds.ledger as ledger_mod
 
@@ -1149,6 +1204,13 @@ def _appendix(args, children):
                node("a", "AppendixProp", {}, args=args, children=children))
 
 
+def _repeat(declared, decimal="1 024"):
+    """Node a declares 2^10 = "1 024"; node b repeats a decimal with its own
+    declared map."""
+    return doc(node("a", "Constant", {"2": 10}),
+               dict(node("b", "Constant", {}), declared=declared, decimal=decimal))
+
+
 _NODE_FIELD_LIST = (
     "['args', 'children', 'citation', 'decimal', 'declared', 'id', 'kind'] "
     "(+ optional ['note', 'paper_prints'])"
@@ -1315,6 +1377,23 @@ _LOADER_ERRORS = {
     "declared-duplicate-prime": (
         lambda: _edit("c", "Constant", {}, _set("declared", {"2": 1, "02": 1})),
         BadDeclaredValue, "c: duplicate prime 02 in declared"),
+    "repeat-exponent-true": (
+        lambda: _repeat({"2": True}),
+        BadDeclaredValue, "b: declared exponent for 2 must be a positive integer"),
+    "repeat-exponent-float": (
+        lambda: _repeat({"2": 10.0}),
+        BadDeclaredValue, "b: declared exponent for 2 must be a positive integer"),
+    "repeat-other-map": (
+        lambda: _repeat({"2": 9}),
+        BadDeclaredValue, "b: decimal '1 024' does not match declared factorization (512)"),
+    "repeat-extra-prime": (
+        lambda: _repeat({"2": 10, "3": 1}),
+        BadDeclaredValue, "b: decimal '1 024' does not match declared factorization (3 072)"),
+    "repeat-key-not-prime": (
+        lambda: _repeat({"4": 5}), BadDeclaredValue, "b: declared key 4 is not prime"),
+    "repeat-not-map": (
+        lambda: _repeat([["2", 10]]),
+        BadDeclaredValue, "b: declared must be a map prime -> exponent"),
     "decimal-not-string": (
         lambda: _edit("c", "Constant", {"2": 3}, _set("decimal", 8)),
         BadDeclaredValue, "c: decimal must be a string"),
@@ -1333,6 +1412,9 @@ _LOADER_ERRORS = {
         SchemaError, "c: note must be a string"),
     "optional-null": (
         lambda: doc(node("c", "Constant", {}, paper_prints=None)),
+        SchemaError, "c: paper_prints must be a string"),
+    "optional-null-both": (
+        lambda: doc(node("c", "Constant", {}, note=None, paper_prints=None)),
         SchemaError, "c: paper_prints must be a string"),
     "note-lone-surrogate": (
         lambda: doc(node("c", "Constant", {}, note="\udc80")),
@@ -1378,6 +1460,17 @@ def test_loader_error_class_and_message(case):
         load_ledger(source())
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(c for c in _LOADER_ERRORS if c.startswith("repeat-")))
+def test_a_repeated_decimal_raises_what_a_first_occurrence_raises(case):
+    document = _LOADER_ERRORS[case][0]()
+    messages = []
+    for source in (document, doc(document["nodes"][1])):
+        with pytest.raises(BadDeclaredValue) as info:
+            load_ledger(source)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 # --------------------------------------------------- constructor messages
