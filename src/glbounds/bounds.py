@@ -306,9 +306,7 @@ class GroupFamily(Value):
     __slots__ = _fields = ("kind", "m")
 
     def __init__(self, kind: str, m: int = 0):
-        # One per family and pgl2_admissible call: the slots' own setters, bound below.
-        _family_kind(self, kind)
-        _family_m(self, m)
+        self._fill(kind, m)
 
     @property
     def order(self) -> int:
@@ -325,9 +323,6 @@ class GroupFamily(Value):
         if self.kind == "dihedral":
             return "D%d" % (2 * self.m)
         return self.kind
-
-
-_family_kind, _family_m = [GroupFamily.__dict__[name].__set__ for name in GroupFamily._fields]
 
 
 def _flags(field) -> tuple[str, str]:

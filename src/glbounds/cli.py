@@ -41,6 +41,8 @@ from .exactnum import (
     _TRIAL_LIMIT,
     DomainError,
     FactoredInteger,
+    _bits_bound,
+    _digits_bound,
     fi_to_decimal,
     fi_to_factored_str,
 )
@@ -113,18 +115,15 @@ def _power_bits(p: int, e: int) -> int:
 
 def _check_digits(value: FactoredInteger) -> None:
     """Refuse a value that may have more than _MAX_DIGITS digits, judged from
-    its prime powers before they are multiplied out.  value < 2^bits, bits
-    the sum of their bit lengths, so it has at most bits * log10(2) digits,
-    rounded up, and 30103/100000 > log10(2).  The sum of e * bit_length(p),
-    at least bits, passes nearly every value at once; only a value it does
-    not pass has its bits summed exactly, by _power_bits."""
-    budget = _MAX_DIGITS * 100000
-    if sum([e * p.bit_length() for p, e in value.factors]) * 30103 <= budget:
+    its prime powers before they are multiplied out: exactnum's bound on its
+    bits passes nearly every value at once, and only a value it does not
+    pass has its prime powers' bit lengths summed exactly, by _power_bits."""
+    if _digits_bound(_bits_bound(value)) <= _MAX_DIGITS:
         return
-    bits = sum([_power_bits(p, e) for p, e in value.factors])
-    if bits * 30103 > budget:
+    digits = _digits_bound(sum([_power_bits(p, e) for p, e in value.factors]))
+    if digits > _MAX_DIGITS:
         raise DomainError("the value has up to %d digits; at most %d are printed"
-                          % (-(-bits * 30103 // 100000), _MAX_DIGITS))
+                          % (digits, _MAX_DIGITS))
 
 
 def _render(value: FactoredInteger, form: str = "plain"):

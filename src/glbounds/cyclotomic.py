@@ -56,7 +56,7 @@ class Conductor(Value):
         if not (type(value) is int  # not True, 12.0 or "12"
                 and (value == 1 or (value >= 3 and value % 4 != 2))):
             raise DomainError("%r is not a canonical conductor" % (value,))
-        object.__setattr__(self, "value", value)
+        self._fill(value)
 
 
 def _check_conductor(n):
@@ -106,7 +106,7 @@ class ExactCyclotomic(Value):
 
     def __init__(self, conductor: Conductor):
         _check_conductor(conductor)
-        object.__setattr__(self, "conductor", conductor)
+        self._fill(conductor)
 
     @property
     def degree(self) -> int:
@@ -128,9 +128,7 @@ class DegreeOnly(Value):
         for flag in (minus1_sum_of_two_squares, contains_sqrt5):
             if flag not in TRISTATE:
                 raise DomainError("flag must be yes/no/unknown, got %r" % flag)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "minus1_sum_of_two_squares", minus1_sum_of_two_squares)
-        object.__setattr__(self, "contains_sqrt5", contains_sqrt5)
+        self._fill(degree, minus1_sum_of_two_squares, contains_sqrt5)
 
 
 def _check_field(k):
@@ -143,13 +141,6 @@ QQ = ExactCyclotomic(Conductor(1))
 
 class CycloInvariants(Value):
     __slots__ = _fields = ("p", "t_p", "m_p", "e_p", "xi4_in_k")
-
-    def __init__(self, p: int, t_p: int, m_p: int, e_p: int, xi4_in_k: bool):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t_p", t_p)
-        object.__setattr__(self, "m_p", m_p)
-        object.__setattr__(self, "e_p", e_p)
-        object.__setattr__(self, "xi4_in_k", xi4_in_k)
 
 
 def _adjoined_conductor(k: ExactCyclotomic, p: int) -> Conductor:

@@ -21,11 +21,6 @@ from .exactnum import DomainError, Value, _check_int, _check_prime, _check_tuple
 class EquationSolution(Value):
     __slots__ = _fields = ("m", "e", "t")
 
-    def __init__(self, m: int, e: int, t: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "t", t)
-
 
 class SolutionConstraints(Value):
     """Side conditions for the enumeration.
@@ -53,10 +48,7 @@ class SolutionConstraints(Value):
             _check_int("t_max", t_max)
         extra = _check_tuple("extra", extra, "tags", lambda tag: isinstance(tag, str))
         preds = tuple([_parse_tag(tag) for tag in extra])  # validates every tag
-        object.__setattr__(self, "e_min", e_min)
-        object.__setattr__(self, "t_max", t_max)
-        object.__setattr__(self, "extra", extra)
-        object.__setattr__(self, "_preds", preds)
+        self._fill(e_min, t_max, extra, preds)
 
 
 def _parse_tag(tag: str):

@@ -187,16 +187,41 @@ def _check_tuple(name: str, value, items: str, is_item) -> tuple:
 class Value:
     """Base of the package's immutable record types.
 
-    A subclass names its fields in `_fields`, in constructor order, lists
-    them in `__slots__` and sets them in its own `__init__` through
-    object.__setattr__, or through each slot's own bound setter where many
-    are built.  Values compare and hash by their fields, are never
-    equal to an instance of another class, refuse assignment and deletion,
-    print as Name(field=value, ...), and pickle and copy by their fields.
+    A subclass names its fields in `_fields`, in constructor order, and
+    lists them in `__slots__`, then any private slots.  Each class has
+    `_fill(self, <its slots in order>)`, generated on its first build, which
+    its `__init__` calls once its checks pass; `_fill` itself is the
+    `__init__` of a class with neither checks nor private slots.
+    Values compare and hash by their fields, are never equal to an instance
+    of another class, refuse assignment and deletion, print as
+    Name(field=value, ...), and pickle and copy by their fields.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):  # no checks and no private slot: _fill is __init__
+        if "__init__" not in cls.__dict__ and cls.__dict__.get("__slots__") == cls._fields:
+            cls.__init__ = Value._fill
+
+    def _fill(self, *args, **kwargs):
+        """The _fill of self's class until its first build, which generates
+        the class's own, as namedtuple and dataclasses generate their code:
+        each slot is stored by its member_descriptor.__set__, since
+        __setattr__ refuses.  It replaces this stand-in, also as __init__,
+        and fills self.  Generating on first use keeps the compiling out of
+        import, which every CLI run pays."""
+        cls = next(klass for klass in type(self).__mro__ if klass.__dict__.get("__slots__"))
+        slots = tuple(cls.__slots__)
+        namespace = {"_set_%d" % i: cls.__dict__[name].__set__ for i, name in enumerate(slots)}
+        exec("def __init__(%s):\n%s" % (", ".join(("self",) + slots), "".join(
+            ["    _set_%d(self, %s)\n" % (i, name) for i, name in enumerate(slots)])), namespace)
+        fill = cls._fill = namespace["__init__"]
+        fill.__qualname__ = cls.__qualname__ + ".__init__"  # as TypeError names it
+        fill.__module__ = cls.__module__
+        if cls.__dict__.get("__init__") is Value._fill:
+            cls.__init__ = fill
+        fill(self, *args, **kwargs)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -256,8 +281,7 @@ class FactoredInteger(Value):
     def __init__(self, factors: tuple[tuple[int, int], ...]):
         factors = _check_tuple("factors", factors, "(prime, exponent) pairs",
                                lambda pair: type(pair) is tuple and len(pair) == 2)
-        _set_factors(self, factors)
-        _set_int(self, None)
+        self._fill(factors, None)
         self.__post_init__()  # looked up by name: perfbench/tracer.py wraps it to count
 
     def __post_init__(self):
@@ -278,8 +302,7 @@ class FactoredInteger(Value):
         """Wrap factors sorted by prime, with prime bases and exponents >= 1,
         unchecked."""
         self = object.__new__(cls)
-        _set_factors(self, factors)
-        _set_int(self, None)
+        cls._fill(self, factors, None)
         return self
 
     @classmethod
@@ -323,7 +346,7 @@ class FactoredInteger(Value):
         return fi_cmp(self, other) <= 0
 
 
-_set_factors, _set_int = [FactoredInteger.__dict__[name].__set__ for name in ("factors", "_int")]
+_set_int = FactoredInteger.__dict__["_int"].__set__  # for to_int, once the value is built
 ONE = FactoredInteger(())
 
 
@@ -345,12 +368,18 @@ def fi_div_exact(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
     return FactoredInteger._trusted(tuple(sorted((p, e) for p, e in m.items() if e)))
 
 
-def _small_int(a: FactoredInteger) -> int | None:
-    """a's int, now kept, if a is small by the bound sum(e * bit_length(p))
-    on its bits, which is read before anything is multiplied out; else None."""
-    if sum([e * p.bit_length() for p, e in a.factors]) <= _STR_BITS:
-        return a.to_int()
-    return None
+def _bits_bound(a: FactoredInteger) -> int:
+    """bits with a < 2^bits, read before anything is multiplied out: a kept
+    int's bit_length(), else the sum of e * bit_length(p), at least 1."""
+    if a._int is not None:
+        return a._int.bit_length()
+    return sum([e * p.bit_length() for p, e in a.factors]) or 1
+
+
+def _digits_bound(bits: int) -> int:
+    """Most decimal digits of an int below 2^bits: bits * log10(2) rounded
+    up, with 30103/100000 > log10(2)."""
+    return -(-bits * 30103 // 100000)
 
 
 def fi_cmp(a: FactoredInteger, b: FactoredInteger) -> int:
@@ -366,15 +395,11 @@ def fi_cmp(a: FactoredInteger, b: FactoredInteger) -> int:
     The inputs are already valid, so the residuals are not built (and
     re-validated) as FactoredIntegers.
     """
-    x = a._int
-    if x is None:
-        x = _small_int(a)
-    if x is not None:
-        y = b._int
-        if y is None:
-            y = _small_int(b)
-        if y is not None:
-            return (x > y) - (x < y)
+    x, y = a._int, b._int
+    if (x is None or y is None) and _bits_bound(a) <= _STR_BITS and _bits_bound(b) <= _STR_BITS:
+        x, y = a.to_int(), b.to_int()
+    if x is not None and y is not None:
+        return (x > y) - (x < y)
     rest = dict(a.factors)
     ra = rb = 1
     for p, e in b.factors:

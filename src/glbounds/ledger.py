@@ -52,6 +52,8 @@ from .exactnum import (
     FactoredInteger,
     NonDivisible,
     Value,
+    _bits_bound,
+    _digits_bound,
     fi_cmp,
     fi_div_exact,
     fi_mul,
@@ -149,23 +151,8 @@ class LedgerNode(Value):
             _check_text(id, "paper_prints", paper_prints)
         if note is not None:
             _check_text(id, "note", note)
-        parsed = None if spec.parse is None else spec.parse(id, args)
-        # Each slot's own setter, bound once below the class: cheaper than
-        # object.__setattr__.
-        _set_id(self, id)
-        _set_kind(self, kind)
-        _set_args(self, MappingProxyType(args))
-        _set_children(self, tuple(children))
-        _set_declared(self, declared)
-        _set_citation(self, citation)
-        _set_paper_prints(self, paper_prints)
-        _set_note(self, note)
-        _set_parsed(self, parsed)
-
-
-(_set_id, _set_kind, _set_args, _set_children, _set_declared, _set_citation,
- _set_paper_prints, _set_note, _set_parsed) = [
-    LedgerNode.__dict__[name].__set__ for name in LedgerNode.__slots__]
+        self._fill(id, kind, MappingProxyType(args), tuple(children), declared, citation,
+                   paper_prints, note, None if spec.parse is None else spec.parse(id, args))
 
 
 class Ledger(Value):
@@ -233,12 +220,7 @@ class Ledger(Value):
                 raise SchemaError("whitelisted id %r is not a node" % wid)
         if len(set(whitelist)) != len(whitelist):
             raise SchemaError("duplicate whitelist entry")
-        object.__setattr__(self, "schema_version", schema_version)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "whitelist", tuple(whitelist))
-        object.__setattr__(self, "nodes", MappingProxyType(nodes))
-        object.__setattr__(self, "node_values", {})
-        object.__setattr__(self, "_parents", parents)
+        self._fill(schema_version, root, tuple(whitelist), MappingProxyType(nodes), {}, parents)
 
     @property
     def order(self) -> tuple[str, ...]:
@@ -250,23 +232,11 @@ class VerificationRow(Value):
 
     def __init__(self, id: str, declared: FactoredInteger, computed: FactoredInteger,
                  status: str, annotation: str | None = None):  # status: Match | Mismatch | Unchecked
-        # One row per node and verify: the slots' own setters, as in LedgerNode.
-        _row_id(self, id)
-        _row_declared(self, declared)
-        _row_computed(self, computed)
-        _row_status(self, status)
-        _row_annotation(self, annotation)
-
-
-_row_id, _row_declared, _row_computed, _row_status, _row_annotation = [
-    VerificationRow.__dict__[name].__set__ for name in VerificationRow._fields]
+        self._fill(id, declared, computed, status, annotation)
 
 
 class VerificationReport(Value):
     __slots__ = _fields = ("rows",)
-
-    def __init__(self, rows: tuple[VerificationRow, ...]):
-        object.__setattr__(self, "rows", rows)
 
     def mismatches(self) -> list[VerificationRow]:
         return [r for r in self.rows if r.status == "Mismatch"]
@@ -727,6 +697,11 @@ def _eval(ledger: Ledger, nids: list[str] | tuple[str, ...],
     return [(memo if nid in dirty else values)[nid] for nid in nids]
 
 
+def _check_ledger(ledger) -> None:  # the public entry points' one check of a ledger
+    if not isinstance(ledger, Ledger):
+        raise LedgerError("expected a Ledger, got %s" % type(ledger).__name__)
+
+
 def _normalize_overrides(
     ledger: Ledger,
     overrides: Mapping[str, FactoredInteger | int] | None,
@@ -737,6 +712,8 @@ def _normalize_overrides(
     removes the branch from maxima without deleting the node.  Their prime
     factors must lie below 10^8, the domain of declared keys.
     """
+    if not (overrides is None or isinstance(overrides, Mapping)):
+        raise LedgerError("overrides must be a mapping, got %s" % type(overrides).__name__)
     out: dict[str, FactoredInteger] = {}
     for nid, value in (overrides or {}).items():
         if nid not in ledger.nodes:
@@ -757,6 +734,7 @@ def eval_node(
     nid: str,
     overrides: Mapping[str, FactoredInteger | int] | None = None,
 ) -> FactoredInteger:
+    _check_ledger(ledger)
     if not (isinstance(nid, str) and nid in ledger.nodes):
         raise LedgerError("no node %r" % (nid,))
     return _eval(ledger, [nid], _normalize_overrides(ledger, overrides))[0]
@@ -769,6 +747,7 @@ def verify_ledger(ledger: Ledger) -> VerificationReport:
     reported as Unchecked.  A paper_prints entry that differs from the
     declared decimal is surfaced as an annotation on the row.
     """
+    _check_ledger(ledger)
     values = _eval(ledger, ledger.order)  # one walk, nodes in document order
     rows = []
     for nid, computed in zip(ledger.order, values):
@@ -792,6 +771,7 @@ def final_bound(
     ledger: Ledger,
     overrides: Mapping[str, FactoredInteger | int] | None = None,
 ) -> FactoredInteger:
+    _check_ledger(ledger)
     if ledger.root is None:
         raise LedgerError("ledger has no designated root")
     return eval_node(ledger, ledger.root, overrides)
@@ -803,11 +783,11 @@ def explain(ledger: Ledger, nid: str) -> str:
     A subtree shared by several parents is rendered once per path, so the
     text can grow exponentially in a ledger's depth.  LedgerError refuses a
     tree whose lines, each with its newline, pass _EXPLAIN_CHARS characters.
-    A value not yet multiplied out is refused before it is rendered if even
-    its decimal may pass what is left, bounded from its factors: value <
-    2^bits, bits = sum(e * bit_length(p)), has at most bits * log10(2) + 1
-    digits, and grouping adds a space per three.
+    A value is refused before it is rendered if even its decimal may pass
+    what is left, by exactnum's bound on its digits, and grouping adds a
+    space per three.
     """
+    _check_ledger(ledger)
     if not (isinstance(nid, str) and nid in ledger.nodes):
         raise LedgerError("no node %r" % (nid,))
     _eval(ledger, [nid])  # fills node_values for nid and everything below it
@@ -818,10 +798,9 @@ def explain(ledger: Ledger, nid: str) -> str:
         node_id, depth = stack.pop()
         node = ledger.nodes[node_id]
         value = ledger.node_values[node_id]
-        if value._int is None:  # a kept int has at most 2 000 bits
-            digits = sum([e * p.bit_length() for p, e in value.factors]) * 30103 // 100000 + 1
-            if digits + digits // 3 > left:
-                break
+        digits = _digits_bound(_bits_bound(value))
+        if digits + digits // 3 > left:
+            break
         line = "%s%s [%s] = %s = %s  (%s)" % (
             "  " * depth, node_id, node.kind, fi_to_factored_str(value),
             fi_to_decimal(value, group=True), node.citation)
@@ -850,6 +829,7 @@ def dumps_ledger(ledger: Ledger) -> str:
     """The ledger as JSON text: json.dumps(indent=2, ensure_ascii=False) of
     the document that loads back to it, plus "\n", written field by field
     from the ledger."""
+    _check_ledger(ledger)
     enc = encode_basestring
     top = ['"schema_version": %d' % ledger.schema_version]
     if ledger.root is not None:

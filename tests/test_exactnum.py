@@ -16,6 +16,8 @@ from glbounds.exactnum import (
     FactoredInteger,
     NonDivisible,
     _SPRP_EXACT_BELOW,
+    _bits_bound,
+    _digits_bound,
     _factor_below,
     _strong_probable_prime,
     _valuation,
@@ -353,6 +355,28 @@ def test_cmp_on_either_side_of_the_kept_int_bound(warm):
         assert value._int is None or n.bit_length() <= 2000
     if warm == "none":  # only compared: kept exactly when the bound is at most 2 000
         assert [value._int is not None for value in values[:3]] == [True, True, False]
+
+
+@pytest.mark.parametrize("warm", ["none", "rendered", "compared"])
+def test_bits_bound_is_exact_for_a_kept_int_and_the_sum_otherwise(warm):
+    for value, m in zip(_boundary_values(warm), BOUNDARY_MAPS):
+        n, bits = _expand(m), _bits_bound(value)
+        if value._int is None:
+            assert bits == sum([e * p.bit_length() for p, e in m.items()])
+        else:
+            assert bits == n.bit_length()
+        assert n < 2**bits and len(str(n)) <= _digits_bound(bits)
+    assert _bits_bound(FactoredInteger(())) == 1  # the empty product 1 < 2^1
+
+
+def test_digits_bound_is_at_most_one_past_the_digits_below_its_power_of_two():
+    for bits in itertools.chain(range(1, 3000), [99999, 100000, 100001]):
+        digits = len(fi_to_decimal(FactoredInteger(((2, bits),))))  # those of 2^bits - 1
+        assert digits <= _digits_bound(bits) <= digits + 1, bits
+    # the bits of minkowski_bound(9999999) and (1000000), and the digits the
+    # CLI prints when it refuses them
+    assert _digits_bound(236138287) == 71084709
+    assert _digits_bound(20295748) == 6109630
 
 
 def test_comparing_huge_values_multiplies_out_only_what_differs():

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import time
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -412,6 +413,42 @@ def test_final_bound_needs_root():
     ledger = load_ledger(doc(node("c", "Constant", {})))
     with pytest.raises(LedgerError):
         final_bound(ledger)
+
+
+# Each public entry point refuses a ledger or overrides argument of the wrong
+# type with a LedgerError naming the type; every one of these once raised a
+# bare AttributeError.
+_WRONG_TYPES = {
+    "verify-a-str": (lambda led: verify_ledger("x"), "expected a Ledger, got str"),
+    "final-a-str": (lambda led: final_bound("x"), "expected a Ledger, got str"),
+    "dumps-a-str": (lambda led: dumps_ledger("x"), "expected a Ledger, got str"),
+    "explain-none": (lambda led: explain(None, "g10"), "expected a Ledger, got NoneType"),
+    "eval-a-node-map": (
+        lambda led: eval_node(dict(led.nodes), "g10"), "expected a Ledger, got dict"),
+    "final-override-list": (
+        lambda led: final_bound(led, [("g10", 0)]), "overrides must be a mapping, got list"),
+    "eval-override-str": (
+        lambda led: eval_node(led, "g10", "g10"), "overrides must be a mapping, got str"),
+    "final-override-set": (
+        lambda led: final_bound(led, {"g10"}), "overrides must be a mapping, got set"),
+    "final-override-empty-list": (
+        lambda led: final_bound(led, []), "overrides must be a mapping, got list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_entry_points_refuse_wrong_types_cleanly(ledger, case):
+    call, message = _WRONG_TYPES[case]
+    with pytest.raises(LedgerError) as info:
+        call(ledger)
+    assert str(info.value) == message
+
+
+def test_overrides_may_be_any_mapping(ledger):
+    want = final_bound(ledger, {"g10": 0})
+    assert final_bound(ledger, MappingProxyType({"g10": 0})) == want
+    assert eval_node(ledger, "g10", MappingProxyType({"g10": 7})) == fi(7)
+    assert final_bound(ledger, MappingProxyType({})) == final_bound(ledger)
 
 
 def test_verify_statuses_and_whitelist():

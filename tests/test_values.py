@@ -3,11 +3,14 @@
 Each type is built from its constructor arguments, cannot be changed after
 construction, compares and hashes by its fields, never equals an instance
 of another class, and has a Name(field=value, ...) repr.  Ledger's leaf memo
-and a FactoredInteger's kept int are the slots outside that contract.
+and a FactoredInteger's kept int are the slots outside that contract.  Every
+type stores its slots through the one `_fill` that Value generates for it,
+and no library module stores a slot any other way.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
 import itertools
 import os
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import glbounds
 from glbounds.bounds import (
     GroupFamily, pgl2_admissible, schur_bound, schur_exponent, serre_exponent,
 )
@@ -29,7 +33,7 @@ from glbounds.cyclotomic import (
     contains_root_of_unity,
 )
 from glbounds.diophantine import EquationSolution, SolutionConstraints
-from glbounds.exactnum import DomainError, FactoredInteger, factorial_valuation
+from glbounds.exactnum import DomainError, FactoredInteger, Value, factorial_valuation
 from glbounds.ledger import Ledger, LedgerNode, VerificationReport, VerificationRow
 
 EIGHT = FactoredInteger(((2, 3),))
@@ -76,6 +80,14 @@ CASES = {
 }
 
 UNHASHABLE = {"LedgerNode", "Ledger"}  # they hold dicts
+LIBRARY = ("exactnum", "cyclotomic", "bounds", "diophantine", "ledger")
+# slots that are no constructor argument, by class
+PRIVATE_SLOTS = {
+    "FactoredInteger": ("_int",),
+    "LedgerNode": ("_parsed",),
+    "Ledger": ("node_values", "_parents"),
+    "SolutionConstraints": ("_preds",),
+}
 
 
 def _fields(name):
@@ -89,6 +101,111 @@ def test_positional_and_keyword_construction_agree(name):
     assert by_position == by_keyword
     for field, value in kwargs.items():
         assert getattr(by_position, field) == value
+
+
+def _value_classes():
+    found, todo = [], list(Value.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__ in ["glbounds." + name for name in LIBRARY]:
+            found.append(cls)
+    return found
+
+
+def test_every_library_value_class_is_a_case():
+    classes = _value_classes()
+    assert sorted([cls.__qualname__ for cls in classes]) == sorted(CASES)
+    assert all(CASES[cls.__qualname__][0] is cls for cls in classes)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fill_stores_its_arguments_into_the_slots_in_order(name):
+    cls = CASES[name][0]
+    assert cls.__slots__ == cls._fields + PRIVATE_SLOTS.get(name, ())
+    value = object.__new__(cls)
+    marks = [object() for _ in cls.__slots__]
+    cls._fill(value, *marks)
+    assert all([getattr(value, slot) is mark for slot, mark in zip(cls.__slots__, marks)])
+    assert cls._fill.__qualname__ == name + ".__init__"
+    assert cls._fill.__module__ == cls.__module__
+
+
+def test_fill_is_the_init_of_a_class_with_no_checks_and_no_private_slots():
+    plain = {name for name, (cls, *_) in CASES.items() if cls.__init__ is cls._fill}
+    assert plain == {"CycloInvariants", "EquationSolution", "VerificationReport"}
+    for name in plain:
+        cls, args = CASES[name][:2]
+        with pytest.raises(TypeError) as info:
+            cls(*args[:-1])
+        assert str(info.value).startswith(name + ".__init__() missing 1 required positional")
+
+
+def test_a_subclass_without_slots_keeps_its_bases_fill():
+    class Shadow(EquationSolution):
+        pass
+
+    assert Shadow._fill is EquationSolution._fill
+    assert (Shadow(1, 2, 3).m, Shadow(1, 2, 3).t) == (1, 3)
+
+
+def test_import_generates_only_the_fills_of_the_values_it_builds():
+    # ONE and QQ are built at import; every other class gets its _fill on
+    # its first build, so importing the package compiles no other filler.
+    code = ("import glbounds.cli\n"
+            "from glbounds.exactnum import Value\n"
+            "todo, built = Value.__subclasses__(), []\n"
+            "while todo:\n"
+            "    cls = todo.pop()\n"
+            "    todo += cls.__subclasses__()\n"
+            "    built += [cls.__name__] if '_fill' in cls.__dict__ else []\n"
+            "print(sorted(built))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "['Conductor', 'ExactCyclotomic', 'FactoredInteger']\n"
+
+
+def _slot_stores(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each object.__setattr__ and each __set__ read outside
+    class Value and the _set_int binding."""
+    found = []
+
+    def visit(node, allowed):
+        if isinstance(node, ast.ClassDef) and node.name == "Value":
+            allowed = True
+        elif isinstance(node, ast.Assign) and [
+                getattr(target, "id", None) for target in node.targets] == ["_set_int"]:
+            allowed = True
+        elif isinstance(node, ast.Attribute):
+            if (node.attr == "__setattr__" and isinstance(node.value, ast.Name)
+                    and node.value.id == "object"):
+                found.append((node.lineno, "object.__setattr__"))
+            elif node.attr == "__set__" and not allowed:
+                found.append((node.lineno, "__set__"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, allowed)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_the_slot_store_scan_finds_both_idioms():
+    source = ("class Row:\n"
+              "    def __init__(self, a):\n"
+              "        object.__setattr__(self, 'a', a)\n"
+              "_set_a = Row.__dict__['a'].__set__\n"
+              "_set_int = Row.__dict__['a'].__set__\n")
+    assert _slot_stores(source) == [(3, "object.__setattr__"), (4, "__set__")]
+
+
+def test_library_stores_slots_only_through_fill():
+    package = Path(glbounds.__file__).parent
+    found = {path.name: _slot_stores(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: stores for name, stores in found.items() if stores} == {}
+    assert {"exactnum.py", "ledger.py"} <= set(found)
 
 
 def test_constructor_defaults():
