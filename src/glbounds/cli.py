@@ -8,15 +8,15 @@ factored and that is the form worth eyeballing.
 
 Each command builds its whole output as one text, which main writes to
 stdout at once, so a command that fails writes nothing there.  Every value
-becomes text through _render, which first holds it to the _MAX_DIGITS
-budget; that covers every value any subcommand prints, ledger values too.
+becomes text through exactnum's fi_to_decimal, which refuses one of more
+than 10^6 digits with a DomainError before rendering it; that covers every
+value any subcommand prints, ledger values and declared values too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -41,8 +41,6 @@ from .exactnum import (
     _TRIAL_LIMIT,
     DomainError,
     FactoredInteger,
-    _bits_bound,
-    _digits_bound,
     fi_to_decimal,
     fi_to_factored_str,
 )
@@ -52,13 +50,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
-
-# Most decimal digits any subcommand prints for one value.  Rendering
-# grows with the square of the digits: minkowski -n 100000 prints 509 886 in
-# seconds, while minkowski -n 1000000, 6 098 582 digits, runs for minutes.
-_MAX_DIGITS = 10**6
-# _power_bits trusts a floating-point e * log2(p) this far, relative, from an integer.
-_LOG_MARGIN = 2.0**-40
 
 
 # ------------------------------------------------------------ small helpers
@@ -95,42 +86,10 @@ def _override_pair(text: str) -> tuple[str, int]:
     return nid, value
 
 
-def _power_bits(p: int, e: int) -> int:
-    """(p**e).bit_length(), without building p**e where an estimate settles
-    it: e + 1 for p = 2, and floor(e * log2 p) + 1 for odd p, whose powers
-    are no power of 2.  In floating point, t = e * math.log2(p) is within
-    (k + 1) * 2^-52 * t of e * log2 p when math.log2 is within k units in
-    the last place (C libraries document k = 1).  The floor of t is taken
-    only when t - t/2^40 and t + t/2^40 have the same floor: that margin
-    covers any k up to 2^11.  (p**e).bit_length() decides the rest."""
-    if p == 2:
-        return e + 1
-    t = e * math.log2(p)
-    margin = t * _LOG_MARGIN
-    low = math.floor(t - margin)
-    if low == math.floor(t + margin):
-        return low + 1
-    return (p**e).bit_length()
-
-
-def _check_digits(value: FactoredInteger) -> None:
-    """Refuse a value that may have more than _MAX_DIGITS digits, judged from
-    its prime powers before they are multiplied out: exactnum's bound on its
-    bits passes nearly every value at once, and only a value it does not
-    pass has its prime powers' bit lengths summed exactly, by _power_bits."""
-    if _digits_bound(_bits_bound(value)) <= _MAX_DIGITS:
-        return
-    digits = _digits_bound(sum([_power_bits(p, e) for p, e in value.factors]))
-    if digits > _MAX_DIGITS:
-        raise DomainError("the value has up to %d digits; at most %d are printed"
-                          % (digits, _MAX_DIGITS))
-
-
 def _render(value: FactoredInteger, form: str = "plain"):
-    """value as the CLI prints it, once _check_digits has passed it: its
-    "plain" or "grouped" decimal, its "factored" power product = grouped
-    decimal, or its "json" object {"factored": {...}, "decimal": "..."}."""
-    _check_digits(value)
+    """value as the CLI prints it: its "plain" or "grouped" decimal, its
+    "factored" power product = grouped decimal, or its "json" object
+    {"factored": {...}, "decimal": "..."}."""
     if form == "json":
         return {"factored": {str(p): e for p, e in value.factors}, "decimal": str(value)}
     if form == "plain":
@@ -300,13 +259,7 @@ def _cmd_ledger_eval(ns) -> str:
 
 
 def _cmd_ledger_explain(ns) -> str:
-    ledger = _load(ns)
-    # A fresh ledger: evaluating ns.id fills node_values with exactly the
-    # values explain renders, so each is held to the budget first.
-    ledger_mod.eval_node(ledger, ns.id)
-    for value in ledger.node_values.values():
-        _check_digits(value)
-    return ledger_mod.explain(ledger, ns.id) + "\n"
+    return ledger_mod.explain(_load(ns), ns.id) + "\n"
 
 
 def _cmd_ledger_final(ns) -> str:

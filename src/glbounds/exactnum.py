@@ -2,7 +2,9 @@
 
 Every bound in this package is a product of explicit prime powers, often far
 beyond 2**63, so values are carried as maps prime -> exponent and only
-expanded to decimal for display.  No floats anywhere.
+expanded to decimal for display, by fi_to_decimal, at most _MAX_DIGITS
+digits.  No floats anywhere but _power_bits' e * log2(p), trusted only
+where a proven margin settles its floor.
 """
 
 from __future__ import annotations
@@ -358,12 +360,13 @@ def fi_mul(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
 
 
 def fi_div_exact(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
-    """a / b when b divides a exactly, else NonDivisible."""
+    """a / b when b divides a exactly, else NonDivisible, naming both factored."""
     m = a.as_map()
     for p, e in b.factors:
         r = m.get(p, 0) - e
         if r < 0:
-            raise NonDivisible("%s does not divide %s" % (b, a))
+            raise NonDivisible("%s does not divide %s"
+                               % (fi_to_factored_str(b), fi_to_factored_str(a)))
         m[p] = r
     return FactoredInteger._trusted(tuple(sorted((p, e) for p, e in m.items() if e)))
 
@@ -380,6 +383,42 @@ def _digits_bound(bits: int) -> int:
     """Most decimal digits of an int below 2^bits: bits * log10(2) rounded
     up, with 30103/100000 > log10(2)."""
     return -(-bits * 30103 // 100000)
+
+
+# Most digits fi_to_decimal renders for one value.  Rendering grows with the
+# square of the digits: 509 886 take seconds, 6 098 582 take minutes.
+_MAX_DIGITS = 10**6
+_LOG_MARGIN = 2.0**-40  # how far, relative, _power_bits trusts e * log2(p) from an integer
+
+
+def _power_bits(p: int, e: int) -> int:
+    """(p**e).bit_length(), without building p**e where an estimate settles
+    it: e + 1 for p = 2, and floor(e * log2 p) + 1 for odd p, whose powers
+    are no power of 2.  In floating point, t = e * math.log2(p) is within
+    (k + 1) * 2^-52 * t of e * log2 p when math.log2 is within k units in
+    the last place (C libraries document k = 1).  The floor of t is taken
+    only when t - t/2^40 and t + t/2^40 have the same floor: that margin
+    covers any k up to 2^11.  (p**e).bit_length() decides the rest."""
+    if p == 2:
+        return e + 1
+    t = e * math.log2(p)
+    margin = t * _LOG_MARGIN
+    low = math.floor(t - margin)
+    if low == math.floor(t + margin):
+        return low + 1
+    return (p**e).bit_length()
+
+
+def _check_digits(value: FactoredInteger) -> None:
+    """Refuse a value that may have more than _MAX_DIGITS digits, judged from
+    its prime powers unbuilt: _bits_bound passes nearly every value at once,
+    and the rest have their powers' bit lengths summed exactly by _power_bits."""
+    if _digits_bound(_bits_bound(value)) <= _MAX_DIGITS:
+        return
+    digits = _digits_bound(sum([_power_bits(p, e) for p, e in value.factors]))
+    if digits > _MAX_DIGITS:
+        raise DomainError("the value has up to %d digits; at most %d are printed"
+                          % (digits, _MAX_DIGITS))
 
 
 def fi_cmp(a: FactoredInteger, b: FactoredInteger) -> int:
@@ -433,7 +472,11 @@ def fi_to_decimal(a: FactoredInteger, group: bool = False) -> str:
 
     grouped:  24 103 053 950 976 000
     plain:    24103053950976000
+
+    A value past _MAX_DIGITS digits is a DomainError before it is multiplied out.
     """
+    if a._int is None:  # a kept int has at most _STR_BITS bits, inside the budget
+        _check_digits(a)
     n = a.to_int()  # a small value keeps its int
     if group and n.bit_length() <= _STR_BITS:
         return format(n, ",").replace(",", " ")

@@ -528,7 +528,10 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
         raise BadDeclaredValue("%s: decimal must be a string" % (node_id,))
     # Prime bases, positive exponents, no prime twice: the checks above are
     # the validation, so sorting is all that is left.
-    value, expect, _ = _rendered(tuple(sorted(factors.items())))
+    try:
+        value, expect, _ = _rendered(tuple(sorted(factors.items())))
+    except DomainError as exc:  # past the digit budget
+        raise BadDeclaredValue("%s: %s" % (node_id, exc)) from None
     if decimal != expect:
         raise BadDeclaredValue(
             "%s: decimal %r does not match declared factorization (%s)"
@@ -785,7 +788,7 @@ def explain(ledger: Ledger, nid: str) -> str:
     tree whose lines, each with its newline, pass _EXPLAIN_CHARS characters.
     A value is refused before it is rendered if even its decimal may pass
     what is left, by exactnum's bound on its digits, and grouping adds a
-    space per three.
+    space per three; past the digit budget, fi_to_decimal raises DomainError.
     """
     _check_ledger(ledger)
     if not (isinstance(nid, str) and nid in ledger.nodes):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -13,9 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glbounds.bounds import minkowski_bound, table
+from glbounds import exactnum
+from glbounds.bounds import minkowski_bound, pgl2_admissible, table
 from glbounds.cli import _use_color, build_parser, main
-from glbounds.exactnum import ONE, DomainError, FactoredInteger, fi_to_decimal, fi_to_factored_str
+from glbounds.exactnum import (
+    ONE, DomainError, FactoredInteger, _check_digits, _power_bits, fi_to_decimal,
+    fi_to_factored_str,
+)
 from glbounds.ledger import dumps_ledger, explain, load_ledger, paper_ledger
 from glbounds.totient import invphi_all
 
@@ -524,24 +529,47 @@ def test_a_value_past_the_digit_limit_is_a_clean_error(capsys):
         "error: the value has up to 6109630 digits; at most 1000000 are printed\n")
 
 
-def test_the_digit_limit_on_either_side(capsys, monkeypatch):
-    import glbounds.cli as cli
+# Both have 1 000 000 digits; the bound reads 1 000 000 for the first and
+# 1 000 001 for the second, whose bit length is one more.
+_AT_THE_LIMIT = ((2, 3321927),)
+_PAST_THE_LIMIT = ((2, 3321928),)
 
-    # Both have 1 000 000 digits; the bound reads 1 000 000 for the first and
-    # 1 000 001 for the second, whose bit length is one more.
-    cli._check_digits(FactoredInteger(((2, 3321927),)))
-    past = FactoredInteger(((2, 3321928),))
-    with pytest.raises(DomainError):
-        cli._check_digits(past)
-    monkeypatch.setattr(cli, "minkowski_bound", lambda n: past)
-    monkeypatch.setattr(cli, "table", lambda n, dmax: [(1, ONE), (2, past)])
-    for argv in (["minkowski", "-n", "3"], ["table", "-n", "3", "--dmax", "2"]):
-        for fmt in ("text", "json"):
-            assert main(argv + ["--format", fmt]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""  # no row is printed before the refusal
-            assert captured.err == (
-                "error: the value has up to 1000001 digits; at most 1000000 are printed\n")
+
+def test_the_digit_limit_on_either_side():
+    _check_digits(FactoredInteger(_AT_THE_LIMIT))
+    with pytest.raises(DomainError) as info:
+        _check_digits(FactoredInteger(_PAST_THE_LIMIT))
+    assert str(info.value) == "the value has up to 1000001 digits; at most 1000000 are printed"
+
+
+# Each value-printing subcommand, the function it takes its value from, and
+# a stand-in for that function, given the value past the limit first.
+_PAST_THE_LIMIT_COMMANDS = {
+    "minkowski": (["minkowski", "-n", "3"], "glbounds.cli.minkowski_bound",
+                  lambda past, *args: past),
+    "schur": (["schur", "-n", "3"], "glbounds.cli.schur_bound", lambda past, *args: past),
+    "serre": (["serre", "-n", "3"], "glbounds.cli.serre_bound", lambda past, *args: past),
+    "rough": (["rough", "-n", "3", "-d", "2"], "glbounds.cli.rough_bound",
+              lambda past, *args: past),
+    "table": (["table", "-n", "3", "--dmax", "2"], "glbounds.cli.table",
+              lambda past, *args: [(1, ONE), (2, past)]),
+    "pgl2": (["pgl2", "-d", "2"], "glbounds.cli.pgl2_admissible",
+             lambda past, field: (pgl2_admissible(field)[0], past)),
+    "ledger eval": (["ledger", "eval", "g10"], "glbounds.ledger.eval_node",
+                    lambda past, *args: past),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(_PAST_THE_LIMIT_COMMANDS))
+def test_every_value_printing_command_is_held_to_the_digit_limit(capsys, monkeypatch, name, fmt):
+    argv, target, stand_in = _PAST_THE_LIMIT_COMMANDS[name]
+    monkeypatch.setattr(target, functools.partial(stand_in, FactoredInteger(_PAST_THE_LIMIT)))
+    assert main(argv + ["--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no row is printed before the refusal
+    assert captured.err == (
+        "error: the value has up to 1000001 digits; at most 1000000 are printed\n")
 
 
 @pytest.fixture
@@ -566,13 +594,11 @@ _LEDGER_VALUE_COMMANDS = [
 
 @pytest.mark.parametrize("argv", _LEDGER_VALUE_COMMANDS, ids=" ".join)
 def test_ledger_values_are_held_to_the_digit_budget(capsys, monkeypatch, budget_ledger, argv):
-    import glbounds.cli as cli
-
     argv = ["ledger", *argv, "--file", budget_ledger]
-    monkeypatch.setattr(cli, "_MAX_DIGITS", 18)
+    monkeypatch.setattr(exactnum, "_MAX_DIGITS", 18)
     assert main(argv) == (3 if "verify" in argv else 0)  # m is no whitelisted mismatch
     assert "24" in capsys.readouterr().out
-    monkeypatch.setattr(cli, "_MAX_DIGITS", 17)
+    monkeypatch.setattr(exactnum, "_MAX_DIGITS", 17)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -581,12 +607,10 @@ def test_ledger_values_are_held_to_the_digit_budget(capsys, monkeypatch, budget_
 
 def test_a_verify_row_past_the_budget_prints_none_of_the_rows_before_it(
         capsys, monkeypatch, budget_ledger):
-    import glbounds.cli as cli
-
-    monkeypatch.setattr(cli, "_MAX_DIGITS", 18)
+    monkeypatch.setattr(exactnum, "_MAX_DIGITS", 18)
     assert main(["ledger", "verify", "--file", budget_ledger]) == 3
     assert capsys.readouterr().out.startswith("Unchecked  c ")
-    monkeypatch.setattr(cli, "_MAX_DIGITS", 17)
+    monkeypatch.setattr(exactnum, "_MAX_DIGITS", 17)
     assert main(["ledger", "verify", "--file", budget_ledger]) == 1
     assert capsys.readouterr().out == ""
     # explain holds only the values below its node to the budget
@@ -606,53 +630,47 @@ def test_an_explain_past_its_character_budget_is_a_clean_error(capsys, tmp_path)
 
 
 def test_power_bits_are_the_bit_lengths_of_the_powers():
-    import glbounds.cli as cli
-
     cases = [(p, e) for p in (2, 3, 5, 7, 97, 65537, 99999989, 2**61 - 1)
              for e in (1, 2, 3, 10, 53, 64, 1000, 4099)]
     # e * log2(p) within the margin of an integer: the power decides these
     cases += [(3, 190537), (7, 453601)]
     for p, e in cases:
-        assert cli._power_bits(p, e) == (p**e).bit_length(), (p, e)
+        assert _power_bits(p, e) == (p**e).bit_length(), (p, e)
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.dictionaries(st.sampled_from((2, 3, 5, 7, 97, 65537, 99999989)), st.integers(1, 400),
                        max_size=4).map(FactoredInteger.from_map), st.integers(1, 1200))
 def test_the_digit_bound_reads_the_exact_bit_lengths(value, limit):
-    import glbounds.cli as cli
-
     bits = sum([(p**e).bit_length() for p, e in value.factors])
-    real = cli._MAX_DIGITS
-    cli._MAX_DIGITS = limit
+    real = exactnum._MAX_DIGITS
+    exactnum._MAX_DIGITS = limit
     try:
         if bits * 30103 > limit * 100000:
             with pytest.raises(DomainError) as info:
-                cli._check_digits(value)
+                _check_digits(value)
             assert str(info.value) == "the value has up to %d digits; at most %d are printed" % (
                 -(-bits * 30103 // 100000), limit)
         else:
-            cli._check_digits(value)
+            _check_digits(value)
     finally:
-        cli._MAX_DIGITS = real
+        exactnum._MAX_DIGITS = real
 
 
 @settings(deadline=None)
 @given(st.dictionaries(st.sampled_from((2, 3, 5, 7, 97, 65537, 99999989)), st.integers(1, 40),
                        max_size=4).map(FactoredInteger.from_map))
 def test_no_value_of_more_digits_than_the_limit_is_printed(value):
-    import glbounds.cli as cli
-
-    real = cli._MAX_DIGITS
-    cli._MAX_DIGITS = 40
+    real = exactnum._MAX_DIGITS
+    exactnum._MAX_DIGITS = 40
     try:
-        cli._check_digits(value)
+        _check_digits(value)
     except DomainError:
         pass
     else:
         assert len(str(value.to_int())) <= 40
     finally:
-        cli._MAX_DIGITS = real
+        exactnum._MAX_DIGITS = real
 
 
 def test_color_gating(monkeypatch):

@@ -15,7 +15,9 @@ from glbounds.exactnum import (
     DomainError,
     FactoredInteger,
     NonDivisible,
+    _MAX_DIGITS,
     _SPRP_EXACT_BELOW,
+    _STR_BITS,
     _bits_bound,
     _digits_bound,
     _factor_below,
@@ -379,6 +381,24 @@ def test_digits_bound_is_at_most_one_past_the_digits_below_its_power_of_two():
     assert _digits_bound(20295748) == 6109630
 
 
+def test_a_kept_int_is_inside_the_digit_budget():
+    # fi_to_decimal checks only a value with no kept int, since a kept int
+    # has at most _STR_BITS bits.
+    assert _digits_bound(_STR_BITS) <= _MAX_DIGITS
+
+
+def test_decimal_refuses_a_value_past_the_digit_budget_unexpanded():
+    past = FactoredInteger(((2, 3321928),))  # 1 000 001 digits by the bound
+    for group in (False, True):
+        with pytest.raises(DomainError) as info:
+            fi_to_decimal(past, group=group)
+        assert str(info.value) == (
+            "the value has up to 1000001 digits; at most 1000000 are printed")
+    with pytest.raises(DomainError):
+        str(past)
+    assert past._int is None
+
+
 def test_comparing_huge_values_multiplies_out_only_what_differs():
     # 10^100000 * 3 and 10^100000 * 7: the common power of ten cancels
     a = FactoredInteger.from_map({2: 100000, 3: 1, 5: 100000})
@@ -406,8 +426,9 @@ def test_div_exact_inverts_mul(a, b):
 
 
 def test_div_exact_rejects_non_divisor():
-    with pytest.raises(NonDivisible):
+    with pytest.raises(NonDivisible) as info:
         fi_div_exact(fi(10), fi(4))
+    assert str(info.value) == "2^2 does not divide 2 * 5"
 
 
 def test_operators():

@@ -703,6 +703,57 @@ def test_explain_refuses_a_value_past_its_budget_before_rendering_it():
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_declared_value_past_the_digit_budget_is_refused_before_it_is_rendered():
+    # 2^10000000 has 3 010 300 digits, whose rendering ran for minutes.
+    import glbounds.ledger as ledger_mod
+
+    text = json.dumps({"schema_version": 1, "root": "m", "nodes": [
+        {"id": "m", "kind": "Constant", "args": {}, "children": [],
+         "declared": {"2": 10000000}, "decimal": "1", "citation": "m"}]})
+    cached = ledger_mod._rendered.cache_info().currsize
+    start = time.perf_counter()
+    with pytest.raises(BadDeclaredValue) as info:
+        load_ledger(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (
+        "m: the value has up to 3010301 digits; at most 1000000 are printed")
+    assert ledger_mod._rendered.cache_info().currsize == cached
+
+
+def test_explain_refuses_a_value_past_the_digit_budget_before_rendering_it():
+    # big = 3^5000000 has 2 385 607 digits, a render of about a minute; its
+    # grouped decimal fits explain's character budget, not the digit budget.
+    ledger = load_ledger(doc(node("c", "Constant", {"3": 5000}),
+                             node("big", "Product", {}, children=["c"] * 1000)))
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as info:
+        explain(ledger, "big")
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == "the value has up to 2385607 digits; at most 1000000 are printed"
+
+
+def test_an_inexact_scale_of_a_value_past_the_digit_budget_is_scale_not_exact():
+    # The quotient's refusal names the values factored, rendering neither.
+    ledger = Ledger(1, "s", (), {
+        "c": LedgerNode("c", "Constant", {}, (), FactoredInteger(((2, 10000000),)), "c"),
+        "s": LedgerNode("s", "ScaledProduct", {"num": 1, "den": 3}, ("c",), ONE, "s")})
+    start = time.perf_counter()
+    with pytest.raises(ScaleNotExact, match="^s: 1/3 of the child product is not an integer$"):
+        final_bound(ledger)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_export_refuses_a_declared_value_past_the_digit_budget():
+    # A ledger built directly, whose declared value no loader has rendered.
+    ledger = Ledger(1, "m", (), {"m": LedgerNode(
+        "m", "Constant", {}, (), FactoredInteger(((2, 10000000),)), "m")})
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as info:
+        dumps_ledger(ledger)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == "the value has up to 3010301 digits; at most 1000000 are printed"
+
+
 def test_evaluation_reaches_only_what_it_needs_left_to_right():
     ledger = load_ledger(doc(
         node("ten", "Constant", {"2": 1, "5": 1}),
