@@ -304,9 +304,7 @@ class GroupFamily(Value):
     """
 
     __slots__ = _fields = ("kind", "m")
-
-    def __init__(self, kind: str, m: int = 0):
-        self._fill(kind, m)
+    _defaults = (0,)
 
     @property
     def order(self) -> int:
@@ -349,7 +347,7 @@ def _admissible_m(field) -> list[int]:
             for m in invphi_all(2 * d)
             if m >= 2 and real_cyclo_member(m, field.conductor)
         ]
-    return [m for m in invphi_all(2 * d) if m >= 2]
+    return invphi_all(2 * d)[1:]  # it ascends from 1
 
 
 def pgl2_admissible(field) -> tuple[list[GroupFamily], FactoredInteger]:
@@ -365,8 +363,8 @@ def pgl2_admissible(field) -> tuple[list[GroupFamily], FactoredInteger]:
         raise DomainError("field must be an ExactCyclotomic or a DegreeOnly, got %r" % (field,))
     minus1, sqrt5 = _flags(field)
     ms = _admissible_m(field)
-    fams = [GroupFamily("cyclic", m) for m in ms]
-    fams += [GroupFamily("dihedral", m) for m in ms]
+    fams = list(map(GroupFamily, ["cyclic"] * len(ms), ms))
+    fams += map(GroupFamily, ["dihedral"] * len(ms), ms)
     exceptional = []
     if minus1 != "no":
         exceptional += [GroupFamily("A4"), GroupFamily("S4")]

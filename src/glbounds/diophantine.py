@@ -108,8 +108,12 @@ def solve_standard_equation(p: int, d: int, c: SolutionConstraints) -> list[Equa
         while lhs <= rhs:
             if rhs % lhs == 0:
                 e = rhs // lhs
-                if e >= e_min and all([pred(m, e, t) for pred in preds]):
-                    out.append(EquationSolution(m, e, t))
+                if e >= e_min:
+                    for pred in preds:
+                        if not pred(m, e, t):
+                            break
+                    else:
+                        out.append(EquationSolution(m, e, t))
             m += 1
             lhs *= p
     return out

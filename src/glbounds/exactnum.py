@@ -193,7 +193,9 @@ class Value:
     lists them in `__slots__`, then any private slots.  Each class has
     `_fill(self, <its slots in order>)`, generated on its first build, which
     its `__init__` calls once its checks pass; `_fill` itself is the
-    `__init__` of a class with neither checks nor private slots.
+    `__init__` of a class with neither checks nor private slots.  Such a
+    class may name `_defaults`, the values of its last fields when a call
+    leaves them out, as namedtuple's defaults do, and its `_fill` takes them.
     Values compare and hash by their fields, are never equal to an instance
     of another class, refuse assignment and deletion, print as
     Name(field=value, ...), and pickle and copy by their fields.
@@ -201,6 +203,7 @@ class Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls):  # no checks and no private slot: _fill is __init__
         if "__init__" not in cls.__dict__ and cls.__dict__.get("__slots__") == cls._fields:
@@ -219,6 +222,7 @@ class Value:
         exec("def __init__(%s):\n%s" % (", ".join(("self",) + slots), "".join(
             ["    _set_%d(self, %s)\n" % (i, name) for i, name in enumerate(slots)])), namespace)
         fill = cls._fill = namespace["__init__"]
+        fill.__defaults__ = cls._defaults or None
         fill.__qualname__ = cls.__qualname__ + ".__init__"  # as TypeError names it
         fill.__module__ = cls.__module__
         if cls.__dict__.get("__init__") is Value._fill:
@@ -312,7 +316,10 @@ class FactoredInteger(Value):
         """Build from a prime -> exponent map, dropping zero exponents."""
         if not isinstance(factors, dict):
             raise DomainError("factors must be a dict of prime -> exponent, got %r" % (factors,))
-        return cls(tuple(sorted((p, e) for p, e in factors.items() if e != 0)))
+        pairs = factors.items()
+        if 0 in factors.values():
+            pairs = [(p, e) for p, e in pairs if e != 0]
+        return cls(tuple(sorted(pairs)))
 
     @classmethod
     def from_int(cls, n: int) -> "FactoredInteger":
@@ -352,10 +359,12 @@ _set_int = FactoredInteger.__dict__["_int"].__set__  # for to_int, once the valu
 ONE = FactoredInteger(())
 
 
-def fi_mul(a: FactoredInteger, b: FactoredInteger) -> FactoredInteger:
-    m = a.as_map()
-    for p, e in b.factors:
-        m[p] = m.get(p, 0) + e
+def fi_mul(*values: FactoredInteger) -> FactoredInteger:
+    """The product of any number of values, built as one record."""
+    m: dict[int, int] = {}
+    for value in values:
+        for p, e in value.factors:
+            m[p] = m.get(p, 0) + e
     return FactoredInteger._trusted(tuple(sorted(m.items())))
 
 

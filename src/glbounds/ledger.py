@@ -19,7 +19,12 @@ and keeps the result in its private `_parsed` slot.  Parsing, like reading
 a declared key and rendering a declared value, goes through pure functions
 of hashable arguments, each cached in a bounded lru_cache, so every
 distinct argument set, key and value is parsed once per process and the
-nodes that share one share the result.
+nodes that share one share the result.  The loader also keeps, per process,
+each decimal it accepted a declared map for, with a copy of that map and its
+value: a node that repeats both, every exponent an int, takes the value
+unparsed.  That map is bounded like the caches and admits no value past
+_STR_BITS bits, so it pins no long decimal; no node, leaf or bound value
+outlives its load.
 
 dumps_ledger writes each node's fields straight from the ledger, in the
 layout json.dumps(indent=2, ensure_ascii=False) gives the document that loads
@@ -38,9 +43,11 @@ __all__ = [
 
 import json
 import os
+from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from json.encoder import encode_basestring
+from threading import Lock
 from types import MappingProxyType
 
 from .cyclotomic import DegreeOnly, QQ, TRISTATE
@@ -103,10 +110,14 @@ _NODE_OPTIONAL = ("paper_prints", "note")  # in the order the loader checks them
 _NODE_ALLOWED = _NODE_FIELDS.union(_NODE_OPTIONAL)  # built once, not per node
 # yes/no/unknown arguments; every other but "constraints" is a positive integer
 _TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
+_INT = frozenset({int})  # the one exponent type a reused declared map may hold
 # Entries each parse and render cache keeps.  The packaged ledger fills at
 # most about a hundred (its distinct declared values), so loading it evicts
 # nothing, and a stream of other ledgers cannot grow the caches past this.
 _CACHE_SIZE = 512
+# Longest decimal a declared-value mismatch quotes: past it the message
+# names the given decimal by its length and the expected value factored.
+_QUOTE_CHARS = 100
 # Most characters explain renders for one query: about 300 times the
 # packaged ledger's largest tree, theorem-cr3's 32 780.
 _EXPLAIN_CHARS = 10**7
@@ -228,11 +239,10 @@ class Ledger(Value):
 
 
 class VerificationRow(Value):
-    __slots__ = _fields = ("id", "declared", "computed", "status", "annotation")
+    """status is Match, Mismatch or Unchecked; annotation defaults to None."""
 
-    def __init__(self, id: str, declared: FactoredInteger, computed: FactoredInteger,
-                 status: str, annotation: str | None = None):  # status: Match | Mismatch | Unchecked
-        self._fill(id, declared, computed, status, annotation)
+    __slots__ = _fields = ("id", "declared", "computed", "status", "annotation")
+    _defaults = (None,)
 
 
 class VerificationReport(Value):
@@ -311,23 +321,24 @@ def _factor_small(value: int) -> FactoredInteger:
     return FactoredInteger.from_int(value)
 
 
-def _factor_arg(value: int, what: str, error: type) -> FactoredInteger:
-    """value (>= 1) factored, or an error naming what if from_int refuses it
-    or it has a prime factor of 10^8 or more, past the declared keys' domain."""
+def _factor_arg(value: int, error: type, what: str, *parts) -> FactoredInteger:
+    """value (>= 1) factored, or an error naming what % parts if from_int
+    refuses it or it has a prime factor of 10^8 or more, past the declared
+    keys' domain.  The name is formatted only for the error."""
     try:
         factored = _factor_small(value)
     except DomainError as exc:
-        raise error("%s: %s" % (what, exc)) from None
+        raise error("%s: %s" % (what % parts, exc)) from None
     if factored.factors and factored.factors[-1][0] >= _TRIAL_LIMIT:
-        raise error("%s has a prime factor of 10^8 or more" % what)
+        raise error("%s has a prime factor of 10^8 or more" % (what % parts))
     return factored
 
 
 def _parse_scaled_product(node_id: str, args: Mapping[str, object]
                           ) -> tuple[FactoredInteger, FactoredInteger]:
     """num and den as FactoredIntegers."""
-    return tuple([_factor_arg(args[name], "%s: arg %r" % (node_id, name), SchemaError)
-                  for name in ("num", "den")])
+    return (_factor_arg(args["num"], SchemaError, "%s: arg %r", node_id, "num"),
+            _factor_arg(args["den"], SchemaError, "%s: arg %r", node_id, "den"))
 
 
 # Value functions reach the bound functions, fi_mul and fi_cmp through this
@@ -342,13 +353,6 @@ def _equation_case(node: LedgerNode, kids) -> FactoredInteger:
     return FactoredInteger._trusted(((args["p"], exponent),))  # p was checked by parse
 
 
-def _product(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
-    value = kids[0]
-    for kid in kids[1:]:
-        value = fi_mul(value, kid)
-    return value
-
-
 def _max(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
     value = kids[0]
     for kid in kids[1:]:
@@ -360,7 +364,7 @@ def _max(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
 def _scaled_product(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
     num, den = node._parsed
     try:
-        return fi_div_exact(fi_mul(num, _product(node, kids)), den)
+        return fi_div_exact(fi_mul(num, *kids), den)
     except NonDivisible:
         raise ScaleNotExact("%s: %d/%d of the child product is not an integer"
                             % (node.id, node.args["num"], node.args["den"])) from None
@@ -395,7 +399,7 @@ KINDS = {
     "EquationCase": _Kind(
         _equation_case, required={"p", "n", "d"}, optional={"e_min", "t_max", "constraints"},
         parse=_parse_equation_case),
-    "Product": _Kind(_product, leaf=False),
+    "Product": _Kind(lambda node, kids: fi_mul(*kids), leaf=False),
     "Max": _Kind(_max, leaf=False),
     "AppendixProp": _Kind(_max, required={"n", "d_max"}, leaf=False, check=_check_appendix_prop),
     "ScaledProduct": _Kind(
@@ -423,15 +427,6 @@ def _all_str(items) -> bool:
     generator for the short lists of ids and tags a node holds."""
     for item in items:
         if not isinstance(item, str):
-            return False
-    return True
-
-
-def _all_int(values) -> bool:
-    """Whether every value is an int proper, not a bool or a float that
-    compares equal to one."""
-    for value in values:
-        if type(value) is not int:
             return False
     return True
 
@@ -533,11 +528,21 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
     except DomainError as exc:  # past the digit budget
         raise BadDeclaredValue("%s: %s" % (node_id, exc)) from None
     if decimal != expect:
-        raise BadDeclaredValue(
-            "%s: decimal %r does not match declared factorization (%s)"
-            % (node_id, decimal, expect)
-        )
+        # A long decimal is named by its length, a long value factored, so
+        # the message grows with the declared map, not with its value.
+        raise BadDeclaredValue("%s: decimal %s does not match declared factorization (%s)" % (
+            node_id,
+            repr(decimal) if len(decimal) <= _QUOTE_CHARS else "of %d characters" % len(decimal),
+            expect if len(expect) <= _QUOTE_CHARS else fi_to_factored_str(value)))
     return value
+
+
+# decimal -> (a copy of the declared map accepted for it, its value): what
+# every load shares of the declared values it has parsed, beside the render
+# cache.  It holds at most _CACHE_SIZE values, each of at most _STR_BITS bits,
+# so it pins no long decimal; once it is full, each new value drops the oldest.
+_accepted: OrderedDict[str, tuple[dict, FactoredInteger]] = OrderedDict()
+_accepting = Lock()
 
 
 def _check_acyclic(nodes: Mapping[str, LedgerNode], parents: Mapping[str, list[str]]) -> None:
@@ -582,11 +587,10 @@ def load_ledger(source) -> Ledger:
     fields, a duplicate id, an optional field given as null, and each
     declared map against its decimal.
 
-    Within one load, a node whose decimal an earlier node's declared map
-    was accepted for, and whose map equals that map with every exponent an
-    int, takes that node's value unparsed: the checks would pass it again
-    and give the same value.  The accepted values are kept for that load
-    only.
+    A node whose decimal a declared map was accepted for, in this load or
+    an earlier one, and whose map equals that map with every exponent an
+    int, takes the accepted value unparsed: the checks would pass it again
+    and give the same value.  _accepted keeps those maps and values.
     """
     if isinstance(source, Mapping):
         doc = source
@@ -608,7 +612,6 @@ def load_ledger(source) -> Ledger:
         raise SchemaError("nodes must be a list")
 
     nodes: dict[str, LedgerNode] = {}
-    accepted: dict[str, tuple[dict, FactoredInteger]] = {}  # decimal -> (declared, value)
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise SchemaError("node entries must be objects")
@@ -621,13 +624,19 @@ def load_ledger(source) -> Ledger:
         nid, raw_declared, decimal = raw["id"], raw["declared"], raw["decimal"]
         # A plain dict and str only: a subclass may compare as it likes.
         plain = type(raw_declared) is dict and type(decimal) is str
-        seen = accepted.get(decimal) if plain else None
-        if seen is not None and raw_declared == seen[0] and _all_int(raw_declared.values()):
+        seen = _accepted.get(decimal) if plain else None
+        # Every exponent's type int, not a bool or a float that compares
+        # equal to one, and then equal maps.
+        if seen is not None and _INT.issuperset(map(type, raw_declared.values())) \
+                and raw_declared == seen[0]:
             declared = seen[1]
         else:
             declared = _parse_declared(nid, raw_declared, decimal)
-            if plain:
-                accepted[decimal] = raw_declared, declared
+            if plain and declared._int is not None:  # a kept int: at most _STR_BITS bits
+                with _accepting:  # loads in other threads may add at the same time
+                    if len(_accepted) >= _CACHE_SIZE:
+                        _accepted.popitem(last=False)
+                    _accepted[decimal] = dict(raw_declared), declared
         node = LedgerNode(nid, raw["kind"], raw["args"], raw["children"], declared,
                           raw["citation"], raw.get("paper_prints"), raw.get("note"))
         if nid in nodes:
@@ -726,7 +735,7 @@ def _normalize_overrides(
         elif isinstance(value, int) and not isinstance(value, bool):
             if value < 0:
                 raise LedgerError("override for %r must be >= 0, got %d" % (nid, value))
-            out[nid] = _factor_arg(value or 1, "override for %r" % nid, LedgerError)
+            out[nid] = _factor_arg(value or 1, LedgerError, "override for %r", nid)
         else:
             raise LedgerError("override for %r is not an integer" % nid)
     return out

@@ -1,10 +1,10 @@
 """Euler's totient and its exact inversion.
 
 invphi_all(B) lists every n with phi(n) <= B by a depth-first search over
-prime powers.  A prime p divides such an n only if phi(p) = p - 1 <= B, and
+prime powers, on one explicit stack.  A prime p divides such an n only if phi(p) = p - 1 <= B, and
 phi is multiplicative, so n is built one prime at a time in increasing
 order of prime while the running phi(n) stays <= B.  Every extension the
-search tries either yields a new n or ends its loop, so the cost grows with
+search tries either yields a new n or ends its branch, so the cost grows with
 the output: about (zeta(2) zeta(3) / zeta(6)) * B ~ 1.94 * B values
 (Bateman 1972), plus a sieve and one euler_phi call per prime up to B + 1.
 invphi_max(B) is the last of them.
@@ -46,21 +46,25 @@ def _invphi(bound: int) -> list[int]:
     # phi(p) grows with p, so a search may stop at the first that overshoots.
     primes = [(p, euler_phi(p)) for p in primes_upto(bound + 1)]
     out = [1]
-
-    def extend(n: int, phi_n: int, start: int) -> None:
-        for i in range(start, len(primes)):
-            p, phi_p = primes[i]
-            m, phi = n * p, phi_n * phi_p
-            if phi > bound:
-                return
-            # phi(n p^k) = phi(n) phi(p^k), and phi(p^(k+1)) = p phi(p^k)
-            while phi <= bound:
-                out.append(m)
-                extend(m, phi, i + 1)
-                m *= p
-                phi *= p
-
-    extend(1, 1, 0)
+    # (n, phi(n), i): extend n by the prime primes[i] and the ones after it.
+    # An entry tries one prime and leaves one entry for the next, so the
+    # stack holds a few entries per prime of the n being built.
+    stack = [(1, 1, 0)]
+    while stack:
+        n, phi_n, i = stack.pop()
+        if i == len(primes):
+            continue
+        p, phi_p = primes[i]
+        m, phi = n * p, phi_n * phi_p
+        if phi > bound:
+            continue
+        stack.append((n, phi_n, i + 1))
+        # phi(n p^k) = phi(n) phi(p^k), and phi(p^(k+1)) = p phi(p^k)
+        while phi <= bound:
+            out.append(m)
+            stack.append((m, phi, i + 1))
+            m *= p
+            phi *= p
     out.sort()
     return out
 

@@ -253,6 +253,8 @@ def test_construction_rejects_bad_factors():
 
 def test_from_map_drops_zero_exponents():
     assert FactoredInteger.from_map({2: 3, 5: 0}) == fi(8)
+    assert FactoredInteger.from_map({5: 0}) == ONE
+    assert FactoredInteger.from_map({5: 1, 2: 3}).factors == ((2, 3), (5, 1))
 
 
 def test_a_list_of_factors_is_kept_as_a_tuple():
@@ -276,6 +278,17 @@ def test_int_round_trip(n):
 @given(positive, positive)
 def test_mul_matches_integers(a, b):
     assert fi_mul(fi(a), fi(b)).to_int() == a * b
+
+
+@given(st.lists(positive, max_size=6))
+def test_a_product_of_many_is_the_chained_product_of_two(ns):
+    values = [fi(n) for n in ns]
+    chained = ONE
+    for value in values:
+        chained = fi_mul(chained, value)
+    product = fi_mul(*values)
+    assert product == chained and product.to_int() == math.prod(ns)
+    assert _revalidated(product) == product
 
 
 @given(positive, positive)

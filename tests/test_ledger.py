@@ -4,7 +4,10 @@ import copy
 import json
 import math
 import pickle
+import sys
+import threading
 import time
+from collections import OrderedDict
 from types import MappingProxyType
 
 import pytest
@@ -841,6 +844,15 @@ def _count_calls(monkeypatch, owner, names):
     return logs
 
 
+def _clear_ledger_caches():
+    import glbounds.ledger as ledger_mod
+
+    for cached in (ledger_mod._constraints, ledger_mod._odd_prime, ledger_mod._factor_small,
+                   ledger_mod._declared_prime, ledger_mod._rendered):
+        cached.cache_clear()
+    ledger_mod._accepted.clear()
+
+
 def test_each_declared_value_is_rendered_once_per_load_and_per_export(monkeypatch):
     import glbounds.ledger as ledger_mod
 
@@ -848,8 +860,7 @@ def test_each_declared_value_is_rendered_once_per_load_and_per_export(monkeypatc
     document = json.loads(text)
     calls = _count_calls(monkeypatch, ledger_mod, ["fi_to_decimal"])["fi_to_decimal"]
     # The caches live for the process; earlier tests may have warmed them.
-    ledger_mod._declared_prime.cache_clear()
-    ledger_mod._rendered.cache_clear()
+    _clear_ledger_caches()
     loaded = load_ledger(document)
     assert len(loaded.order) == 218
     # One rendering per distinct value, which its nodes share.
@@ -868,9 +879,7 @@ def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
     logs = _count_calls(monkeypatch, ledger_mod, ["SolutionConstraints", "is_prime"])
     logs.update(_count_calls(monkeypatch, FactoredInteger, ["from_int"]))
     # The caches live for the process; earlier tests may have warmed them.
-    for cached in (ledger_mod._constraints, ledger_mod._odd_prime, ledger_mod._factor_small,
-                   ledger_mod._declared_prime, ledger_mod._rendered):
-        cached.cache_clear()
+    _clear_ledger_caches()
     loaded = load_ledger(document)
     cases = [n for n in loaded.nodes.values() if n.kind == "EquationCase"]
     scaled = [n for n in loaded.nodes.values() if n.kind == "ScaledProduct"]
@@ -931,21 +940,180 @@ def test_a_repeated_decimal_in_another_spelling_loads_to_the_same_value():
     assert dumps_ledger(loaded).count('"2": 10') == 2
 
 
-def test_each_load_keeps_only_its_own_accepted_values():
+def _one(declared, decimal):
+    return doc(dict(node("a", "Constant", {}), declared=declared, decimal=decimal))
+
+
+def test_each_load_gives_its_own_value_or_error_whatever_was_loaded_before():
     # One decimal, three maps: each document gives its own value or error,
     # whatever was loaded before it.
-    def one(declared):
-        return doc(dict(node("a", "Constant", {}), declared=declared, decimal="1 024"))
-
     for _ in range(2):
-        assert load_ledger(one({"2": 10})).nodes["a"].declared == fi(1024)
+        assert load_ledger(_one({"2": 10}, "1 024")).nodes["a"].declared == fi(1024)
         with pytest.raises(BadDeclaredValue) as info:
-            load_ledger(one({"2": 9}))
+            load_ledger(_one({"2": 9}, "1 024"))
         assert str(info.value) == "a: decimal '1 024' does not match declared factorization (512)"
-        assert load_ledger(one({"02": 10})).nodes["a"].declared == fi(1024)
+        assert load_ledger(_one({"02": 10}, "1 024")).nodes["a"].declared == fi(1024)
         with pytest.raises(BadDeclaredValue) as info:
-            load_ledger(one({"2": True}))
+            load_ledger(_one({"2": True}, "1 024"))
         assert str(info.value) == "a: declared exponent for 2 must be a positive integer"
+
+
+def _load_outcome(document):
+    """What loading document gives: its declared factors, or its error."""
+    try:
+        return load_ledger(document).nodes["a"].declared.factors
+    except LedgerError as exc:
+        return type(exc), str(exc)
+
+
+one_node_documents = st.builds(
+    _one,
+    st.dictionaries(st.sampled_from(["2", "02"]), st.sampled_from([10, True, 10.0, 0, 1]),
+                    max_size=2),
+    st.sampled_from(["1 024", "1024", "2", "1"]))
+
+
+@given(st.lists(one_node_documents, min_size=1, max_size=6))
+@example([_one({"2": 1}, "2"), _one({"2": True}, "2")])
+@example([_one({"2": 10}, "1 024"), _one({"2": 10.0}, "1 024"), _one({"02": 10}, "1 024")])
+def test_a_load_gives_what_it_gives_with_every_cache_cleared_first(documents):
+    # The oracle clears every ledger cache before each load; the loads under
+    # test share whatever the loads before them left, twice over.
+    fresh = []
+    for document in documents:
+        _clear_ledger_caches()
+        fresh.append(_load_outcome(document))
+    _clear_ledger_caches()
+    assert [_load_outcome(document) for document in documents * 2] == fresh * 2
+
+
+def test_the_accepted_map_is_bounded_and_keeps_no_long_value(monkeypatch):
+    import glbounds.ledger as ledger_mod
+    from glbounds.exactnum import _STR_BITS
+
+    _clear_ledger_caches()
+    monkeypatch.setattr(ledger_mod, "_CACHE_SIZE", 4)
+    for e in range(1, 11):
+        load_ledger(doc(node("a", "Constant", {"2": e})))
+    assert list(ledger_mod._accepted) == [fi_to_decimal(fi(2**e), group=True)
+                                          for e in range(7, 11)]
+    # 2^1999 has _STR_BITS bits, 2^2000 one more: only the first is kept.
+    ledger_mod._accepted.clear()
+    for e in (_STR_BITS - 1, _STR_BITS):
+        load_ledger(doc(node("a", "Constant", {"2": e})))
+    assert [value for _, value in ledger_mod._accepted.values()] == [
+        FactoredInteger(((2, _STR_BITS - 1),))]
+    # The map keeps a copy: a document changed after its load is checked again.
+    document = doc(node("a", "Constant", {"2": 10}))
+    load_ledger(document)
+    document["nodes"][0]["declared"]["2"] = 9
+    with pytest.raises(BadDeclaredValue) as info:
+        load_ledger(document)
+    assert str(info.value) == "a: decimal '1 024' does not match declared factorization (512)"
+
+
+def test_loads_in_several_threads_keep_the_accepted_map_bounded(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    class Slow(OrderedDict):
+        """Gives up the interpreter between the size check and each store,
+        so a store that is not guarded overfills the map."""
+
+        def __setitem__(self, key, value):
+            time.sleep(0.0005)
+            super().__setitem__(key, value)
+
+    _clear_ledger_caches()
+    monkeypatch.setattr(ledger_mod, "_CACHE_SIZE", 4)
+    monkeypatch.setattr(ledger_mod, "_accepted", Slow())
+    documents = [doc(node("a", "Constant", {"2": e})) for e in range(1, 25)]
+    wrong = []
+
+    def work(offset):
+        for i in range(20):
+            e = (offset + i) % 24 + 1
+            if load_ledger(documents[e - 1]).nodes["a"].declared != fi(2**e):
+                wrong.append(e)
+
+    threads = [threading.Thread(target=work, args=(k * 5,)) for k in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and len(ledger_mod._accepted) <= 4
+
+
+def test_a_mismatch_names_a_long_value_factored_and_a_long_decimal_by_its_length():
+    cases = [
+        ({"2": 20000}, "1", "a: decimal '1' does not match declared factorization (2^20000)"),
+        ({"2": 75, "5": 75}, "1",
+         "a: decimal '1' does not match declared factorization (2^75 * 5^75)"),
+        ({"2": 74, "5": 74}, "1", "a: decimal '1' does not match declared factorization (100%s)"
+         % (" 000" * 24)),
+        ({"2": 10}, "9" * 101,
+         "a: decimal of 101 characters does not match declared factorization (1 024)"),
+        ({"2": 10}, "9" * 100,
+         "a: decimal '%s' does not match declared factorization (1 024)" % ("9" * 100)),
+    ]
+    for declared, decimal, message in cases:
+        with pytest.raises(BadDeclaredValue) as info:
+            load_ledger(_one(declared, decimal))
+        assert str(info.value) == message
+    assert len(cases[0][2]) < 200
+
+
+def test_an_args_name_is_formatted_only_when_it_is_refused():
+    import glbounds.ledger as ledger_mod
+
+    class Unprintable:
+        def __repr__(self):
+            raise AssertionError("formatted on success")
+
+    assert ledger_mod._factor_arg(12, SchemaError, "%s: arg %r", "s", Unprintable()) == fi(12)
+    with pytest.raises(SchemaError) as info:
+        ledger_mod._factor_arg(100000007, SchemaError, "%s: arg %r", "s", "num")
+    assert str(info.value) == "s: arg 'num' has a prime factor of 10^8 or more"
+
+
+def _python_calls(fn) -> int:
+    """The Python-level calls that one run of fn makes, fn's own included,
+    counted by sys.setprofile; the profiler set before is put back."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(before)
+    return count
+
+
+def test_a_warm_audit_and_round_trip_stay_within_their_python_calls():
+    # A guard on the loader's and evaluator's repeat work.  Read on CPython
+    # 3.11: 5 769 and 1 316 calls (7 439 and 1 552 before the declared values
+    # were kept across loads, the fillers took defaults and a product was
+    # built as one record).
+    text = dumps_ledger(paper_ledger())
+    ledger = load_ledger(text)
+
+    def audit():
+        fresh = load_ledger(text)
+        verify_ledger(fresh)
+        final_bound(fresh)
+
+    def round_trip():
+        load_ledger(dumps_ledger(ledger))
+
+    for op in (audit, audit, round_trip, round_trip):  # warm every cache
+        op()
+    assert _python_calls(audit) <= 5800
+    assert _python_calls(round_trip) <= 1350
 
 
 def test_a_loaded_nodes_constraints_are_its_own():

@@ -133,12 +133,25 @@ def test_fill_stores_its_arguments_into_the_slots_in_order(name):
 
 def test_fill_is_the_init_of_a_class_with_no_checks_and_no_private_slots():
     plain = {name for name, (cls, *_) in CASES.items() if cls.__init__ is cls._fill}
-    assert plain == {"CycloInvariants", "EquationSolution", "VerificationReport"}
+    assert plain == {"CycloInvariants", "EquationSolution", "GroupFamily", "VerificationReport",
+                     "VerificationRow"}
     for name in plain:
         cls, args = CASES[name][:2]
         with pytest.raises(TypeError) as info:
-            cls(*args[:-1])
+            cls(*args[:len(args) - len(cls._defaults) - 1])
         assert str(info.value).startswith(name + ".__init__() missing 1 required positional")
+
+
+def test_a_fill_takes_its_classs_defaults_for_the_last_fields():
+    assert GroupFamily._defaults == (0,) and VerificationRow._defaults == (None,)
+    assert GroupFamily("A4") == GroupFamily("A4", 0) == GroupFamily(kind="A4")
+    assert GroupFamily("A4").m == 0
+    row = VerificationRow("a", EIGHT, EIGHT, "Match")
+    assert row == VerificationRow("a", EIGHT, EIGHT, "Match", None)
+    assert row.annotation is None
+    assert pickle.loads(pickle.dumps(row)) == row and copy.copy(row) == row
+    assert [cls.__name__ for cls in _value_classes()
+            if cls._defaults and cls.__slots__ != cls._fields] == []
 
 
 def test_a_subclass_without_slots_keeps_its_bases_fill():
