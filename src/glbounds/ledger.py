@@ -22,9 +22,13 @@ distinct argument set, key and value is parsed once per process and the
 nodes that share one share the result.  The loader also keeps, per process,
 each decimal it accepted a declared map for, with a copy of that map and its
 value: a node that repeats both, every exponent an int, takes the value
-unparsed.  That map is bounded like the caches and admits no value past
-_STR_BITS bits, so it pins no long decimal; no node, leaf or bound value
-outlives its load.
+unparsed.  The evaluator keeps, per process, the factors of each leaf value it
+recomputed, keyed by the leaf's kind, its args and the bound function its kind
+calls: a leaf of any ledger that repeats all three takes a value object of its
+own built from those factors, and calls nothing.  Both maps are bounded like
+the caches and admit no value past _STR_BITS bits, so they pin no long decimal
+or factors tuple.  No node and no computed value object outlives its load; a
+leaf's factors tuple may, within that bound.
 
 dumps_ledger writes each node's fields straight from the ledger, in the
 layout json.dumps(indent=2, ensure_ascii=False) gives the document that loads
@@ -54,6 +58,7 @@ from .cyclotomic import DegreeOnly, QQ, TRISTATE
 from .diophantine import SolutionConstraints, max_schur_exponent
 from .exactnum import (
     ONE,
+    _STR_BITS,
     _TRIAL_LIMIT,
     DomainError,
     FactoredInteger,
@@ -111,9 +116,11 @@ _NODE_ALLOWED = _NODE_FIELDS.union(_NODE_OPTIONAL)  # built once, not per node
 # yes/no/unknown arguments; every other but "constraints" is a positive integer
 _TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
 _INT = frozenset({int})  # the one exponent type a reused declared map may hold
-# Entries each parse and render cache keeps.  The packaged ledger fills at
-# most about a hundred (its distinct declared values), so loading it evicts
-# nothing, and a stream of other ledgers cannot grow the caches past this.
+# Entries each parse and render cache, the accepted map and the leaf memo
+# keep.  The packaged ledger fills at most about a hundred (its distinct
+# declared values, its 102 distinct recomputed leaves), so loading and
+# evaluating it evicts nothing, and a stream of other ledgers cannot grow
+# the caches past this.
 _CACHE_SIZE = 512
 # Longest decimal a declared-value mismatch quotes: past it the message
 # names the given decimal by its length and the expected value factored.
@@ -179,7 +186,10 @@ class Ledger(Value):
     The ledger memoizes what it computes: `node_values` maps a node's id to
     its value without overrides, leaf or inner, filled by whichever
     evaluation reaches the node first.  Repeated verify / final / explain
-    calls on one ledger therefore compute each node once.  A what-if
+    calls on one ledger therefore compute each node once.  A recomputed
+    leaf is also looked up in the process-wide leaf memo first, so each
+    distinct (kind, args, bound function) is computed once per process
+    while the memo holds it, whichever ledger reaches it.  A what-if
     recomputes only the overridden nodes and their ancestors, in a memo of
     its own, and reads every other node from `node_values`; override-derived
     values never enter it.  `_parents` maps each id to its parents' ids in
@@ -267,17 +277,21 @@ class _Kind:
     calls it once its args pass the type check.  A kind whose args
     make a claim about its children has check(node, nodes), which Ledger
     runs once the children are known to exist and which raises SchemaError
-    if the claim fails."""
+    if the claim fails.  A leaf that recomputes its value names in `bound`
+    the module global of the bound function it calls, and its value is
+    value(node, function), the function the evaluator read from that name."""
 
-    __slots__ = ("required", "allowed", "leaf", "value", "parse", "check")
+    __slots__ = ("required", "allowed", "leaf", "value", "parse", "check", "bound")
 
-    def __init__(self, value, *, required=(), optional=(), leaf=True, parse=None, check=None):
+    def __init__(self, value, *, required=(), optional=(), leaf=True, parse=None, check=None,
+                 bound=None):
         self.required = frozenset(required)
         self.allowed = self.required | frozenset(optional)
         self.leaf = leaf
         self.value = value
         self.parse = parse
         self.check = check
+        self.bound = bound
 
 
 # The cached functions below are pure in their hashable arguments and reach
@@ -341,13 +355,18 @@ def _parse_scaled_product(node_id: str, args: Mapping[str, object]
             _factor_arg(args["den"], SchemaError, "%s: arg %r", node_id, "den"))
 
 
-# Value functions reach the bound functions, fi_mul and fi_cmp through this
-# module's globals at call time, so whatever is bound to those names here runs.
+# Value functions reach fi_mul and fi_cmp through this module's globals at
+# call time, and the evaluator reads a leaf's bound function (minkowski_bound,
+# ..., max_schur_exponent) from them by the name its kind gives, so whatever
+# is bound to those names here runs.  The leaf memo is keyed by that function
+# too: a function bound in place of another, such as a test's monkeypatch or
+# the wrappers perfbench/tracer.py installs, finds none of the entries the one
+# before it left, and runs.
 
-def _equation_case(node: LedgerNode, kids) -> FactoredInteger:
+def _equation_case(node: LedgerNode, bound) -> FactoredInteger:
     """p to the largest exponent the standard equation allows for p."""
     args = node.args
-    exponent = max_schur_exponent(args["p"], args["n"], args["d"], node._parsed)
+    exponent = bound(args["p"], args["n"], args["d"], node._parsed)
     if exponent == 0:
         return ONE
     return FactoredInteger._trusted(((args["p"], exponent),))  # p was checked by parse
@@ -388,17 +407,20 @@ def _check_appendix_prop(node: LedgerNode, nodes: Mapping[str, LedgerNode]) -> N
 # which rows it takes the maximum of, and its check holds them to that.
 KINDS = {
     "Constant": _Kind(lambda node, kids: node.declared),
-    "Minkowski": _Kind(lambda node, kids: minkowski_bound(node.args["n"]), required={"n"}),
-    "SchurRough": _Kind(
-        lambda node, kids: rough_bound(node.args["n"], node.args["d"]), required={"n", "d"}),
-    "SerreQ": _Kind(lambda node, kids: serre_bound(node.args["n"], QQ), required={"n"}),
+    "Minkowski": _Kind(lambda node, bound: bound(node.args["n"]),
+                       bound="minkowski_bound", required={"n"}),
+    "SchurRough": _Kind(lambda node, bound: bound(node.args["n"], node.args["d"]),
+                        bound="rough_bound", required={"n", "d"}),
+    "SerreQ": _Kind(lambda node, bound: bound(node.args["n"], QQ),
+                    bound="serre_bound", required={"n"}),
     "Pgl2": _Kind(  # the arg keys are DegreeOnly's parameters
-        lambda node, kids: pgl2_admissible(DegreeOnly(**node.args))[1],
-        required={"degree"}, optional=_TRISTATE_ARGS),
-    "Gl2": _Kind(lambda node, kids: gl2_max_order(node.args["degree"]), required={"degree"}),
+        lambda node, bound: bound(DegreeOnly(**node.args))[1],
+        bound="pgl2_admissible", required={"degree"}, optional=_TRISTATE_ARGS),
+    "Gl2": _Kind(lambda node, bound: bound(node.args["degree"]),
+                 bound="gl2_max_order", required={"degree"}),
     "EquationCase": _Kind(
-        _equation_case, required={"p", "n", "d"}, optional={"e_min", "t_max", "constraints"},
-        parse=_parse_equation_case),
+        _equation_case, bound="max_schur_exponent", required={"p", "n", "d"},
+        optional={"e_min", "t_max", "constraints"}, parse=_parse_equation_case),
     "Product": _Kind(lambda node, kids: fi_mul(*kids), leaf=False),
     "Max": _Kind(_max, leaf=False),
     "AppendixProp": _Kind(_max, required={"n", "d_max"}, leaf=False, check=_check_appendix_prop),
@@ -540,9 +562,19 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
 # decimal -> (a copy of the declared map accepted for it, its value): what
 # every load shares of the declared values it has parsed, beside the render
 # cache.  It holds at most _CACHE_SIZE values, each of at most _STR_BITS bits,
-# so it pins no long decimal; once it is full, each new value drops the oldest.
+# so it pins no long decimal.
 _accepted: OrderedDict[str, tuple[dict, FactoredInteger]] = OrderedDict()
-_accepting = Lock()
+_storing = Lock()
+
+
+def _keep(kept: OrderedDict, key, value) -> None:
+    """kept[key] = value, dropping the oldest entry once kept holds
+    _CACHE_SIZE.  Under a lock: loads and evaluations in other threads may
+    add at the same time."""
+    with _storing:
+        if len(kept) >= _CACHE_SIZE:
+            kept.popitem(last=False)
+        kept[key] = value
 
 
 def _check_acyclic(nodes: Mapping[str, LedgerNode], parents: Mapping[str, list[str]]) -> None:
@@ -633,10 +665,7 @@ def load_ledger(source) -> Ledger:
         else:
             declared = _parse_declared(nid, raw_declared, decimal)
             if plain and declared._int is not None:  # a kept int: at most _STR_BITS bits
-                with _accepting:  # loads in other threads may add at the same time
-                    if len(_accepted) >= _CACHE_SIZE:
-                        _accepted.popitem(last=False)
-                    _accepted[decimal] = dict(raw_declared), declared
+                _keep(_accepted, decimal, (dict(raw_declared), declared))
         node = LedgerNode(nid, raw["kind"], raw["args"], raw["children"], declared,
                           raw["citation"], raw.get("paper_prints"), raw.get("note"))
         if nid in nodes:
@@ -651,9 +680,32 @@ def load_ledger(source) -> Ledger:
 
 # ---------------------------------------------------------------- evaluation
 
+# (kind, args items, bound function) -> the factors of the value that leaf
+# evaluated to: what every ledger shares of its recomputed leaves.  It holds
+# at most _CACHE_SIZE values, each of at most _STR_BITS bits, as _accepted
+# does.
+_leaf_factors: OrderedDict[tuple, tuple[tuple[int, int], ...]] = OrderedDict()
+_GLOBALS = globals()  # where a leaf kind's bound function is read, at each call
+
+
 def _combine(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
-    """Value of a node from its children's values, in child order (a leaf has none)."""
-    return KINDS[node.kind].value(node, kids)
+    """Value of a node from its children's values, in child order (a leaf has
+    none).  A leaf whose kind names a bound function is looked up in
+    _leaf_factors first, keyed by the function bound to that name now; a hit
+    is a value object of its own, so no caller shares it or the int it may
+    keep.  A leaf that raises stores nothing."""
+    spec = KINDS[node.kind]
+    if spec.bound is None:
+        return spec.value(node, kids)
+    bound = _GLOBALS[spec.bound]
+    key = (node.kind, tuple(node.args.items()), bound)
+    factors = _leaf_factors.get(key)
+    if factors is not None:
+        return FactoredInteger._trusted(factors)
+    value = spec.value(node, bound)
+    if _bits_bound(value) <= _STR_BITS:
+        _keep(_leaf_factors, key, value.factors)
+    return value
 
 
 def _dirty(ledger: Ledger, overrides: Mapping[str, FactoredInteger]) -> set[str]:

@@ -851,6 +851,7 @@ def _clear_ledger_caches():
                    ledger_mod._declared_prime, ledger_mod._rendered):
         cached.cache_clear()
     ledger_mod._accepted.clear()
+    ledger_mod._leaf_factors.clear()
 
 
 def test_each_declared_value_is_rendered_once_per_load_and_per_export(monkeypatch):
@@ -1044,6 +1045,168 @@ def test_loads_in_several_threads_keep_the_accepted_map_bounded(monkeypatch):
     assert wrong == [] and len(ledger_mod._accepted) <= 4
 
 
+def _minkowski(n):
+    return doc(node("m", "Minkowski", {}, args={"n": n}), root="m")
+
+
+def test_a_bound_function_bound_anew_runs_in_a_warm_process(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    real = ledger_mod.minkowski_bound
+    assert final_bound(load_ledger(_minkowski(2))) == real(2)  # the memo holds n = 2
+    seen = []
+
+    def doubled(n):
+        seen.append(n)
+        return real(n) * fi(2)
+
+    monkeypatch.setattr(ledger_mod, "minkowski_bound", doubled)
+    for _ in range(2):
+        assert final_bound(load_ledger(_minkowski(2))) == real(2) * fi(2)
+    assert seen == [2]  # the function bound now runs, once
+    monkeypatch.undo()
+    assert final_bound(load_ledger(_minkowski(2))) == real(2)
+    assert seen == [2]
+
+
+def test_a_failing_leaf_stores_nothing_across_ledgers(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    real = ledger_mod.minkowski_bound
+    seen = []
+
+    def flaky(n):
+        seen.append(n)
+        if len(seen) == 1:
+            raise ArithmeticError("transient")
+        return real(n)
+
+    monkeypatch.setattr(ledger_mod, "minkowski_bound", flaky)
+    with pytest.raises(ArithmeticError):
+        final_bound(load_ledger(_minkowski(3)))
+    assert not any(key[2] is flaky for key in ledger_mod._leaf_factors)
+    for _ in range(2):
+        assert final_bound(load_ledger(_minkowski(3))) == fi(48)
+    assert seen == [3, 3]
+    # A leaf past the invphi limit raises in every ledger and leaves no entry.
+    gl2 = doc(node("g", "Gl2", {}, args={"degree": 10**6 + 1}), root="g")
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"^bound must be <= 1000000, got 1000001$"):
+            final_bound(load_ledger(gl2))
+    assert not any(key[:2] == ("Gl2", (("degree", 10**6 + 1),))
+                   for key in ledger_mod._leaf_factors)
+
+
+def test_each_leaf_memo_hit_is_a_value_of_its_own_with_no_kept_int():
+    first = final_bound(load_ledger(_minkowski(4)))
+    assert first.to_int() == 5760  # keeps its int
+    hits = [final_bound(load_ledger(_minkowski(4))) for _ in range(3)]
+    assert all(hit == first for hit in hits)
+    assert len({id(value) for value in [first, *hits]}) == 4
+    assert all(hit._int is None for hit in hits)
+
+
+def test_the_leaf_memo_is_bounded_and_keeps_no_long_value(monkeypatch):
+    import glbounds.ledger as ledger_mod
+    from glbounds.bounds import minkowski_bound
+    from glbounds.exactnum import _STR_BITS, _bits_bound
+
+    _clear_ledger_caches()
+    monkeypatch.setattr(ledger_mod, "_CACHE_SIZE", 4)
+    for n in range(1, 11):
+        assert final_bound(load_ledger(_minkowski(n))) == minkowski_bound(n)
+    assert [key[1] for key in ledger_mod._leaf_factors] == [(("n", n),) for n in range(7, 11)]
+    # minkowski_bound(10000) has some 13 000 digits: evaluated, never kept.
+    ledger_mod._leaf_factors.clear()
+    big = final_bound(load_ledger(_minkowski(10000)))
+    assert big == minkowski_bound(10000) and _bits_bound(big) > _STR_BITS
+    assert len(ledger_mod._leaf_factors) == 0
+
+
+def test_evaluations_in_several_threads_keep_the_leaf_memo_bounded(monkeypatch):
+    import glbounds.ledger as ledger_mod
+    from glbounds.bounds import minkowski_bound
+
+    class Slow(OrderedDict):
+        """Gives up the interpreter between the size check and each store,
+        so a store that is not guarded overfills the memo."""
+
+        def __setitem__(self, key, value):
+            time.sleep(0.0005)
+            super().__setitem__(key, value)
+
+    _clear_ledger_caches()
+    monkeypatch.setattr(ledger_mod, "_CACHE_SIZE", 4)
+    monkeypatch.setattr(ledger_mod, "_leaf_factors", Slow())
+    documents = [_minkowski(n) for n in range(1, 25)]
+    want = [minkowski_bound(n) for n in range(1, 25)]
+    wrong = []
+
+    def work(offset):
+        for i in range(20):
+            k = (offset + i) % 24
+            if final_bound(load_ledger(documents[k])) != want[k]:
+                wrong.append(k + 1)
+
+    threads = [threading.Thread(target=work, args=(k * 5,)) for k in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and len(ledger_mod._leaf_factors) <= 4
+    assert all(factors == want[dict(key[1])["n"] - 1].factors
+               for key, factors in ledger_mod._leaf_factors.items())
+
+
+# Leaves that evaluate quickly, drawn with replacement so that the ledgers of
+# one sequence share leaf args; the last raises in every ledger.
+_SHARED_LEAVES = (
+    ("Constant", {}), ("Minkowski", {"n": 2}), ("Minkowski", {"n": 3}),
+    ("SchurRough", {"n": 3, "d": 2}), ("SerreQ", {"n": 3}), ("Gl2", {"degree": 2}),
+    ("Pgl2", {"degree": 4, "contains_sqrt5": "no"}),
+    ("Pgl2", {"contains_sqrt5": "no", "degree": 4}),
+    ("EquationCase", {"p": 3, "n": 3, "d": 12}),
+    ("EquationCase", {"p": 7, "n": 3, "d": 12, "e_min": 2, "constraints": ["e even"]}),
+    ("Gl2", {"degree": 10**6 + 1}),
+)
+
+
+@st.composite
+def _small_ledger_documents(draw):
+    """One to four leaves from _SHARED_LEAVES under a Product or Max root,
+    each with a declared value that may or may not match."""
+    picks = draw(st.lists(st.sampled_from(_SHARED_LEAVES), min_size=1, max_size=4))
+    declared = st.sampled_from([{}, {"2": 1}, {"2": 4, "3": 1}, {"3": 1}])
+    leaves = [node("l%d" % i, kind, draw(declared), args=args)
+              for i, (kind, args) in enumerate(picks)]
+    root = node("r", draw(st.sampled_from(["Product", "Max"])), draw(declared),
+                children=[leaf["id"] for leaf in leaves])
+    return doc(*leaves, root, root="r")
+
+
+def _audit_outcome(document):
+    """What auditing document gives: its verify rows and final bound, or its error."""
+    ledger = load_ledger(document)
+    try:
+        return verify_ledger(ledger).rows, final_bound(ledger)
+    except (LedgerError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(_small_ledger_documents(), min_size=1, max_size=4))
+def test_audits_give_what_they_give_with_every_cache_cleared_first(documents):
+    # The oracle clears every ledger cache before each audit; the audits
+    # under test share whatever the audits before them left, twice over.
+    fresh = []
+    for document in documents:
+        _clear_ledger_caches()
+        fresh.append(_audit_outcome(document))
+    _clear_ledger_caches()
+    assert [_audit_outcome(document) for document in documents * 2] == fresh * 2
+
+
 def test_a_mismatch_names_a_long_value_factored_and_a_long_decimal_by_its_length():
     cases = [
         ({"2": 20000}, "1", "a: decimal '1' does not match declared factorization (2^20000)"),
@@ -1096,9 +1259,9 @@ def _python_calls(fn) -> int:
 
 def test_a_warm_audit_and_round_trip_stay_within_their_python_calls():
     # A guard on the loader's and evaluator's repeat work.  Read on CPython
-    # 3.11: 5 769 and 1 316 calls (7 439 and 1 552 before the declared values
-    # were kept across loads, the fillers took defaults and a product was
-    # built as one record).
+    # 3.11: 2 679 and 1 316 calls (5 769 before the leaf memo, and 7 439 and
+    # 1 552 before the declared values were kept across loads, the fillers
+    # took defaults and a product was built as one record).
     text = dumps_ledger(paper_ledger())
     ledger = load_ledger(text)
 
@@ -1112,7 +1275,7 @@ def test_a_warm_audit_and_round_trip_stay_within_their_python_calls():
 
     for op in (audit, audit, round_trip, round_trip):  # warm every cache
         op()
-    assert _python_calls(audit) <= 5800
+    assert _python_calls(audit) <= 2700
     assert _python_calls(round_trip) <= 1350
 
 
@@ -1148,7 +1311,7 @@ def test_constraints_may_be_a_list_or_a_tuple():
     assert str(info.value) == "e: constraints must be a list of tag strings"
 
 
-def test_each_leaf_bound_is_computed_once_per_ledger(monkeypatch):
+def test_each_distinct_leaf_bound_is_computed_once_per_process(monkeypatch):
     import glbounds.ledger as ledger_mod
 
     calls = []
@@ -1158,16 +1321,23 @@ def test_each_leaf_bound_is_computed_once_per_ledger(monkeypatch):
         calls.append((p, n, d))
         return real(p, n, d, *rest, **kw)
 
+    # A function bound anew finds no entry, however warm the leaf memo is.
     monkeypatch.setattr(ledger_mod, "max_schur_exponent", counting)
     fresh = paper_ledger()
     cases = [nid for nid in fresh.order if fresh.nodes[nid].kind == "EquationCase"]
-    assert cases
     verify_ledger(fresh)
     assert final_bound(fresh) == fi(24103053950976000)
     assert final_bound(fresh, {"g10": 0}) == fi(735746457600)
     final_bound(fresh, {cases[0]: 1})
     final_bound(fresh, {"theorem-cr3": 6})
-    assert len(calls) == len(cases)
+    # One solve per distinct arg set: two of the 74 cases share theirs.
+    distinct = {tuple(fresh.nodes[nid].args.items()) for nid in cases}
+    assert len(cases) == 74 and len(calls) == len(distinct) == 73
+    # A second fresh ledger solves nothing and gives the same rows.
+    again = paper_ledger()
+    assert verify_ledger(again) == verify_ledger(fresh)
+    assert final_bound(again) == fi(24103053950976000)
+    assert len(calls) == 73
 
 
 def test_paper_ledger_eval_is_deterministic(ledger):
