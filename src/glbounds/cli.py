@@ -54,11 +54,22 @@ EXIT_MISMATCH = 3
 
 # ------------------------------------------------------------ small helpers
 
-def _positive_int(text: str) -> int:
+def _int(text: str, what: str, not_int: str) -> int:
+    """int(text, 10), else an ArgumentTypeError: not_int % text, or, for a
+    decimal that int() refuses past the interpreter's int_max_str_digits,
+    what named by its digit count rather than quoted.  A limit of 0 sets
+    none, as does Python before 3.10.7, where getattr's default int() gives 0."""
     try:
-        value = int(text, 10)
+        return int(text, 10)
     except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text)
+        digits = text.strip().lstrip("+-").replace("_", "")
+        if digits.isdecimal() and 0 < getattr(sys, "get_int_max_str_digits", int)() < len(digits):
+            raise argparse.ArgumentTypeError("%s of %d digits is too long" % (what, len(digits)))
+        raise argparse.ArgumentTypeError(not_int % (text,))
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text, "an integer", "%r is not an integer")
     if value < 1:
         raise argparse.ArgumentTypeError("expected a positive integer, got %s" % text)
     return value
@@ -77,10 +88,7 @@ def _override_pair(text: str) -> tuple[str, int]:
     nid, sep, raw = text.partition("=")
     if not sep or not nid:
         raise argparse.ArgumentTypeError("override must look like ID=VALUE, got %r" % text)
-    try:
-        value = int(raw, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError("override value must be an integer, got %r" % raw)
+    value = _int(raw, "override value", "override value must be an integer, got %r")
     if value < 0:
         raise argparse.ArgumentTypeError("override value must be >= 0, got %s" % value)
     return nid, value

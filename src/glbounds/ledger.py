@@ -15,20 +15,21 @@ kinds only there.  LedgerNode and Ledger check every invariant as they are
 built, so a value of either is valid however it was made, and evaluation and
 export assume it.  Each LedgerNode parses its own args (EquationCase's
 constraints, ScaledProduct's num and den in factored form) as it is built
-and keeps the result in its private `_parsed` slot.  Parsing, like reading
-a declared key and rendering a declared value, goes through pure functions
-of hashable arguments, each cached in a bounded lru_cache, so every
-distinct argument set, key and value is parsed once per process and the
-nodes that share one share the result.  The loader also keeps, per process,
-each decimal it accepted a declared map for, with a copy of that map and its
-value: a node that repeats both, every exponent an int, takes the value
-unparsed.  The evaluator keeps, per process, the factors of each leaf value it
-recomputed, keyed by the leaf's kind, its args and the bound function its kind
-calls: a leaf of any ledger that repeats all three takes a value object of its
-own built from those factors, and calls nothing.  Both maps are bounded like
-the caches and admit no value past _STR_BITS bits, so they pin no long decimal
-or factors tuple.  No node and no computed value object outlives its load; a
-leaf's factors tuple may, within that bound.
+and keeps the result in its private `_parsed` slot.  Five tables live for
+the whole process, each bounded to _CACHE_SIZE entries and keyed by plain
+data.  Three are lru_caches: _constraints, by (e_min, t_max, tags), one
+solver record per distinct set; _factor_small, by int, one factoring per
+distinct int a load or a what-if reads, which also decides a declared key's
+or an EquationCase p's primality; and _rendered, by factors tuple, a declared
+value's decimal and export text.  _accepted maps a decimal to the declared
+map accepted for it and its value: a node that repeats both, every exponent
+an int, takes the value unparsed.  _leaf_factors maps a leaf's kind and args
+to the bound function that computed it and the value's factors: a leaf of
+any ledger that repeats both, while that function is bound, takes a value
+object of its own built from the factors, and calls nothing.  The two maps
+admit no value past _STR_BITS bits, so they pin no long decimal or factors
+tuple.  No node and no computed value object outlives its load; a leaf's
+factors tuple may, within that bound.
 
 dumps_ledger writes each node's fields straight from the ledger, in the
 layout json.dumps(indent=2, ensure_ascii=False) gives the document that loads
@@ -71,7 +72,6 @@ from .exactnum import (
     fi_mul,
     fi_to_decimal,
     fi_to_factored_str,
-    is_prime,
 )
 from .bounds import (
     gl2_max_order,
@@ -113,8 +113,8 @@ _NODE_FIELDS = frozenset(
 )
 _NODE_OPTIONAL = ("paper_prints", "note")  # in the order the loader checks them
 _NODE_ALLOWED = _NODE_FIELDS.union(_NODE_OPTIONAL)  # built once, not per node
-# yes/no/unknown arguments; every other but "constraints" is a positive integer
-_TRISTATE_ARGS = frozenset({"minus1_sum_of_two_squares", "contains_sqrt5"})
+# DegreeOnly's yes/no/unknown flags; every other arg but "constraints" is an int >= 1
+_TRISTATE_ARGS = frozenset(DegreeOnly._fields[1:])
 _INT = frozenset({int})  # the one exponent type a reused declared map may hold
 # Entries each parse and render cache, the accepted map and the leaf memo
 # keep.  The packaged ledger fills at most about a hundred (its distinct
@@ -159,7 +159,8 @@ class LedgerNode(Value):
         if spec is None:
             raise SchemaError("%s: unknown kind %r" % (id, kind))
         args = _check_args(id, kind, spec, args)
-        if not (isinstance(children, (list, tuple)) and _all_str(children)):
+        if not (isinstance(children, (list, tuple))
+                and all([isinstance(item, str) for item in children])):
             raise SchemaError("%s: children must be a list of ids" % id)
         if not isinstance(declared, FactoredInteger):
             raise BadDeclaredValue("%s: declared must be a FactoredInteger" % id)
@@ -188,13 +189,14 @@ class Ledger(Value):
     evaluation reaches the node first.  Repeated verify / final / explain
     calls on one ledger therefore compute each node once.  A recomputed
     leaf is also looked up in the process-wide leaf memo first, so each
-    distinct (kind, args, bound function) is computed once per process
-    while the memo holds it, whichever ledger reaches it.  A what-if
-    recomputes only the overridden nodes and their ancestors, in a memo of
-    its own, and reads every other node from `node_values`; override-derived
-    values never enter it.  `_parents` maps each id to its parents' ids in
-    document order, one per edge; the constructor builds it with the
-    acyclicity check, and a what-if walks it up from the overridden nodes.
+    distinct (kind, args) is computed once per process while the memo holds
+    it and its kind's bound function stays the same, whichever ledger
+    reaches it.  A what-if recomputes only the overridden nodes and their
+    ancestors, in a memo of its own, and reads every other node from
+    `node_values`; override-derived values never enter it.  `_parents` maps
+    each id to its parents' ids in document order, one per edge; the
+    constructor builds it with the acyclicity check, and a what-if walks it
+    up from the overridden nodes.
     Neither is a constructor argument or takes part in ==, hash or repr.
     """
 
@@ -234,7 +236,8 @@ class Ledger(Value):
         _check_acyclic(nodes, parents)
         if root is not None and not (isinstance(root, str) and root in nodes):
             raise SchemaError("root %r is not a node id" % root)
-        if not (isinstance(whitelist, (list, tuple)) and _all_str(whitelist)):
+        if not (isinstance(whitelist, (list, tuple))
+                and all([isinstance(item, str) for item in whitelist])):
             raise SchemaError("whitelist must be a list of ids")
         for wid in whitelist:
             if wid not in nodes:
@@ -279,7 +282,8 @@ class _Kind:
     runs once the children are known to exist and which raises SchemaError
     if the claim fails.  A leaf that recomputes its value names in `bound`
     the module global of the bound function it calls, and its value is
-    value(node, function), the function the evaluator read from that name."""
+    value(node, function), the function the evaluator read from that name;
+    the leaf memo keeps that function beside the value's factors."""
 
     __slots__ = ("required", "allowed", "leaf", "value", "parse", "check", "bound")
 
@@ -298,41 +302,35 @@ class _Kind:
 # what they call through this module's globals, as the value functions do.
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _constraints(e_min: int, t_max: int, tags: tuple[str, ...]) -> SolutionConstraints:
+def _constraints(e_min: int, t_max: int | None, tags: tuple[str, ...]) -> SolutionConstraints:
     """The solver's constraints, one record per distinct argument set.
     DomainError for a bad tag."""
     return SolutionConstraints(e_min=e_min, extra=tags, t_max=t_max)
 
 
-# is_prime and trial division are cheap only inside the domain of declared
-# keys, primes below 10^8.
+# An int p >= 2 is prime exactly when it factors as ((p, 1),).  The loader
+# asks only below 10^8, the domain of declared keys, where trial division is
+# cheap.
 @lru_cache(maxsize=_CACHE_SIZE)
-def _odd_prime(p: int) -> bool:
-    return p % 2 == 1 and is_prime(p)
+def _factor_small(value: int) -> FactoredInteger:
+    """FactoredInteger.from_int(value), once per distinct value."""
+    return FactoredInteger.from_int(value)
 
 
 def _parse_equation_case(node_id: str, args: Mapping[str, object]) -> SolutionConstraints:
-    """The solver's constraints, with t_max clamped to n as max_schur_exponent
-    would clamp it, so that it builds no second record."""
-    n, t_max = args["n"], args.get("t_max")
-    if t_max is None or t_max > n:
-        t_max = n
+    """The solver's constraints, with t_max as the node gives it, None if
+    absent: max_schur_exponent clamps it to n."""
     try:
-        constraints = _constraints(args.get("e_min", 1), t_max, args.get("constraints", ()))
+        constraints = _constraints(args.get("e_min", 1), args.get("t_max"),
+                                   args.get("constraints", ()))
     except DomainError as exc:  # a bad tag
         raise SchemaError("%s: %s" % (node_id, exc)) from None
     p = args["p"]
     if p >= _TRIAL_LIMIT:
         raise SchemaError("%s: EquationCase p must be below 10^8" % node_id)
-    if not _odd_prime(p):
+    if not (p % 2 == 1 and _factor_small(p).factors == ((p, 1),)):
         raise SchemaError("%s: EquationCase needs an odd prime p" % node_id)
     return constraints
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _factor_small(value: int) -> FactoredInteger:
-    """FactoredInteger.from_int(value), once per distinct value."""
-    return FactoredInteger.from_int(value)
 
 
 def _factor_arg(value: int, error: type, what: str, *parts) -> FactoredInteger:
@@ -358,10 +356,11 @@ def _parse_scaled_product(node_id: str, args: Mapping[str, object]
 # Value functions reach fi_mul and fi_cmp through this module's globals at
 # call time, and the evaluator reads a leaf's bound function (minkowski_bound,
 # ..., max_schur_exponent) from them by the name its kind gives, so whatever
-# is bound to those names here runs.  The leaf memo is keyed by that function
-# too: a function bound in place of another, such as a test's monkeypatch or
-# the wrappers perfbench/tracer.py installs, finds none of the entries the one
-# before it left, and runs.
+# is bound to those names here runs.  The leaf memo is keyed by kind and args,
+# and each entry keeps the function that computed it: a function bound in place
+# of another, such as a test's monkeypatch or the wrappers perfbench/tracer.py
+# installs, runs and replaces the entry, so the memo holds one entry per
+# distinct leaf, whatever was bound before.
 
 def _equation_case(node: LedgerNode, bound) -> FactoredInteger:
     """p to the largest exponent the standard equation allows for p."""
@@ -444,15 +443,6 @@ def _check_text(node_id: str, field: str, text) -> None:
             raise SchemaError("%r: %s holds a lone surrogate" % (node_id, field)) from None
 
 
-def _all_str(items) -> bool:
-    """Whether every item is a str: a plain loop, cheaper than all() over a
-    generator for the short lists of ids and tags a node holds."""
-    for item in items:
-        if not isinstance(item, str):
-            return False
-    return True
-
-
 def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
     """A copy of args, checked for kind, with a constraints list or tuple
     kept as a tuple, so the node shares no mutable value with the caller."""
@@ -477,7 +467,7 @@ def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
             if late is None and value not in TRISTATE:
                 late = "arg %r must be yes/no/unknown" % key
         elif key == "constraints":
-            if isinstance(value, (list, tuple)) and _all_str(value):
+            if isinstance(value, (list, tuple)) and all([isinstance(tag, str) for tag in value]):
                 tags = tuple(value)
             else:
                 late = "constraints must be a list of tag strings"
@@ -491,7 +481,6 @@ def _check_args(node_id: str, kind: str, spec: _Kind, args) -> dict:
     return own
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _declared_prime(key) -> int:
     """The prime a declared key names; BadDeclaredValue, its message without
     the node id, if the key is no decimal string of a prime below 10^8."""
@@ -504,7 +493,7 @@ def _declared_prime(key) -> int:
         raise BadDeclaredValue(
             "declared key of %d digits is not a prime below 10^8" % len(digits))
     p = int(digits or "0")
-    if not is_prime(p):
+    if p < 2 or _factor_small(p).factors != ((p, 1),):
         raise BadDeclaredValue("declared key %s is not prime" % key)
     return p
 
@@ -568,11 +557,11 @@ _storing = Lock()
 
 
 def _keep(kept: OrderedDict, key, value) -> None:
-    """kept[key] = value, dropping the oldest entry once kept holds
-    _CACHE_SIZE.  Under a lock: loads and evaluations in other threads may
-    add at the same time."""
+    """kept[key] = value, dropping the oldest entry when a new key finds kept
+    holding _CACHE_SIZE.  Under a lock: loads and evaluations in other
+    threads may add at the same time."""
     with _storing:
-        if len(kept) >= _CACHE_SIZE:
+        if key not in kept and len(kept) >= _CACHE_SIZE:
             kept.popitem(last=False)
         kept[key] = value
 
@@ -664,7 +653,7 @@ def load_ledger(source) -> Ledger:
             declared = seen[1]
         else:
             declared = _parse_declared(nid, raw_declared, decimal)
-            if plain and declared._int is not None:  # a kept int: at most _STR_BITS bits
+            if plain and _bits_bound(declared) <= _STR_BITS:
                 _keep(_accepted, decimal, (dict(raw_declared), declared))
         node = LedgerNode(nid, raw["kind"], raw["args"], raw["children"], declared,
                           raw["citation"], raw.get("paper_prints"), raw.get("note"))
@@ -680,31 +669,32 @@ def load_ledger(source) -> Ledger:
 
 # ---------------------------------------------------------------- evaluation
 
-# (kind, args items, bound function) -> the factors of the value that leaf
-# evaluated to: what every ledger shares of its recomputed leaves.  It holds
-# at most _CACHE_SIZE values, each of at most _STR_BITS bits, as _accepted
-# does.
-_leaf_factors: OrderedDict[tuple, tuple[tuple[int, int], ...]] = OrderedDict()
+# (kind, args items) -> (the bound function that leaf called, the factors of
+# the value it evaluated to): what every ledger shares of its recomputed
+# leaves.  It holds at most _CACHE_SIZE values, each of at most _STR_BITS
+# bits, as _accepted does.
+_leaf_factors: OrderedDict[tuple, tuple] = OrderedDict()
 _GLOBALS = globals()  # where a leaf kind's bound function is read, at each call
 
 
 def _combine(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
     """Value of a node from its children's values, in child order (a leaf has
     none).  A leaf whose kind names a bound function is looked up in
-    _leaf_factors first, keyed by the function bound to that name now; a hit
-    is a value object of its own, so no caller shares it or the int it may
-    keep.  A leaf that raises stores nothing."""
+    _leaf_factors first, and hits only if its entry was computed by the
+    function bound to that name now; a miss replaces the entry.  A hit is a
+    value object of its own, so no caller shares it or the int it may keep.
+    A leaf that raises stores nothing."""
     spec = KINDS[node.kind]
     if spec.bound is None:
         return spec.value(node, kids)
     bound = _GLOBALS[spec.bound]
-    key = (node.kind, tuple(node.args.items()), bound)
-    factors = _leaf_factors.get(key)
-    if factors is not None:
-        return FactoredInteger._trusted(factors)
+    key = (node.kind, tuple(node.args.items()))
+    entry = _leaf_factors.get(key)
+    if entry is not None and entry[0] is bound:
+        return FactoredInteger._trusted(entry[1])
     value = spec.value(node, bound)
     if _bits_bound(value) <= _STR_BITS:
-        _keep(_leaf_factors, key, value.factors)
+        _keep(_leaf_factors, key, (bound, value.factors))
     return value
 
 

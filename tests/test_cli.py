@@ -280,6 +280,23 @@ def test_non_integer_arguments_are_usage_errors(capsys, argv, want):
     assert captured.err.endswith(want)
 
 
+# int() refuses a decimal past the interpreter's digit limit (4 300 by
+# default) as it refuses a non-integer; the error names it by its length.
+@pytest.mark.parametrize("argv, want", [
+    (["minkowski", "-n", "9" * 5000],
+     "error: argument -n: an integer of 5000 digits is too long\n"),
+    (["ledger", "final", "--override", "g10=1" + "0" * 5000],
+     "error: argument --override: override value of 5001 digits is too long\n"),
+])
+def test_integers_past_the_digit_limit_are_short_usage_errors(capsys, argv, want):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: glbounds %s" % argv[0])
+    assert captured.err.endswith(want)
+    assert len(captured.err.encode()) < 300 and "not an integer" not in captured.err
+
+
 @pytest.mark.parametrize("argv, arg, value", [
     (["solve-eq", "-p", "2305843009213693951", "-d", "4"], "-p", "2305843009213693951"),
     (["schur", "-n", "2", "--conductor", "2305843009213693951"],

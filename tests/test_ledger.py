@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import math
 import pickle
 import sys
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from types import MappingProxyType
 
@@ -847,8 +849,7 @@ def _count_calls(monkeypatch, owner, names):
 def _clear_ledger_caches():
     import glbounds.ledger as ledger_mod
 
-    for cached in (ledger_mod._constraints, ledger_mod._odd_prime, ledger_mod._factor_small,
-                   ledger_mod._declared_prime, ledger_mod._rendered):
+    for cached in (ledger_mod._constraints, ledger_mod._factor_small, ledger_mod._rendered):
         cached.cache_clear()
     ledger_mod._accepted.clear()
     ledger_mod._leaf_factors.clear()
@@ -877,7 +878,7 @@ def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
     import glbounds.ledger as ledger_mod
 
     document = json.loads(dumps_ledger(paper_ledger()))
-    logs = _count_calls(monkeypatch, ledger_mod, ["SolutionConstraints", "is_prime"])
+    logs = _count_calls(monkeypatch, ledger_mod, ["SolutionConstraints"])
     logs.update(_count_calls(monkeypatch, FactoredInteger, ["from_int"]))
     # The caches live for the process; earlier tests may have warmed them.
     _clear_ledger_caches()
@@ -885,16 +886,16 @@ def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
     cases = [n for n in loaded.nodes.values() if n.kind == "EquationCase"]
     scaled = [n for n in loaded.nodes.values() if n.kind == "ScaledProduct"]
     assert len(cases) == 74 and len(scaled) == 18
-    # One record per distinct (e_min, clamped t_max, tags), shared by its nodes.
-    assert len(logs["SolutionConstraints"]) == len({id(n._parsed) for n in cases}) == 18
-    assert len({n._parsed for n in cases}) == 18
-    # One prime test per distinct declared key and per distinct p.
-    keys = {str(p) for n in loaded.nodes.values() for p, _ in n.declared.factors}
-    assert len(logs["is_prime"]) == len(keys) + len({n.args["p"] for n in cases})
-    # One factoring per distinct num or den.
+    # One record per distinct (e_min, t_max as given, tags), shared by its nodes.
+    assert len(logs["SolutionConstraints"]) == len({id(n._parsed) for n in cases}) == 10
+    assert len({n._parsed for n in cases}) == 10
+    # One factoring per distinct int the loader reads, which also answers
+    # whether a declared key or a p is prime.
+    keys = {p for n in loaded.nodes.values() for p, _ in n.declared.factors}
     scales = {n.args[name] for n in scaled for name in ("num", "den")}
-    assert len(logs["from_int"]) == len(scales) == len({id(f) for n in scaled
-                                                        for f in n._parsed})
+    read = keys | {n.args["p"] for n in cases} | scales
+    assert sorted(value for value, in logs["from_int"]) == sorted(read) and len(read) == 17
+    assert len({id(f) for n in scaled for f in n._parsed}) == len(scales)
     assert all(type(n._parsed) is tuple and len(n._parsed) == 2 for n in scaled)
     # A second load of the same document parses nothing new.
     counts = {name: len(log) for name, log in logs.items()}
@@ -1084,7 +1085,7 @@ def test_a_failing_leaf_stores_nothing_across_ledgers(monkeypatch):
     monkeypatch.setattr(ledger_mod, "minkowski_bound", flaky)
     with pytest.raises(ArithmeticError):
         final_bound(load_ledger(_minkowski(3)))
-    assert not any(key[2] is flaky for key in ledger_mod._leaf_factors)
+    assert not any(entry[0] is flaky for entry in ledger_mod._leaf_factors.values())
     for _ in range(2):
         assert final_bound(load_ledger(_minkowski(3))) == fi(48)
     assert seen == [3, 3]
@@ -1155,8 +1156,78 @@ def test_evaluations_in_several_threads_keep_the_leaf_memo_bounded(monkeypatch):
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == [] and len(ledger_mod._leaf_factors) <= 4
-    assert all(factors == want[dict(key[1])["n"] - 1].factors
-               for key, factors in ledger_mod._leaf_factors.items())
+    assert all(entry[1] == want[dict(key[1])["n"] - 1].factors
+               for key, entry in ledger_mod._leaf_factors.items())
+
+
+def test_rebound_functions_leave_one_memo_entry_per_leaf_and_pin_no_wrapper(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    names = sorted({spec.bound for spec in ledger_mod.KINDS.values() if spec.bound})
+    assert len(names) == 6
+    document = json.loads(dumps_ledger(paper_ledger()))
+
+    def audit():
+        ledger = load_ledger(document)
+        verify_ledger(ledger)
+        assert final_bound(ledger) == fi(24103053950976000)
+
+    def rebind():
+        """Bind each name to a fresh wrapper of its function, as a tracer
+        does; weak references to the wrappers."""
+        refs = []
+        for name in names:
+            def wrapper(*args, _real=getattr(ledger_mod, name)):
+                return _real(*args)
+            monkeypatch.setattr(ledger_mod, name, wrapper)
+            refs.append(weakref.ref(wrapper))
+        return refs
+
+    _clear_ledger_caches()
+    for _ in range(6):
+        refs = rebind()
+        audit()
+        monkeypatch.undo()
+        audit()
+        # The packaged ledger's 102 distinct recomputed leaves, each computed
+        # last by the function bound now.
+        assert len(ledger_mod._leaf_factors) == 102
+        assert all(entry[0] is getattr(ledger_mod, KINDS[kind].bound)
+                   for (kind, _), entry in ledger_mod._leaf_factors.items())
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 6
+
+
+def test_keeping_a_kept_key_in_a_full_map_evicts_nothing():
+    import glbounds.ledger as ledger_mod
+
+    size = ledger_mod._CACHE_SIZE
+    kept = OrderedDict()
+    for key in range(size):
+        ledger_mod._keep(kept, key, key)
+    ledger_mod._keep(kept, 7, "again")
+    assert list(kept) == list(range(size)) and kept[7] == "again"
+    ledger_mod._keep(kept, size, size)  # a new key drops the oldest
+    assert list(kept) == list(range(1, size + 1))
+
+
+def test_clearing_the_ledger_caches_empties_every_process_wide_table():
+    import glbounds.ledger as ledger_mod
+
+    # Every lru_cache and every module-level OrderedDict of the module,
+    # found by what they are, so that a table added later is found too.
+    tables = {name: obj for name, obj in vars(ledger_mod).items()
+              if callable(getattr(obj, "cache_clear", None)) or isinstance(obj, OrderedDict)}
+
+    def size(table):
+        return table.cache_info().currsize if callable(table) else len(table)
+
+    audit_ledger = load_ledger(dumps_ledger(paper_ledger()))
+    verify_ledger(audit_ledger)
+    final_bound(audit_ledger, {"g10": 2592})
+    assert len(tables) >= 5 and all(size(table) for table in tables.values())
+    _clear_ledger_caches()
+    assert {name: size(table) for name, table in tables.items()} == dict.fromkeys(tables, 0)
 
 
 # Leaves that evaluate quickly, drawn with replacement so that the ledgers of
