@@ -138,7 +138,11 @@ def max_schur_exponent(
     if c is None:
         c = SolutionConstraints(t_max=n)
     elif isinstance(c, SolutionConstraints) and (c.t_max is None or c.t_max > n):
-        c = SolutionConstraints(e_min=c.e_min, t_max=n, extra=c.extra)
+        # c's fields and tag predicates were checked as it was built; only
+        # t_max changes, to the n checked above.
+        clamped = object.__new__(SolutionConstraints)
+        clamped._fill(c.e_min, n, c.extra, c._preds)
+        c = clamped
     best = 0
     for sol in solve_standard_equation(p, d, c):
         best = max(best, _schur_odd_exponent(n, p, sol.t, sol.m))

@@ -212,12 +212,12 @@ class Value:
     def _fill(self, *args, **kwargs):
         """The _fill of self's class until its first build, which generates
         the class's own, as namedtuple and dataclasses generate their code:
-        each slot is stored by its member_descriptor.__set__, since
-        __setattr__ refuses.  It replaces this stand-in, also as __init__,
-        and fills self.  Generating on first use keeps the compiling out of
-        import, which every CLI run pays."""
+        each slot but `__weakref__`, which Python keeps, is stored by its
+        member_descriptor.__set__, since __setattr__ refuses.  It replaces
+        this stand-in, also as __init__, and fills self.  Generating on first
+        use keeps the compiling out of import, which every CLI run pays."""
         cls = next(klass for klass in type(self).__mro__ if klass.__dict__.get("__slots__"))
-        slots = tuple(cls.__slots__)
+        slots = tuple([name for name in cls.__slots__ if name != "__weakref__"])
         namespace = {"_set_%d" % i: cls.__dict__[name].__set__ for i, name in enumerate(slots)}
         exec("def __init__(%s):\n%s" % (", ".join(("self",) + slots), "".join(
             ["    _set_%d(self, %s)\n" % (i, name) for i, name in enumerate(slots)])), namespace)

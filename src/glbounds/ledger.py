@@ -16,20 +16,22 @@ built, so a value of either is valid however it was made, and evaluation and
 export assume it.  Each LedgerNode parses its own args (EquationCase's
 constraints, ScaledProduct's num and den in factored form) as it is built
 and keeps the result in its private `_parsed` slot.  Five tables live for
-the whole process, each bounded to _CACHE_SIZE entries and keyed by plain
-data.  Three are lru_caches: _constraints, by (e_min, t_max, tags), one
+the whole process, each bounded and keyed by plain data.  Three are
+lru_caches of _CACHE_SIZE entries: _constraints, by (e_min, t_max, tags), one
 solver record per distinct set; _factor_small, by int, one factoring per
 distinct int a load or a what-if reads, which also decides a declared key's
 or an EquationCase p's primality; and _rendered, by factors tuple, a declared
-value's decimal and export text.  _accepted maps a decimal to the declared
-map accepted for it and its value: a node that repeats both, every exponent
-an int, takes the value unparsed.  _leaf_factors maps a leaf's kind and args
+value's decimal and export text.  _leaf_factors maps a leaf's kind and args
 to the bound function that computed it and the value's factors: a leaf of
 any ledger that repeats both, while that function is bound, takes a value
-object of its own built from the factors, and calls nothing.  The two maps
-admit no value past _STR_BITS bits, so they pin no long decimal or factors
-tuple.  No node and no computed value object outlives its load; a leaf's
-factors tuple may, within that bound.
+object of its own built from the factors, and calls nothing.  It holds at
+most _CACHE_SIZE entries and admits no value past _STR_BITS bits, so it pins
+no long factors tuple.  _live_nodes maps a node id to a weak reference to the
+last node the loader built for that id from a document it decoded itself: an
+identical entry of a later such document takes that node, checked once.  It
+holds fewer than 2 * _CACHE_SIZE entries.  No table keeps a computed value
+object, the leaf memo keeps a factors tuple only within its bound, and the
+weak map pins no node: a node lives while a ledger holds it.
 
 dumps_ledger writes each node's fields straight from the ledger, in the
 layout json.dumps(indent=2, ensure_ascii=False) gives the document that loads
@@ -48,6 +50,7 @@ __all__ = [
 
 import json
 import os
+import weakref
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
@@ -115,12 +118,13 @@ _NODE_OPTIONAL = ("paper_prints", "note")  # in the order the loader checks them
 _NODE_ALLOWED = _NODE_FIELDS.union(_NODE_OPTIONAL)  # built once, not per node
 # DegreeOnly's yes/no/unknown flags; every other arg but "constraints" is an int >= 1
 _TRISTATE_ARGS = frozenset(DegreeOnly._fields[1:])
-_INT = frozenset({int})  # the one exponent type a reused declared map may hold
-# Entries each parse and render cache, the accepted map and the leaf memo
-# keep.  The packaged ledger fills at most about a hundred (its distinct
-# declared values, its 102 distinct recomputed leaves), so loading and
-# evaluating it evicts nothing, and a stream of other ledgers cannot grow
-# the caches past this.
+# Types that compare equal to an int the checks accept, and that they refuse
+_INEXACT = frozenset({bool, float})
+# Entries each parse and render cache and the leaf memo keep, and half the
+# entries the map of live nodes may reach.  The packaged ledger fills at most
+# about a hundred (its distinct declared values, its 102 distinct recomputed
+# leaves) and enters 218 nodes, so loading and evaluating it evicts nothing,
+# and a stream of other ledgers cannot grow the tables past this.
 _CACHE_SIZE = 512
 # Longest decimal a declared-value mismatch quotes: past it the message
 # names the given decimal by its length and the expected value factored.
@@ -140,14 +144,21 @@ class LedgerNode(Value):
     kept as a tuple, so nothing can change what was checked.  What the kind
     parses from args is kept in `_parsed` (None for a kind with no parse),
     which is no constructor argument and takes no part in ==, hash or
-    repr."""
+    repr.  Neither is `_source`, the decoded JSON entry the loader built the
+    node from, None for a node built any other way; the loader reuses a
+    live node whose entry is identical to a new one.  A node lives while a
+    ledger or a caller holds it: the loader's map of nodes pins none."""
 
     _fields = ("id", "kind", "args", "children", "declared", "citation", "paper_prints", "note")
-    __slots__ = _fields + ("_parsed",)
+    __slots__ = _fields + ("_parsed", "_source", "__weakref__")
 
     def __init__(self, id: str, kind: str, args: Mapping[str, object], children: tuple[str, ...],
                  declared: FactoredInteger, citation: str, paper_prints: str | None = None,
                  note: str | None = None):
+        self._check(None, id, kind, args, children, declared, citation, paper_prints, note)
+
+    def _check(self, source, id, kind, args, children, declared, citation, paper_prints, note):
+        """The constructor's checks, then the fill, with source as `_source`."""
         # Each check raises with its message built only on failure: a load
         # builds one node per entry, and formatting costs more than the test.
         # An ASCII str passes _check_text, so only other text goes through it.
@@ -171,7 +182,8 @@ class LedgerNode(Value):
         if note is not None:
             _check_text(id, "note", note)
         self._fill(id, kind, MappingProxyType(args), tuple(children), declared, citation,
-                   paper_prints, note, None if spec.parse is None else spec.parse(id, args))
+                   paper_prints, note, None if spec.parse is None else spec.parse(id, args),
+                   source)
 
 
 class Ledger(Value):
@@ -182,7 +194,9 @@ class Ledger(Value):
     failed check raises the LedgerError that load_ledger raises for the same
     fault.  nodes is kept as a read-only view of the ledger's own copy, so
     no node can be added, replaced or deleted once checked.  `order` reads
-    the node ids off nodes, in the document order.
+    the node ids off nodes, in the document order.  Ledgers loaded from
+    identical entries may share nodes, which are immutable; each ledger
+    runs these checks on its own nodes whatever they share.
 
     The ledger memoizes what it computes: `node_values` maps a node's id to
     its value without overrides, leaf or inner, filled by whichever
@@ -548,11 +562,10 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
     return value
 
 
-# decimal -> (a copy of the declared map accepted for it, its value): what
-# every load shares of the declared values it has parsed, beside the render
-# cache.  It holds at most _CACHE_SIZE values, each of at most _STR_BITS bits,
-# so it pins no long decimal.
-_accepted: OrderedDict[str, tuple[dict, FactoredInteger]] = OrderedDict()
+# node id -> a weak reference to the last node the loader built for that id
+# from a document it decoded itself: what every load shares of the nodes
+# still alive.  It pins no node, and holds fewer than 2 * _CACHE_SIZE entries.
+_live_nodes: dict[str, weakref.ref] = {}
 _storing = Lock()
 
 
@@ -564,6 +577,21 @@ def _keep(kept: OrderedDict, key, value) -> None:
         if key not in kept and len(kept) >= _CACHE_SIZE:
             kept.popitem(last=False)
         kept[key] = value
+
+
+def _enter(nodes: list[LedgerNode]) -> None:
+    """_live_nodes[node.id] = a weak reference to node, for each node in
+    order.  When the map reaches 2 * _CACHE_SIZE entries, its dead entries
+    go, and so do its live ones past the _CACHE_SIZE whose ids it took in
+    last (a new node for a kept id keeps the id's place).  Under the lock
+    _keep takes."""
+    with _storing:
+        for node in nodes:
+            _live_nodes[node.id] = weakref.ref(node)
+        if len(_live_nodes) >= 2 * _CACHE_SIZE:
+            live = [(nid, ref) for nid, ref in _live_nodes.items() if ref() is not None]
+            _live_nodes.clear()
+            _live_nodes.update(live[-_CACHE_SIZE:])
 
 
 def _check_acyclic(nodes: Mapping[str, LedgerNode], parents: Mapping[str, list[str]]) -> None:
@@ -608,18 +636,24 @@ def load_ledger(source) -> Ledger:
     fields, a duplicate id, an optional field given as null, and each
     declared map against its decimal.
 
-    A node whose decimal a declared map was accepted for, in this load or
-    an earlier one, and whose map equals that map with every exponent an
-    int, takes the accepted value unparsed: the checks would pass it again
-    and give the same value.  _accepted keeps those maps and values.
+    In a document it decodes itself, from a str or a path, the loader
+    reuses a node still alive that it built from an identical entry: equal
+    entries, args keys in the same order, and no true or float (such as
+    12.0) among the args values or declared exponents, which compare equal
+    to an int but which the checks refuse.  The checks would pass that
+    entry again and build an equal node.  A reused node is still checked
+    for a duplicate id, and Ledger checks the whole DAG on every load.  Every
+    other node is built and checked, and once the ledger is, _live_nodes
+    keeps a weak reference to it.  A caller's Mapping is neither looked up
+    nor entered, since the caller may change it after the load.
     """
     if isinstance(source, Mapping):
-        doc = source
+        doc, live = source, None
     elif isinstance(source, str):
-        doc = _decode(json.loads, source)
+        doc, live = _decode(json.loads, source), _live_nodes
     elif isinstance(source, os.PathLike):
         with open(source, "r", encoding="utf-8") as handle:
-            doc = _decode(json.load, handle)
+            doc, live = _decode(json.load, handle), _live_nodes
     else:
         raise SchemaError("unsupported ledger source %r" % type(source))
 
@@ -633,30 +667,35 @@ def load_ledger(source) -> Ledger:
         raise SchemaError("nodes must be a list")
 
     nodes: dict[str, LedgerNode] = {}
+    built = []  # the nodes built, not reused, in this load
     for raw in raw_nodes:
         if not isinstance(raw, dict):
             raise SchemaError("node entries must be objects")
+        nid = raw.get("id")
+        ref = live.get(nid) if live is not None and type(nid) is str else None
+        node = None if ref is None else ref()
+        # Equal entries still differ for the export in the order of the args
+        # keys, and for the checks where a bool or a float equals an int:
+        # only args values and declared exponents can hold a number.
+        if node is not None and node._source == raw:
+            args = raw["args"]
+            if (list(args) == list(node._source["args"])
+                    and _INEXACT.isdisjoint(map(type, args.values()))
+                    and _INEXACT.isdisjoint(map(type, raw["declared"].values()))):
+                if nid in nodes:
+                    raise SchemaError("duplicate node id %r" % nid)
+                nodes[nid] = node
+                continue
         fields = raw.keys()
         if not (fields >= _NODE_FIELDS and fields <= _NODE_ALLOWED):  # as in _check_args
             raise SchemaError(
                 "node fields must be %s (+ optional %s), got %s"
                 % (sorted(_NODE_FIELDS), sorted(_NODE_OPTIONAL), sorted(fields))
             )
-        nid, raw_declared, decimal = raw["id"], raw["declared"], raw["decimal"]
-        # A plain dict and str only: a subclass may compare as it likes.
-        plain = type(raw_declared) is dict and type(decimal) is str
-        seen = _accepted.get(decimal) if plain else None
-        # Every exponent's type int, not a bool or a float that compares
-        # equal to one, and then equal maps.
-        if seen is not None and _INT.issuperset(map(type, raw_declared.values())) \
-                and raw_declared == seen[0]:
-            declared = seen[1]
-        else:
-            declared = _parse_declared(nid, raw_declared, decimal)
-            if plain and _bits_bound(declared) <= _STR_BITS:
-                _keep(_accepted, decimal, (dict(raw_declared), declared))
-        node = LedgerNode(nid, raw["kind"], raw["args"], raw["children"], declared,
-                          raw["citation"], raw.get("paper_prints"), raw.get("note"))
+        node = object.__new__(LedgerNode)
+        node._check(None if live is None else raw, nid, raw["kind"], raw["args"],
+                    raw["children"], _parse_declared(nid, raw["declared"], raw["decimal"]),
+                    raw["citation"], raw.get("paper_prints"), raw.get("note"))
         if nid in nodes:
             raise SchemaError("duplicate node id %r" % nid)
         if len(fields) > len(_NODE_FIELDS):  # an optional field: null would read as absent
@@ -664,7 +703,11 @@ def load_ledger(source) -> Ledger:
                 if field in fields and raw[field] is None:
                     raise SchemaError("%s: %s must be a string" % (nid, field))
         nodes[nid] = node
-    return Ledger(doc.get("schema_version"), doc.get("root"), doc.get("whitelist", []), nodes)
+        built.append(node)
+    ledger = Ledger(doc.get("schema_version"), doc.get("root"), doc.get("whitelist", []), nodes)
+    if live is not None and built:
+        _enter(built)
+    return ledger
 
 
 # ---------------------------------------------------------------- evaluation
@@ -672,7 +715,7 @@ def load_ledger(source) -> Ledger:
 # (kind, args items) -> (the bound function that leaf called, the factors of
 # the value it evaluated to): what every ledger shares of its recomputed
 # leaves.  It holds at most _CACHE_SIZE values, each of at most _STR_BITS
-# bits, as _accepted does.
+# bits, so it pins no long factors tuple.
 _leaf_factors: OrderedDict[tuple, tuple] = OrderedDict()
 _GLOBALS = globals()  # where a leaf kind's bound function is read, at each call
 
@@ -920,4 +963,4 @@ def paper_ledger() -> Ledger:
     """The ledger distributed with the package."""
     path = os.path.join(os.path.dirname(__file__), "data", "paper_ledger.json")
     with open(path, encoding="utf-8") as handle:
-        return load_ledger(json.load(handle))
+        return load_ledger(handle.read())  # text, so its nodes are shared as any document's

@@ -150,6 +150,21 @@ def test_max_schur_exponent_checks_n_before_t_max():
         assert str(info.value) == "matrix size n must be >= 1, got 0"
 
 
+def test_a_clamped_t_max_parses_no_tag_again(monkeypatch):
+    import glbounds.diophantine as diophantine
+
+    given = [SolutionConstraints(e_min=2, extra=("e even", "t >= 2")),
+             SolutionConstraints(extra=("e = 2", "m = 1"), t_max=9)]
+    want = [max_schur_exponent(7, 3, 12, SolutionConstraints(e_min=2, t_max=3,
+                                                             extra=("e even", "t >= 2"))),
+            max_schur_exponent(7, 3, 12, SolutionConstraints(extra=("e = 2", "m = 1"), t_max=3))]
+    calls = []
+    real = diophantine._parse_tag
+    monkeypatch.setattr(diophantine, "_parse_tag", lambda tag: calls.append(tag) or real(tag))
+    assert [max_schur_exponent(7, 3, 12, c) for c in given] == want
+    assert calls == []
+
+
 # The test's own reading of each constraint tag form.
 _TAG_READINGS = {
     "e = 2": lambda s: s.e == 2,

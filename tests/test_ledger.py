@@ -851,8 +851,8 @@ def _clear_ledger_caches():
 
     for cached in (ledger_mod._constraints, ledger_mod._factor_small, ledger_mod._rendered):
         cached.cache_clear()
-    ledger_mod._accepted.clear()
     ledger_mod._leaf_factors.clear()
+    ledger_mod._live_nodes.clear()
 
 
 def test_each_declared_value_is_rendered_once_per_load_and_per_export(monkeypatch):
@@ -960,12 +960,15 @@ def test_each_load_gives_its_own_value_or_error_whatever_was_loaded_before():
         assert str(info.value) == "a: declared exponent for 2 must be a positive integer"
 
 
-def _load_outcome(document):
-    """What loading document gives: its declared factors, or its error."""
+def _load_outcome(source, kept):
+    """What loading source gives: its declared factors, or its error.  A
+    loaded ledger goes to kept, so its nodes stay alive for later loads."""
     try:
-        return load_ledger(document).nodes["a"].declared.factors
+        ledger = load_ledger(source)
     except LedgerError as exc:
         return type(exc), str(exc)
+    kept.append(ledger)
+    return ledger.nodes["a"].declared.factors
 
 
 one_node_documents = st.builds(
@@ -980,62 +983,106 @@ one_node_documents = st.builds(
 @example([_one({"2": 10}, "1 024"), _one({"2": 10.0}, "1 024"), _one({"02": 10}, "1 024")])
 def test_a_load_gives_what_it_gives_with_every_cache_cleared_first(documents):
     # The oracle clears every ledger cache before each load; the loads under
-    # test share whatever the loads before them left, twice over.
+    # test share whatever the loads before them left, twice over.  Each
+    # document loads as a Mapping and as text, whose nodes the loader may
+    # take from an earlier load.
+    sources = [form for document in documents for form in (document, json.dumps(document))]
     fresh = []
-    for document in documents:
+    for source in sources:
         _clear_ledger_caches()
-        fresh.append(_load_outcome(document))
+        fresh.append(_load_outcome(source, []))
     _clear_ledger_caches()
-    assert [_load_outcome(document) for document in documents * 2] == fresh * 2
+    kept = []
+    assert [_load_outcome(source, kept) for source in sources * 2] == fresh * 2
 
 
-def test_the_accepted_map_is_bounded_and_keeps_no_long_value(monkeypatch):
-    import glbounds.ledger as ledger_mod
-    from glbounds.exactnum import _STR_BITS
-
-    _clear_ledger_caches()
-    monkeypatch.setattr(ledger_mod, "_CACHE_SIZE", 4)
-    for e in range(1, 11):
-        load_ledger(doc(node("a", "Constant", {"2": e})))
-    assert list(ledger_mod._accepted) == [fi_to_decimal(fi(2**e), group=True)
-                                          for e in range(7, 11)]
-    # 2^1999 has _STR_BITS bits, 2^2000 one more: only the first is kept.
-    ledger_mod._accepted.clear()
-    for e in (_STR_BITS - 1, _STR_BITS):
-        load_ledger(doc(node("a", "Constant", {"2": e})))
-    assert [value for _, value in ledger_mod._accepted.values()] == [
-        FactoredInteger(((2, _STR_BITS - 1),))]
-    # The map keeps a copy: a document changed after its load is checked again.
-    document = doc(node("a", "Constant", {"2": 10}))
-    load_ledger(document)
-    document["nodes"][0]["declared"]["2"] = 9
-    with pytest.raises(BadDeclaredValue) as info:
-        load_ledger(document)
-    assert str(info.value) == "a: decimal '1 024' does not match declared factorization (512)"
+def _packaged_document():
+    return json.loads(dumps_ledger(paper_ledger()))
 
 
-def test_loads_in_several_threads_keep_the_accepted_map_bounded(monkeypatch):
+def test_the_live_node_map_pins_no_node():
     import glbounds.ledger as ledger_mod
 
-    class Slow(OrderedDict):
-        """Gives up the interpreter between the size check and each store,
-        so a store that is not guarded overfills the map."""
+    _clear_ledger_caches()
+    text = dumps_ledger(paper_ledger())
+    ledgers = [load_ledger(text) for _ in range(3)]
+    # The first load builds and enters every node; the next two take them.
+    assert len(ledger_mod._live_nodes) == 218
+    assert all(type(ref) is weakref.ref for ref in ledger_mod._live_nodes.values())
+    assert all(later.nodes[nid] is ledgers[0].nodes[nid]
+               for later in ledgers[1:] for nid in ledgers[0].order)
+    del ledgers
+    gc.collect()
+    assert [ref for ref in ledger_mod._live_nodes.values() if ref() is not None] == []
+    # A load that fails after building its nodes leaves none alive either.
+    document = _packaged_document()
+    document["root"] = "missing"
+    with pytest.raises(SchemaError):
+        load_ledger(json.dumps(document))
+    gc.collect()
+    assert [ref for ref in ledger_mod._live_nodes.values() if ref() is not None] == []
+
+
+def test_the_live_node_map_stays_bounded_under_a_stream_of_documents():
+    import glbounds.ledger as ledger_mod
+
+    _clear_ledger_caches()
+    bound = 2 * ledger_mod._CACHE_SIZE
+    kept = load_ledger(dumps_ledger(paper_ledger()))
+    sizes = []
+    for i in range(2000):
+        text = json.dumps(doc(node("n%d" % i, "Constant", {"2": i % 7 + 1})))
+        assert load_ledger(text).nodes["n%d" % i].declared == fi(2 ** (i % 7 + 1))
+        sizes.append(len(ledger_mod._live_nodes))
+    assert max(sizes) == bound - 1 and min(sizes) == 219
+    # Pruning drops the dead entries first: the kept ledger's stay.
+    assert all(ledger_mod._live_nodes[nid]() is kept.nodes[nid] for nid in kept.order)
+    # A ledger of more nodes than the bound, all alive, loads with the map
+    # keeping only its newest entries.
+    chain = [node("c%d" % i, "Product", {"2": 1}, children=["c%d" % (i - 1)])
+             for i in range(1, 3 * bound)]
+    big = load_ledger(json.dumps(doc(node("c0", "Constant", {"2": 1}), *chain)))
+    assert len(big.order) == 3 * bound and len(ledger_mod._live_nodes) < bound
+    assert ledger_mod._live_nodes["c%d" % (3 * bound - 1)]() is big.nodes["c%d" % (3 * bound - 1)]
+
+
+def test_loads_in_several_threads_keep_the_live_node_map_correct_and_bounded(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    class Slow(dict):
+        """Gives up the interpreter before each store and between the items a
+        prune reads, so a store or a prune that is not guarded meets another
+        thread's store half done."""
 
         def __setitem__(self, key, value):
             time.sleep(0.0005)
             super().__setitem__(key, value)
 
+        def items(self):
+            for item in super().items():
+                time.sleep(0.0001)
+                yield item
+
     _clear_ledger_caches()
     monkeypatch.setattr(ledger_mod, "_CACHE_SIZE", 4)
-    monkeypatch.setattr(ledger_mod, "_accepted", Slow())
-    documents = [doc(node("a", "Constant", {"2": e})) for e in range(1, 25)]
-    wrong = []
+    monkeypatch.setattr(ledger_mod, "_live_nodes", Slow())
+    # Every document has a node "a" of its own value, and a node of its own id.
+    documents = [json.dumps(doc(node("a", "Constant", {"2": e}),
+                                node("n%d" % e, "Constant", {"3": 1})))
+                 for e in range(1, 25)]
+    kept, wrong = [], []
 
     def work(offset):
         for i in range(20):
             e = (offset + i) % 24 + 1
-            if load_ledger(documents[e - 1]).nodes["a"].declared != fi(2**e):
+            try:
+                ledger = load_ledger(documents[e - 1])
+            except Exception as exc:  # noqa: BLE001 - any error is a wrong answer
+                wrong.append((e, exc))
+                continue
+            if ledger.nodes["a"].declared != fi(2**e) or list(ledger.nodes) != ["a", "n%d" % e]:
                 wrong.append(e)
+            kept.append(ledger)  # live nodes for the other threads to hit
 
     threads = [threading.Thread(target=work, args=(k * 5,)) for k in range(6)]
     for thread in threads:
@@ -1043,9 +1090,123 @@ def test_loads_in_several_threads_keep_the_accepted_map_bounded(monkeypatch):
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
-    assert wrong == [] and len(ledger_mod._accepted) <= 4
+    assert wrong == [] and len(ledger_mod._live_nodes) < 8
 
 
+def test_a_mapping_source_is_never_looked_up_or_entered():
+    import glbounds.ledger as ledger_mod
+
+    _clear_ledger_caches()
+    text = dumps_ledger(paper_ledger())
+    live = load_ledger(text)
+    entered = dict(ledger_mod._live_nodes)
+    document = json.loads(text)
+    mapped = load_ledger(document)
+    assert mapped == live and dumps_ledger(mapped) == text
+    assert not any(mapped.nodes[nid] is live.nodes[nid] for nid in live.order)
+    assert all(n._source is None for n in mapped.nodes.values())
+    assert ledger_mod._live_nodes == entered
+    # The caller changes its dict after the load: no later load sees it, and
+    # a load of the changed dict reads it as it is now.
+    entry = next(e for e in document["nodes"] if e["id"] == "pgl2-q")
+    entry["citation"] = "changed"
+    entry["declared"]["3"] = 2
+    assert load_ledger(text).nodes["pgl2-q"] is live.nodes["pgl2-q"]
+    with pytest.raises(BadDeclaredValue, match="^pgl2-q: decimal '12' does not match"):
+        load_ledger(document)
+    entry["decimal"] = "36"
+    assert load_ledger(document).nodes["pgl2-q"].citation == "changed"
+    assert load_ledger(text).nodes["pgl2-q"].citation != "changed"
+
+
+def test_a_nodes_source_takes_no_part_in_its_value():
+    text = dumps_ledger(paper_ledger())
+    loaded = load_ledger(text)
+    leaf = loaded.nodes["pgl2-q"]
+    assert leaf._source == next(e for e in json.loads(text)["nodes"] if e["id"] == "pgl2-q")
+    built = LedgerNode(leaf.id, leaf.kind, leaf.args, leaf.children, leaf.declared,
+                       leaf.citation, leaf.paper_prints, leaf.note)
+    for twin in (built, pickle.loads(pickle.dumps(leaf)), copy.copy(leaf), copy.deepcopy(leaf)):
+        assert twin._source is None
+        assert twin == leaf and hash(twin.declared) == hash(leaf.declared)
+        assert repr(twin) == repr(leaf)
+    assert "_source" not in repr(leaf) and pickle.dumps(leaf) == pickle.dumps(built)
+
+
+def _mutations(document):
+    """(name, mutated copy of document) for each way an entry can differ from
+    a packaged one that == alone does not see, or that the checks refuse."""
+    def entry(doc_, nid):
+        return next(e for e in doc_["nodes"] if e["id"] == nid)
+
+    def mutated(name, change):
+        copy_ = copy.deepcopy(document)
+        change(copy_)
+        return name, copy_
+
+    def set_arg(nid, key, value):
+        return lambda d: entry(d, nid)["args"].__setitem__(key, value)
+
+    def set_exponent(nid, key, value):
+        return lambda d: entry(d, nid)["declared"].__setitem__(key, value)
+
+    def reverse_args(d):
+        e = entry(d, "pgl2-q")
+        e["args"] = dict(reversed(list(e["args"].items())))
+
+    def respell_key(d):
+        e = entry(d, "pgl2-q")
+        e["declared"] = {("0" + k if k == "2" else k): v for k, v in e["declared"].items()}
+
+    def repeat(d):
+        d["nodes"].insert(3, copy.deepcopy(d["nodes"][1]))
+
+    def null_field(field):
+        return lambda d: entry(d, "pgl2-q").__setitem__(field, None)
+
+    return [
+        mutated("args value true", set_arg("pgl2-q", "degree", True)),
+        mutated("args value 12.0", set_arg("conic-deg6", "degree", 12.0)),
+        mutated("args value 1.0", set_arg("pgl2-q", "degree", 1.0)),
+        mutated("args keys reversed", reverse_args),
+        mutated("declared key 02", respell_key),
+        mutated("exponent 2.0", set_exponent("pgl2-q", "2", 2.0)),
+        mutated("exponent true", set_exponent("pgl2-q", "3", True)),
+        mutated("repeated node", repeat),
+        mutated("paper_prints null", null_field("paper_prints")),
+        mutated("note null", null_field("note")),
+        mutated("citation changed", lambda d: entry(d, "pgl2-q").__setitem__("citation", "x")),
+        mutated("unchanged", lambda d: None),
+    ]
+
+
+def _load_text_outcome(text):
+    """What loading text gives: the ledger and its export, or its error."""
+    try:
+        ledger = load_ledger(text)
+    except LedgerError as exc:
+        return None, (type(exc), str(exc))
+    return ledger, dumps_ledger(ledger)
+
+
+def test_a_load_gives_what_it_gives_with_the_live_node_map_emptied():
+    import glbounds.ledger as ledger_mod
+
+    document = _packaged_document()
+    shared = {}
+    for name, mutated in _mutations(document):
+        text = json.dumps(mutated, indent=2, ensure_ascii=False)
+        _clear_ledger_caches()
+        packaged = paper_ledger()  # its nodes are the live ones
+        warm, warm_outcome = _load_text_outcome(text)
+        ledger_mod._live_nodes.clear()
+        cold, cold_outcome = _load_text_outcome(text)
+        assert (warm_outcome, warm) == (cold_outcome, cold), name
+        if warm is not None:
+            shared[name] = sum(warm.nodes[nid] is packaged.nodes.get(nid) for nid in warm.order)
+    # Each mutation that loads took every packaged node it did not change.
+    assert shared == {"args keys reversed": 217, "declared key 02": 217,
+                      "citation changed": 217, "unchanged": 218}
 def _minkowski(n):
     return doc(node("m", "Minkowski", {}, args={"n": n}), root="m")
 
@@ -1214,18 +1375,22 @@ def test_keeping_a_kept_key_in_a_full_map_evicts_nothing():
 def test_clearing_the_ledger_caches_empties_every_process_wide_table():
     import glbounds.ledger as ledger_mod
 
-    # Every lru_cache and every module-level OrderedDict of the module,
-    # found by what they are, so that a table added later is found too.
-    tables = {name: obj for name, obj in vars(ledger_mod).items()
-              if callable(getattr(obj, "cache_clear", None)) or isinstance(obj, OrderedDict)}
-
     def size(table):
         return table.cache_info().currsize if callable(table) else len(table)
 
     audit_ledger = load_ledger(dumps_ledger(paper_ledger()))
     verify_ledger(audit_ledger)
     final_bound(audit_ledger, {"g10": 2592})
-    assert len(tables) >= 5 and all(size(table) for table in tables.values())
+    # Every lru_cache, every module-level OrderedDict and every dict of weak
+    # references of the module, found by what they are, so that a table
+    # added later is found too.
+    tables = {name: obj for name, obj in vars(ledger_mod).items()
+              if callable(getattr(obj, "cache_clear", None)) or isinstance(obj, OrderedDict)
+              or type(obj) is dict and obj
+              and all(type(ref) is weakref.ref for ref in obj.values())}
+    assert sorted(tables) == ["_constraints", "_factor_small", "_leaf_factors", "_live_nodes",
+                              "_rendered"]
+    assert all(size(table) for table in tables.values())
     _clear_ledger_caches()
     assert {name: size(table) for name, table in tables.items()} == dict.fromkeys(tables, 0)
 
@@ -1256,11 +1421,14 @@ def _small_ledger_documents(draw):
     return doc(*leaves, root, root="r")
 
 
-def _audit_outcome(document):
-    """What auditing document gives: its verify rows and final bound, or its error."""
-    ledger = load_ledger(document)
+def _audit_outcome(source, kept):
+    """What auditing source gives: its export, verify rows and final bound,
+    or its error.  The ledger goes to kept, so its nodes stay alive for
+    later loads."""
+    ledger = load_ledger(source)
+    kept.append(ledger)
     try:
-        return verify_ledger(ledger).rows, final_bound(ledger)
+        return dumps_ledger(ledger), verify_ledger(ledger).rows, final_bound(ledger)
     except (LedgerError, DomainError) as exc:
         return type(exc), str(exc)
 
@@ -1270,12 +1438,16 @@ def _audit_outcome(document):
 def test_audits_give_what_they_give_with_every_cache_cleared_first(documents):
     # The oracle clears every ledger cache before each audit; the audits
     # under test share whatever the audits before them left, twice over.
+    # Each document loads as a Mapping and as text, whose nodes the loader
+    # may take from an earlier load.
+    sources = [form for document in documents for form in (document, json.dumps(document))]
     fresh = []
-    for document in documents:
+    for source in sources:
         _clear_ledger_caches()
-        fresh.append(_audit_outcome(document))
+        fresh.append(_audit_outcome(source, []))
     _clear_ledger_caches()
-    assert [_audit_outcome(document) for document in documents * 2] == fresh * 2
+    kept = []
+    assert [_audit_outcome(source, kept) for source in sources * 2] == fresh * 2
 
 
 def test_a_mismatch_names_a_long_value_factored_and_a_long_decimal_by_its_length():
@@ -1330,9 +1502,10 @@ def _python_calls(fn) -> int:
 
 def test_a_warm_audit_and_round_trip_stay_within_their_python_calls():
     # A guard on the loader's and evaluator's repeat work.  Read on CPython
-    # 3.11: 2 679 and 1 316 calls (5 769 before the leaf memo, and 7 439 and
-    # 1 552 before the declared values were kept across loads, the fillers
-    # took defaults and a product was built as one record).
+    # 3.11: 1 619 and 256 calls (2 679 and 1 316 before the loader reused
+    # live nodes, 5 769 before the leaf memo, and 7 439 and 1 552 before the
+    # declared values were kept across loads, the fillers took defaults and a
+    # product was built as one record).
     text = dumps_ledger(paper_ledger())
     ledger = load_ledger(text)
 
@@ -1346,8 +1519,8 @@ def test_a_warm_audit_and_round_trip_stay_within_their_python_calls():
 
     for op in (audit, audit, round_trip, round_trip):  # warm every cache
         op()
-    assert _python_calls(audit) <= 2700
-    assert _python_calls(round_trip) <= 1350
+    assert _python_calls(audit) <= 1700
+    assert _python_calls(round_trip) <= 270
 
 
 def test_a_loaded_nodes_constraints_are_its_own():
