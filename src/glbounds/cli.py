@@ -16,7 +16,6 @@ value any subcommand prints, ledger values and declared values too.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -107,6 +106,7 @@ def _render(value: FactoredInteger, form: str = "plain"):
 
 
 def _json(obj) -> str:
+    import json  # here, not at import: a text command skips it
     return json.dumps(obj, ensure_ascii=False) + "\n"
 
 

@@ -8,35 +8,35 @@ integer scaling i/r.  Every node carries the value it is supposed to
 have, in factored form, so the whole case analysis can be replayed and
 audited step by step.
 
-Each kind is one record of the table KINDS: its argument keys, leaf or
-inner, how it parses its args or checks its children if it must, and how it
-evaluates from its children's values; the constructors and the evaluator read
-kinds only there.  LedgerNode and Ledger check every invariant as they are
-built, so a value of either is valid however it was made, and evaluation and
-export assume it.  Each LedgerNode parses its own args (EquationCase's
-constraints, ScaledProduct's num and den in factored form) as it is built
-and keeps the result in its private `_parsed` slot.  Five tables live for
-the whole process, each bounded and keyed by plain data.  Three are
-lru_caches of _CACHE_SIZE entries: _constraints, by (e_min, t_max, tags), one
-solver record per distinct set; _factor_small, by int, one factoring per
-distinct int a load or a what-if reads, which also decides a declared key's
-or an EquationCase p's primality; and _rendered, by factors tuple, a declared
-value's decimal and export text.  _leaf_factors maps a leaf's kind and args
-to the bound function that computed it and the value's factors: a leaf of
-any ledger that repeats both, while that function is bound, takes a value
-object of its own built from the factors, and calls nothing.  It holds at
-most _CACHE_SIZE entries and admits no value past _STR_BITS bits, so it pins
-no long factors tuple.  _live_nodes maps a node id to a weak reference to the
-last node the loader built for that id from a document it decoded itself: an
-identical entry of a later such document takes that node, checked once.  It
-holds fewer than 2 * _CACHE_SIZE entries.  No table keeps a computed value
-object, the leaf memo keeps a factors tuple only within its bound, and the
-weak map pins no node: a node lives while a ledger holds it.
+Each kind is one record of the table KINDS: its argument keys, leaf or inner,
+how it parses its args or checks its children if it must, and how it evaluates
+from its children's values; the constructors and the evaluator read kinds only
+there.  LedgerNode and Ledger check every invariant as they are built, so a
+value of either is valid however it was made, and evaluation and export assume
+it.  Each LedgerNode parses its own args (EquationCase's constraints,
+ScaledProduct's num and den in factored form) as it is built and keeps the
+result in its private `_parsed` slot.  Five tables live for the whole process,
+each bounded and keyed by plain data.  Three are lru_caches of _CACHE_SIZE
+entries: _constraints, by (e_min, t_max, tags), one solver record per distinct
+set; _factor_small, by int, one factoring per distinct int a load or a what-if
+reads, which also decides a declared key's or an EquationCase p's primality;
+and _rendered, by factors tuple, a declared value and its grouped decimal, for
+the loader and _node_text.  _leaf_factors maps a leaf's kind and args to the
+bound function that computed it and the value's factors: a leaf of any ledger
+that repeats both, while that function is bound, takes a value object of its
+own built from the factors, and calls nothing.  It holds at most _CACHE_SIZE
+entries and admits no value past _STR_BITS bits, so it pins no long factors
+tuple.  _live_nodes maps a node id to a weak reference to the last node the
+loader built for that id from a document it decoded itself: an identical entry
+of a later such document takes that node, checked once.  It holds fewer than
+2 * _CACHE_SIZE entries.  No table keeps a computed value object, the leaf
+memo keeps a factors tuple only within its bound, and the weak map pins no
+node: a node lives while a ledger holds it.
 
-dumps_ledger writes each node's fields straight from the ledger, in the
-layout json.dumps(indent=2, ensure_ascii=False) gives the document that loads
-back to the same ledger, and each node's declared block as the render cache
-holds it; the tests rebuild that document as their oracle.
+dumps_ledger writes the ledger in the layout json.dumps(indent=2,
+ensure_ascii=False) gives the document that loads back to the same ledger,
+each node's block as _node_text writes it from the node's fields once and
+keeps it on the node; the tests rebuild that document as their oracle.
 """
 
 from __future__ import annotations
@@ -48,13 +48,11 @@ __all__ = [
     "verify_ledger",
 ]
 
-import json
 import os
 import weakref
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
-from json.encoder import encode_basestring
 from threading import Lock
 from types import MappingProxyType
 
@@ -146,11 +144,14 @@ class LedgerNode(Value):
     which is no constructor argument and takes no part in ==, hash or
     repr.  Neither is `_source`, the decoded JSON entry the loader built the
     node from, None for a node built any other way; the loader reuses a
-    live node whose entry is identical to a new one.  A node lives while a
-    ledger or a caller holds it: the loader's map of nodes pins none."""
+    live node whose entry is identical to a new one.  Nor is `_text`, the
+    node's block in dumps_ledger's output from its own fields, None until
+    its first export and then shared by every ledger holding the node.  A
+    node lives while a ledger or a caller holds it: the loader's map of
+    nodes pins none."""
 
     _fields = ("id", "kind", "args", "children", "declared", "citation", "paper_prints", "note")
-    __slots__ = _fields + ("_parsed", "_source", "__weakref__")
+    __slots__ = _fields + ("_parsed", "_source", "_text", "__weakref__")
 
     def __init__(self, id: str, kind: str, args: Mapping[str, object], children: tuple[str, ...],
                  declared: FactoredInteger, citation: str, paper_prints: str | None = None,
@@ -183,7 +184,7 @@ class LedgerNode(Value):
             _check_text(id, "note", note)
         self._fill(id, kind, MappingProxyType(args), tuple(children), declared, citation,
                    paper_prints, note, None if spec.parse is None else spec.parse(id, args),
-                   source)
+                   source, None)
 
 
 class Ledger(Value):
@@ -513,15 +514,10 @@ def _declared_prime(key) -> int:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _rendered(factors: tuple[tuple[int, int], ...]) -> tuple[FactoredInteger, str, str]:
-    """The value of a canonical factors tuple, its grouped decimal, which
-    the loader checks a declared decimal against, and the text of a node's
-    "declared" and "decimal" fields as dumps_ledger writes them."""
+def _rendered(factors: tuple[tuple[int, int], ...]) -> tuple[FactoredInteger, str]:
+    """The value of a canonical factors tuple and its grouped decimal."""
     value = FactoredInteger._trusted(factors)
-    decimal = fi_to_decimal(value, group=True)
-    return value, decimal, '"declared": %s,\n      "decimal": %s' % (
-        _join(['"%d": %d' % pair for pair in factors], "{}", "      "),
-        encode_basestring(decimal))
+    return value, fi_to_decimal(value, group=True)
 
 
 def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
@@ -549,7 +545,7 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
     # Prime bases, positive exponents, no prime twice: the checks above are
     # the validation, so sorting is all that is left.
     try:
-        value, expect, _ = _rendered(tuple(sorted(factors.items())))
+        value, expect = _rendered(tuple(sorted(factors.items())))
     except DomainError as exc:  # past the digit budget
         raise BadDeclaredValue("%s: %s" % (node_id, exc)) from None
     if decimal != expect:
@@ -565,6 +561,8 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
 # node id -> a weak reference to the last node the loader built for that id
 # from a document it decoded itself: what every load shares of the nodes
 # still alive.  It pins no node, and holds fewer than 2 * _CACHE_SIZE entries.
+# One node per id is the accepted cost: ledgers whose entries for an id differ
+# rebuild it in turn and render its text again, about 10 us a load and export.
 _live_nodes: dict[str, weakref.ref] = {}
 _storing = Lock()
 
@@ -616,12 +614,13 @@ def _check_acyclic(nodes: Mapping[str, LedgerNode], parents: Mapping[str, list[s
     raise CycleError("cycle through %r and %r" % (parent, nid))
 
 
-def _decode(parse, source):
-    """parse(source), with every way JSON decoding fails as a SchemaError:
-    bad syntax, bytes that are not UTF-8, nesting past the recursion limit,
-    an integer past the str-digit limit."""
+def _decode(source):
+    """The JSON document in source, a str or a text file, with every way
+    decoding fails as a SchemaError: bad syntax, bytes that are not UTF-8,
+    nesting past the recursion limit, an integer past the str-digit limit."""
+    import json  # here, not at import: a command that reads no ledger skips it
     try:
-        return parse(source)
+        return json.loads(source) if isinstance(source, str) else json.load(source)
     except (ValueError, RecursionError) as exc:
         raise SchemaError("ledger is not valid JSON: %s" % exc) from None
 
@@ -650,10 +649,10 @@ def load_ledger(source) -> Ledger:
     if isinstance(source, Mapping):
         doc, live = source, None
     elif isinstance(source, str):
-        doc, live = _decode(json.loads, source), _live_nodes
+        doc, live = _decode(source), _live_nodes
     elif isinstance(source, os.PathLike):
         with open(source, "r", encoding="utf-8") as handle:
-            doc, live = _decode(json.load, handle), _live_nodes
+            doc, live = _decode(handle), _live_nodes
     else:
         raise SchemaError("unsupported ledger source %r" % type(source))
 
@@ -922,41 +921,52 @@ def _join(items: list[str], brackets: str, indent: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
+def _node_text(node: LedgerNode) -> str:
+    """node's block in dumps_ledger's output, kept in its `_text` slot."""
+    from json.encoder import encode_basestring as enc
+    args = "{}"  # no args, like no children, is written as is
+    if node.args:
+        pairs = []
+        for key, value in node.args.items():
+            if type(value) is int:
+                pairs.append("%s: %d" % (enc(key), value))
+            elif isinstance(value, str):  # yes/no/unknown
+                pairs.append(enc(key) + ": " + enc(value))
+            else:  # constraints, a tuple of tags
+                pairs.append(enc(key) + ": " + _join(list(map(enc, value)), "[]", "        "))
+        args = _join(pairs, "{}", "      ")
+    text = ('{\n      "id": %s,\n      "kind": %s,\n      "args": %s,\n      "children": %s,'
+            '\n      "declared": %s,\n      "decimal": %s,\n      "citation": %s' % (
+                enc(node.id), enc(node.kind), args,
+                _join(list(map(enc, node.children)), "[]", "      ") if node.children else "[]",
+                _join(['"%d": %d' % pair for pair in node.declared.factors], "{}", "      "),
+                enc(_rendered(node.declared.factors)[1]), enc(node.citation)))
+    if node.paper_prints is not None:
+        text += ',\n      "paper_prints": ' + enc(node.paper_prints)
+    if node.note is not None:
+        text += ',\n      "note": ' + enc(node.note)
+    _set_text(node, text + "\n    }")
+    return node._text
+
+
+_set_text = LedgerNode._text.__set__  # for _node_text, once the node is built
+
+
 def dumps_ledger(ledger: Ledger) -> str:
     """The ledger as JSON text: json.dumps(indent=2, ensure_ascii=False) of
-    the document that loads back to it, plus "\n", written field by field
-    from the ledger."""
+    the document that loads back to it, plus "\n", written from the
+    ledger's fields and the text each node keeps."""
+    from json.encoder import encode_basestring as enc
     _check_ledger(ledger)
-    enc = encode_basestring
     top = ['"schema_version": %d' % ledger.schema_version]
     if ledger.root is not None:
         top.append('"root": ' + enc(ledger.root))
     top.append('"whitelist": ' + _join(list(map(enc, ledger.whitelist)), "[]", "  "))
-    nodes = []
-    for node in ledger.nodes.values():
-        args = "{}"  # no args, like no children, is written as is
-        if node.args:
-            pairs = []
-            for key, value in node.args.items():
-                if type(value) is int:
-                    pairs.append("%s: %d" % (enc(key), value))
-                elif isinstance(value, str):  # yes/no/unknown
-                    pairs.append(enc(key) + ": " + enc(value))
-                else:  # constraints, a tuple of tags
-                    pairs.append(enc(key) + ": " + _join(list(map(enc, value)), "[]", "        "))
-            args = _join(pairs, "{}", "      ")
-        text = ('{\n      "id": %s,\n      "kind": %s,\n      "args": %s,\n      "children": %s,'
-                '\n      %s,\n      "citation": %s' % (
-                    enc(node.id), enc(node.kind), args,
-                    _join(list(map(enc, node.children)), "[]", "      ") if node.children else "[]",
-                    _rendered(node.declared.factors)[2], enc(node.citation)))
-        if node.paper_prints is not None:
-            text += ',\n      "paper_prints": ' + enc(node.paper_prints)
-        if node.note is not None:
-            text += ',\n      "note": ' + enc(node.note)
-        nodes.append(text + "\n    }")
-    top.append('"nodes": ' + _join(nodes, "[]", "  "))
-    return _join(top, "{}", "") + "\n"
+    nodes = [node._text or _node_text(node) for node in ledger.nodes.values()]
+    # _join's layout, written out so that only two long strings are built, the
+    # nodes' join and the whole text: its concatenations would copy both again.
+    return "".join(["{\n  ", ",\n  ".join(top), ',\n  "nodes": [', "\n    " if nodes else "",
+                    ",\n    ".join(nodes), "\n  ]" if nodes else "]", "\n}\n"])
 
 
 def paper_ledger() -> Ledger:

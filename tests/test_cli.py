@@ -476,20 +476,26 @@ def test_the_cold_commands_load_no_heavy_module():
     # A clean interpreter, without site, which may preload modules: the
     # commonest commands stay off decimal, dataclasses, typing, pathlib and
     # importlib.resources, which would cost every invocation their import.
+    # A text command that reads no ledger stays off json too; sys.modules is
+    # read after each command, before json is imported to print.
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from glbounds.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['minkowski', '-n', '12']), main(['ledger', 'final'])]\n"
         "heavy = ('decimal', 'dataclasses', 'inspect', 'typing', 'pathlib', 'zipfile',\n"
         "         'tempfile', 'importlib.resources')\n"
-        "print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))\n"
+        "codes, loaded = [], []\n"
+        "for argv, more in [(['minkowski', '-n', '12'], ('json',)), (['ledger', 'final'], ())]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "    loaded.append([name for name in heavy + more if name in sys.modules])\n"
+        "import json\n"
+        "print(json.dumps([codes, loaded]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, b"")
-    assert json.loads(done.stdout) == [[0, 0], []]
+    assert json.loads(done.stdout) == [[0, 0], [[], []]]
 
 
 def test_override_with_a_prime_factor_past_the_declared_domain(capsys):

@@ -10,6 +10,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -612,9 +613,11 @@ def _hand_built_ledgers(draw):
 @example(Ledger(1, None, (), {"c": LedgerNode(
     "c", "Constant", {}, (), _WRITER_VALUES[-1],
     "\u00e9 \"q\" \\ \x01\u2028")}))
+@example(Ledger(1, None, (), {}))
 def test_writer_matches_json_dumps_of_the_document(ledger):
     want = json.dumps(to_document(ledger), indent=2, ensure_ascii=False) + "\n"
     assert dumps_ledger(ledger) == want
+    assert dumps_ledger(ledger) == want  # from the texts the first export kept
     assert load_ledger(want) == ledger
 
 
@@ -874,6 +877,57 @@ def test_each_declared_value_is_rendered_once_per_load_and_per_export(monkeypatc
     assert len(calls) == 99
 
 
+def _export_oracle(ledger):
+    return json.dumps(to_document(ledger), indent=2, ensure_ascii=False) + "\n"
+
+
+def _packaged_text():
+    import glbounds.ledger as ledger_mod
+
+    return (Path(ledger_mod.__file__).parent / "data" / "paper_ledger.json").read_text("utf-8")
+
+
+def test_a_second_export_and_an_export_of_reused_nodes_match_the_oracle():
+    _clear_ledger_caches()
+    text = _packaged_text()
+    ledger = load_ledger(text)
+    assert all(node._text is None for node in ledger.nodes.values())
+    want = _export_oracle(ledger)
+    assert want == text
+    assert dumps_ledger(ledger) == want and dumps_ledger(ledger) == want
+    assert all(node._text is not None for node in ledger.nodes.values())
+    # A load of the same text reuses every node, kept text and all.
+    reused = load_ledger(text)
+    assert all(reused.nodes[nid] is ledger.nodes[nid] for nid in ledger.order)
+    assert dumps_ledger(reused) == _export_oracle(reused) == want
+
+
+def test_two_live_ledgers_that_differ_in_one_node_each_export_their_own_text():
+    _clear_ledger_caches()
+    text = _packaged_text()
+    document = json.loads(text)
+    entry = next(e for e in document["nodes"] if e["id"] == "pgl2-q")
+    entry["citation"] = "Théorème 1.2 – Serre"
+    other_text = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    first, other = load_ledger(text), load_ledger(other_text)
+    assert [nid for nid in first.order if other.nodes[nid] is not first.nodes[nid]] == ["pgl2-q"]
+    for _ in range(2):  # each export, and each load, after one of the other text
+        for ledger, want in ((first, text), (other, other_text), (load_ledger(text), text),
+                             (load_ledger(other_text), other_text)):
+            assert dumps_ledger(ledger) == _export_oracle(ledger) == want
+    assert '"citation": "Théorème 1.2 – Serre"' in other.nodes["pgl2-q"]._text
+
+
+def test_a_second_export_renders_no_node(monkeypatch):
+    import glbounds.ledger as ledger_mod
+
+    ledger = load_ledger(json.loads(_packaged_text()))  # a Mapping: nodes of its own
+    calls = _count_calls(monkeypatch, ledger_mod, ["_node_text"])["_node_text"]
+    text = dumps_ledger(ledger)
+    assert len(calls) == 218
+    assert dumps_ledger(ledger) == text and len(calls) == 218
+
+
 def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
     import glbounds.ledger as ledger_mod
 
@@ -1126,11 +1180,14 @@ def test_a_nodes_source_takes_no_part_in_its_value():
     assert leaf._source == next(e for e in json.loads(text)["nodes"] if e["id"] == "pgl2-q")
     built = LedgerNode(leaf.id, leaf.kind, leaf.args, leaf.children, leaf.declared,
                        leaf.citation, leaf.paper_prints, leaf.note)
+    dumps_ledger(loaded)  # the first export keeps each node's text
+    assert leaf._text.startswith('{\n      "id": "pgl2-q",') and leaf._text.endswith("\n    }")
     for twin in (built, pickle.loads(pickle.dumps(leaf)), copy.copy(leaf), copy.deepcopy(leaf)):
-        assert twin._source is None
+        assert twin._source is None and twin._text is None
         assert twin == leaf and hash(twin.declared) == hash(leaf.declared)
         assert repr(twin) == repr(leaf)
-    assert "_source" not in repr(leaf) and pickle.dumps(leaf) == pickle.dumps(built)
+    assert "_source" not in repr(leaf) and "_text" not in repr(leaf)
+    assert pickle.dumps(leaf) == pickle.dumps(built)
 
 
 def _mutations(document):

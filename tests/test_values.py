@@ -84,7 +84,7 @@ LIBRARY = ("exactnum", "cyclotomic", "bounds", "diophantine", "ledger")
 # slots that are no constructor argument, by class
 PRIVATE_SLOTS = {
     "FactoredInteger": ("_int",),
-    "LedgerNode": ("_parsed", "_source", "__weakref__"),
+    "LedgerNode": ("_parsed", "_source", "_text", "__weakref__"),
     "Ledger": ("node_values", "_parents"),
     "SolutionConstraints": ("_preds",),
 }
@@ -181,16 +181,21 @@ def test_import_generates_only_the_fills_of_the_values_it_builds():
     assert done.stdout == "['Conductor', 'ExactCyclotomic', 'FactoredInteger']\n"
 
 
+# The one named setter of each slot a value fills lazily, once it is built:
+# FactoredInteger's `_int` and LedgerNode's `_text`.
+LAZY_SETTERS = ("_set_int", "_set_text")
+
+
 def _slot_stores(source: str) -> list[tuple[int, str]]:
     """(line, name) for each object.__setattr__ and each __set__ read outside
-    class Value and the _set_int binding."""
+    class Value and the bindings of LAZY_SETTERS."""
     found = []
 
     def visit(node, allowed):
         if isinstance(node, ast.ClassDef) and node.name == "Value":
             allowed = True
-        elif isinstance(node, ast.Assign) and [
-                getattr(target, "id", None) for target in node.targets] == ["_set_int"]:
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1 and getattr(
+                node.targets[0], "id", None) in LAZY_SETTERS:
             allowed = True
         elif isinstance(node, ast.Attribute):
             if (node.attr == "__setattr__" and isinstance(node.value, ast.Name)
@@ -210,8 +215,10 @@ def test_the_slot_store_scan_finds_both_idioms():
               "    def __init__(self, a):\n"
               "        object.__setattr__(self, 'a', a)\n"
               "_set_a = Row.__dict__['a'].__set__\n"
-              "_set_int = Row.__dict__['a'].__set__\n")
-    assert _slot_stores(source) == [(3, "object.__setattr__"), (4, "__set__")]
+              "_set_int = Row.__dict__['a'].__set__\n"
+              "_set_text = Row.a.__set__\n"
+              "_set_int = _set_text = Row.a.__set__\n")
+    assert _slot_stores(source) == [(3, "object.__setattr__"), (4, "__set__"), (7, "__set__")]
 
 
 def test_library_stores_slots_only_through_fill():
@@ -220,6 +227,12 @@ def test_library_stores_slots_only_through_fill():
              for path in sorted(package.glob("*.py"))}
     assert {name: stores for name, stores in found.items() if stores} == {}
     assert {"exactnum.py", "ledger.py"} <= set(found)
+    # Each lazily kept slot has exactly one named setter, bound once.
+    bound = [target.id for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assign) for target in node.targets
+             if getattr(target, "id", None) in LAZY_SETTERS]
+    assert sorted(bound) == sorted(LAZY_SETTERS)
 
 
 def test_constructor_defaults():
