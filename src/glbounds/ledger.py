@@ -15,23 +15,16 @@ there.  LedgerNode and Ledger check every invariant as they are built, so a
 value of either is valid however it was made, and evaluation and export assume
 it.  Each LedgerNode parses its own args (EquationCase's constraints,
 ScaledProduct's num and den in factored form) as it is built and keeps the
-result in its private `_parsed` slot.  Five tables live for the whole process,
-each bounded and keyed by plain data.  Three are lru_caches of _CACHE_SIZE
-entries: _constraints, by (e_min, t_max, tags), one solver record per distinct
-set; _factor_small, by int, one factoring per distinct int a load or a what-if
-reads, which also decides a declared key's or an EquationCase p's primality;
-and _rendered, by factors tuple, a declared value and its grouped decimal, for
-the loader and _node_text.  _leaf_factors maps a leaf's kind and args to the
-bound function that computed it and the value's factors: a leaf of any ledger
-that repeats both, while that function is bound, takes a value object of its
-own built from the factors, and calls nothing.  It holds at most _CACHE_SIZE
-entries and admits no value past _STR_BITS bits, so it pins no long factors
-tuple.  _live_nodes maps a node id to a weak reference to the last node the
-loader built for that id from a document it decoded itself: an identical entry
-of a later such document takes that node, checked once.  It holds fewer than
-2 * _CACHE_SIZE entries.  No table keeps a computed value object, the leaf
-memo keeps a factors tuple only within its bound, and the weak map pins no
-node: a node lives while a ledger holds it.
+result in its private `_parsed` slot.  Two tables live for the whole process.
+_factor_small, an lru_cache of _CACHE_SIZE entries, factors each distinct int
+a load or a what-if reads once, which also decides a declared key's or an
+EquationCase p's primality.  _live_nodes maps a node id to a weak reference
+to the last node the loader built for that id from a document it decoded
+itself: an identical entry of a later such document takes that node, checked
+once.  It holds fewer than 2 * _CACHE_SIZE entries and pins no node: a node
+lives while a ledger holds it.  A recomputed leaf keeps, in its node's `_leaf`
+slot, the bound function that computed it and its value's factors, so every
+ledger holding the node takes the value while that function is bound.
 
 dumps_ledger writes the ledger in the layout json.dumps(indent=2,
 ensure_ascii=False) gives the document that loads back to the same ledger,
@@ -50,7 +43,6 @@ __all__ = [
 
 import os
 import weakref
-from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from threading import Lock
@@ -118,11 +110,10 @@ _NODE_ALLOWED = _NODE_FIELDS.union(_NODE_OPTIONAL)  # built once, not per node
 _TRISTATE_ARGS = frozenset(DegreeOnly._fields[1:])
 # Types that compare equal to an int the checks accept, and that they refuse
 _INEXACT = frozenset({bool, float})
-# Entries each parse and render cache and the leaf memo keep, and half the
-# entries the map of live nodes may reach.  The packaged ledger fills at most
-# about a hundred (its distinct declared values, its 102 distinct recomputed
-# leaves) and enters 218 nodes, so loading and evaluating it evicts nothing,
-# and a stream of other ledgers cannot grow the tables past this.
+# Entries _factor_small keeps, and half the entries the map of live nodes may
+# reach.  Loading the packaged ledger factors 17 distinct ints and enters 218
+# nodes, so it evicts nothing, and a stream of other ledgers cannot grow
+# either table past this.
 _CACHE_SIZE = 512
 # Longest decimal a declared-value mismatch quotes: past it the message
 # names the given decimal by its length and the expected value factored.
@@ -146,12 +137,14 @@ class LedgerNode(Value):
     node from, None for a node built any other way; the loader reuses a
     live node whose entry is identical to a new one.  Nor is `_text`, the
     node's block in dumps_ledger's output from its own fields, None until
-    its first export and then shared by every ledger holding the node.  A
+    its first export and then shared by every ledger holding the node.  Nor
+    is `_leaf`, None until a recomputed leaf's first evaluation, then the
+    bound function that computed it and its value's factors, also shared.  A
     node lives while a ledger or a caller holds it: the loader's map of
     nodes pins none."""
 
     _fields = ("id", "kind", "args", "children", "declared", "citation", "paper_prints", "note")
-    __slots__ = _fields + ("_parsed", "_source", "_text", "__weakref__")
+    __slots__ = _fields + ("_parsed", "_source", "_text", "_leaf", "__weakref__")
 
     def __init__(self, id: str, kind: str, args: Mapping[str, object], children: tuple[str, ...],
                  declared: FactoredInteger, citation: str, paper_prints: str | None = None,
@@ -184,7 +177,7 @@ class LedgerNode(Value):
             _check_text(id, "note", note)
         self._fill(id, kind, MappingProxyType(args), tuple(children), declared, citation,
                    paper_prints, note, None if spec.parse is None else spec.parse(id, args),
-                   source, None)
+                   source, None, None)
 
 
 class Ledger(Value):
@@ -203,15 +196,14 @@ class Ledger(Value):
     its value without overrides, leaf or inner, filled by whichever
     evaluation reaches the node first.  Repeated verify / final / explain
     calls on one ledger therefore compute each node once.  A recomputed
-    leaf is also looked up in the process-wide leaf memo first, so each
-    distinct (kind, args) is computed once per process while the memo holds
-    it and its kind's bound function stays the same, whichever ledger
-    reaches it.  A what-if recomputes only the overridden nodes and their
-    ancestors, in a memo of its own, and reads every other node from
-    `node_values`; override-derived values never enter it.  `_parents` maps
-    each id to its parents' ids in document order, one per edge; the
-    constructor builds it with the acyclicity check, and a what-if walks it
-    up from the overridden nodes.
+    leaf keeps its value on its node, in `_leaf`, so it is computed once
+    while the node lives and its kind's bound function stays the same,
+    whichever ledger holding the node reaches it.  A what-if recomputes only
+    the overridden nodes and their ancestors, in a memo of its own, and
+    reads every other node from `node_values`; override-derived values never
+    enter it.  `_parents` maps each id to its parents' ids in document
+    order, one per edge; the constructor builds it with the acyclicity
+    check, and a what-if walks it up from the overridden nodes.
     Neither is a constructor argument or takes part in ==, hash or repr.
     """
 
@@ -298,7 +290,7 @@ class _Kind:
     if the claim fails.  A leaf that recomputes its value names in `bound`
     the module global of the bound function it calls, and its value is
     value(node, function), the function the evaluator read from that name;
-    the leaf memo keeps that function beside the value's factors."""
+    the node's `_leaf` slot keeps that function beside the value's factors."""
 
     __slots__ = ("required", "allowed", "leaf", "value", "parse", "check", "bound")
 
@@ -311,16 +303,6 @@ class _Kind:
         self.parse = parse
         self.check = check
         self.bound = bound
-
-
-# The cached functions below are pure in their hashable arguments and reach
-# what they call through this module's globals, as the value functions do.
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _constraints(e_min: int, t_max: int | None, tags: tuple[str, ...]) -> SolutionConstraints:
-    """The solver's constraints, one record per distinct argument set.
-    DomainError for a bad tag."""
-    return SolutionConstraints(e_min=e_min, extra=tags, t_max=t_max)
 
 
 # An int p >= 2 is prime exactly when it factors as ((p, 1),).  The loader
@@ -336,8 +318,8 @@ def _parse_equation_case(node_id: str, args: Mapping[str, object]) -> SolutionCo
     """The solver's constraints, with t_max as the node gives it, None if
     absent: max_schur_exponent clamps it to n."""
     try:
-        constraints = _constraints(args.get("e_min", 1), args.get("t_max"),
-                                   args.get("constraints", ()))
+        constraints = SolutionConstraints(args.get("e_min", 1), args.get("t_max"),
+                                          args.get("constraints", ()))
     except DomainError as exc:  # a bad tag
         raise SchemaError("%s: %s" % (node_id, exc)) from None
     p = args["p"]
@@ -371,11 +353,10 @@ def _parse_scaled_product(node_id: str, args: Mapping[str, object]
 # Value functions reach fi_mul and fi_cmp through this module's globals at
 # call time, and the evaluator reads a leaf's bound function (minkowski_bound,
 # ..., max_schur_exponent) from them by the name its kind gives, so whatever
-# is bound to those names here runs.  The leaf memo is keyed by kind and args,
-# and each entry keeps the function that computed it: a function bound in place
-# of another, such as a test's monkeypatch or the wrappers perfbench/tracer.py
-# installs, runs and replaces the entry, so the memo holds one entry per
-# distinct leaf, whatever was bound before.
+# is bound to those names here runs.  A leaf node's `_leaf` keeps the function
+# that computed it: a function bound in place of another, such as a test's
+# monkeypatch or the wrappers perfbench/tracer.py installs, runs and replaces
+# the node's entry.
 
 def _equation_case(node: LedgerNode, bound) -> FactoredInteger:
     """p to the largest exponent the standard equation allows for p."""
@@ -513,13 +494,6 @@ def _declared_prime(key) -> int:
     return p
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _rendered(factors: tuple[tuple[int, int], ...]) -> tuple[FactoredInteger, str]:
-    """The value of a canonical factors tuple and its grouped decimal."""
-    value = FactoredInteger._trusted(factors)
-    return value, fi_to_decimal(value, group=True)
-
-
 def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
     """The declared value, checked against its decimal.  node_id is still
     unchecked, LedgerNode checks it next, so each message formats it as one
@@ -544,8 +518,9 @@ def _parse_declared(node_id: str, raw, decimal) -> FactoredInteger:
         raise BadDeclaredValue("%s: decimal must be a string" % (node_id,))
     # Prime bases, positive exponents, no prime twice: the checks above are
     # the validation, so sorting is all that is left.
+    value = FactoredInteger._trusted(tuple(sorted(factors.items())))
     try:
-        value, expect = _rendered(tuple(sorted(factors.items())))
+        expect = fi_to_decimal(value, group=True)
     except DomainError as exc:  # past the digit budget
         raise BadDeclaredValue("%s: %s" % (node_id, exc)) from None
     if decimal != expect:
@@ -567,22 +542,12 @@ _live_nodes: dict[str, weakref.ref] = {}
 _storing = Lock()
 
 
-def _keep(kept: OrderedDict, key, value) -> None:
-    """kept[key] = value, dropping the oldest entry when a new key finds kept
-    holding _CACHE_SIZE.  Under a lock: loads and evaluations in other
-    threads may add at the same time."""
-    with _storing:
-        if key not in kept and len(kept) >= _CACHE_SIZE:
-            kept.popitem(last=False)
-        kept[key] = value
-
-
 def _enter(nodes: list[LedgerNode]) -> None:
     """_live_nodes[node.id] = a weak reference to node, for each node in
     order.  When the map reaches 2 * _CACHE_SIZE entries, its dead entries
     go, and so do its live ones past the _CACHE_SIZE whose ids it took in
-    last (a new node for a kept id keeps the id's place).  Under the lock
-    _keep takes."""
+    last (a new node for a kept id keeps the id's place).  Under a lock:
+    loads in other threads may enter nodes at the same time."""
     with _storing:
         for node in nodes:
             _live_nodes[node.id] = weakref.ref(node)
@@ -711,33 +676,31 @@ def load_ledger(source) -> Ledger:
 
 # ---------------------------------------------------------------- evaluation
 
-# (kind, args items) -> (the bound function that leaf called, the factors of
-# the value it evaluated to): what every ledger shares of its recomputed
-# leaves.  It holds at most _CACHE_SIZE values, each of at most _STR_BITS
-# bits, so it pins no long factors tuple.
-_leaf_factors: OrderedDict[tuple, tuple] = OrderedDict()
 _GLOBALS = globals()  # where a leaf kind's bound function is read, at each call
 
 
 def _combine(node: LedgerNode, kids: list[FactoredInteger]) -> FactoredInteger:
     """Value of a node from its children's values, in child order (a leaf has
-    none).  A leaf whose kind names a bound function is looked up in
-    _leaf_factors first, and hits only if its entry was computed by the
-    function bound to that name now; a miss replaces the entry.  A hit is a
-    value object of its own, so no caller shares it or the int it may keep.
-    A leaf that raises stores nothing."""
+    none).  A leaf whose kind names a bound function takes the value its
+    node's `_leaf` keeps if the function bound to that name now computed
+    it; otherwise it calls that function and keeps the result there.  A hit
+    is a value object of its own, so no caller shares it or the int it may
+    keep.  A leaf that raises keeps nothing, and neither does a value past
+    _STR_BITS bits, so no node pins a long factors tuple."""
     spec = KINDS[node.kind]
     if spec.bound is None:
         return spec.value(node, kids)
     bound = _GLOBALS[spec.bound]
-    key = (node.kind, tuple(node.args.items()))
-    entry = _leaf_factors.get(key)
+    entry = node._leaf
     if entry is not None and entry[0] is bound:
         return FactoredInteger._trusted(entry[1])
     value = spec.value(node, bound)
     if _bits_bound(value) <= _STR_BITS:
-        _keep(_leaf_factors, key, (bound, value.factors))
+        _set_leaf(node, (bound, value.factors))
     return value
+
+
+_set_leaf = LedgerNode._leaf.__set__  # for _combine, once the node is built
 
 
 def _dirty(ledger: Ledger, overrides: Mapping[str, FactoredInteger]) -> set[str]:
@@ -921,9 +884,9 @@ def _join(items: list[str], brackets: str, indent: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def _node_text(node: LedgerNode) -> str:
-    """node's block in dumps_ledger's output, kept in its `_text` slot."""
-    from json.encoder import encode_basestring as enc
+def _node_text(node: LedgerNode, enc) -> str:
+    """node's block in dumps_ledger's output, kept in its `_text` slot; enc
+    is json's encode_basestring."""
     args = "{}"  # no args, like no children, is written as is
     if node.args:
         pairs = []
@@ -940,7 +903,7 @@ def _node_text(node: LedgerNode) -> str:
                 enc(node.id), enc(node.kind), args,
                 _join(list(map(enc, node.children)), "[]", "      ") if node.children else "[]",
                 _join(['"%d": %d' % pair for pair in node.declared.factors], "{}", "      "),
-                enc(_rendered(node.declared.factors)[1]), enc(node.citation)))
+                enc(fi_to_decimal(node.declared, group=True)), enc(node.citation)))
     if node.paper_prints is not None:
         text += ',\n      "paper_prints": ' + enc(node.paper_prints)
     if node.note is not None:
@@ -962,7 +925,7 @@ def dumps_ledger(ledger: Ledger) -> str:
     if ledger.root is not None:
         top.append('"root": ' + enc(ledger.root))
     top.append('"whitelist": ' + _join(list(map(enc, ledger.whitelist)), "[]", "  "))
-    nodes = [node._text or _node_text(node) for node in ledger.nodes.values()]
+    nodes = [node._text or _node_text(node, enc) for node in ledger.nodes.values()]
     # _join's layout, written out so that only two long strings are built, the
     # nodes' join and the whole text: its concatenations would copy both again.
     return "".join(["{\n  ", ",\n  ".join(top), ',\n  "nodes": [', "\n    " if nodes else "",

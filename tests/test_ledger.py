@@ -713,19 +713,15 @@ def test_explain_refuses_a_value_past_its_budget_before_rendering_it():
 
 def test_a_declared_value_past_the_digit_budget_is_refused_before_it_is_rendered():
     # 2^10000000 has 3 010 300 digits, whose rendering ran for minutes.
-    import glbounds.ledger as ledger_mod
-
     text = json.dumps({"schema_version": 1, "root": "m", "nodes": [
         {"id": "m", "kind": "Constant", "args": {}, "children": [],
          "declared": {"2": 10000000}, "decimal": "1", "citation": "m"}]})
-    cached = ledger_mod._rendered.cache_info().currsize
     start = time.perf_counter()
     with pytest.raises(BadDeclaredValue) as info:
         load_ledger(text)
     assert time.perf_counter() - start < 1.0
     assert str(info.value) == (
         "m: the value has up to 3010301 digits; at most 1000000 are printed")
-    assert ledger_mod._rendered.cache_info().currsize == cached
 
 
 def test_explain_refuses_a_value_past_the_digit_budget_before_rendering_it():
@@ -852,9 +848,7 @@ def _count_calls(monkeypatch, owner, names):
 def _clear_ledger_caches():
     import glbounds.ledger as ledger_mod
 
-    for cached in (ledger_mod._constraints, ledger_mod._factor_small, ledger_mod._rendered):
-        cached.cache_clear()
-    ledger_mod._leaf_factors.clear()
+    ledger_mod._factor_small.cache_clear()
     ledger_mod._live_nodes.clear()
 
 
@@ -862,19 +856,20 @@ def test_each_declared_value_is_rendered_once_per_load_and_per_export(monkeypatc
     import glbounds.ledger as ledger_mod
 
     text = dumps_ledger(paper_ledger())
-    document = json.loads(text)
     calls = _count_calls(monkeypatch, ledger_mod, ["fi_to_decimal"])["fi_to_decimal"]
-    # The caches live for the process; earlier tests may have warmed them.
+    # Earlier tests may have left live nodes; a first load builds every node.
     _clear_ledger_caches()
-    loaded = load_ledger(document)
+    loaded = load_ledger(text)
     assert len(loaded.order) == 218
-    # One rendering per distinct value, which its nodes share.
-    values = {n.declared for n in loaded.nodes.values()}
-    assert len(calls) == len(values) == len({id(v) for v in values}) == 99
-    # A second load and an export of the same values render nothing new.
-    again = load_ledger(document)
-    assert again == loaded and dumps_ledger(again) == text
-    assert len(calls) == 99
+    # The loader renders each node it builds once, to check its decimal.
+    assert len(calls) == 218
+    # A load that reuses every node renders nothing; a first export renders
+    # each node once, and a second export or load nothing.
+    again = load_ledger(text)
+    assert again == loaded and len(calls) == 218
+    assert dumps_ledger(again) == text and len(calls) == 2 * 218
+    assert dumps_ledger(loaded) == text and load_ledger(text) == loaded
+    assert len(calls) == 2 * 218
 
 
 def _export_oracle(ledger):
@@ -931,17 +926,18 @@ def test_a_second_export_renders_no_node(monkeypatch):
 def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
     import glbounds.ledger as ledger_mod
 
-    document = json.loads(dumps_ledger(paper_ledger()))
+    text = dumps_ledger(paper_ledger())
     logs = _count_calls(monkeypatch, ledger_mod, ["SolutionConstraints"])
     logs.update(_count_calls(monkeypatch, FactoredInteger, ["from_int"]))
-    # The caches live for the process; earlier tests may have warmed them.
+    # The factoring cache lives for the process, and earlier tests may have
+    # left live nodes: clearing both makes this load build every node.
     _clear_ledger_caches()
-    loaded = load_ledger(document)
+    loaded = load_ledger(text)
     cases = [n for n in loaded.nodes.values() if n.kind == "EquationCase"]
     scaled = [n for n in loaded.nodes.values() if n.kind == "ScaledProduct"]
     assert len(cases) == 74 and len(scaled) == 18
-    # One record per distinct (e_min, t_max as given, tags), shared by its nodes.
-    assert len(logs["SolutionConstraints"]) == len({id(n._parsed) for n in cases}) == 10
+    # One record per node built, from (e_min, t_max as given, tags).
+    assert len(logs["SolutionConstraints"]) == len({id(n._parsed) for n in cases}) == 74
     assert len({n._parsed for n in cases}) == 10
     # One factoring per distinct int the loader reads, which also answers
     # whether a declared key or a p is prime.
@@ -951,9 +947,9 @@ def test_shared_node_args_are_parsed_once_per_load(monkeypatch):
     assert sorted(value for value, in logs["from_int"]) == sorted(read) and len(read) == 17
     assert len({id(f) for n in scaled for f in n._parsed}) == len(scales)
     assert all(type(n._parsed) is tuple and len(n._parsed) == 2 for n in scaled)
-    # A second load of the same document parses nothing new.
+    # A second load of the same text reuses every node and parses nothing.
     counts = {name: len(log) for name, log in logs.items()}
-    again = load_ledger(document)
+    again = load_ledger(text)
     assert again == loaded
     assert {name: len(log) for name, log in logs.items()} == counts
     assert final_bound(again) == fi(24103053950976000)
@@ -1182,11 +1178,13 @@ def test_a_nodes_source_takes_no_part_in_its_value():
                        leaf.citation, leaf.paper_prints, leaf.note)
     dumps_ledger(loaded)  # the first export keeps each node's text
     assert leaf._text.startswith('{\n      "id": "pgl2-q",') and leaf._text.endswith("\n    }")
+    verify_ledger(loaded)  # the first evaluation keeps each leaf's value
+    assert leaf._leaf[1] == leaf.declared.factors
     for twin in (built, pickle.loads(pickle.dumps(leaf)), copy.copy(leaf), copy.deepcopy(leaf)):
-        assert twin._source is None and twin._text is None
+        assert twin._source is None and twin._text is None and twin._leaf is None
         assert twin == leaf and hash(twin.declared) == hash(leaf.declared)
         assert repr(twin) == repr(leaf)
-    assert "_source" not in repr(leaf) and "_text" not in repr(leaf)
+    assert not any(slot in repr(leaf) for slot in ("_source", "_text", "_leaf"))
     assert pickle.dumps(leaf) == pickle.dumps(built)
 
 
@@ -1264,15 +1262,19 @@ def test_a_load_gives_what_it_gives_with_the_live_node_map_emptied():
     # Each mutation that loads took every packaged node it did not change.
     assert shared == {"args keys reversed": 217, "declared key 02": 217,
                       "citation changed": 217, "unchanged": 218}
-def _minkowski(n):
-    return doc(node("m", "Minkowski", {}, args={"n": n}), root="m")
+
+
+def _minkowski(n, nid="m"):
+    return json.dumps(doc(node(nid, "Minkowski", {}, args={"n": n}), root=nid))
 
 
 def test_a_bound_function_bound_anew_runs_in_a_warm_process(monkeypatch):
     import glbounds.ledger as ledger_mod
 
     real = ledger_mod.minkowski_bound
-    assert final_bound(load_ledger(_minkowski(2))) == real(2)  # the memo holds n = 2
+    text = _minkowski(2)
+    kept = load_ledger(text)  # later loads of text take its node
+    assert final_bound(kept) == real(2)  # the node keeps n = 2's value
     seen = []
 
     def doubled(n):
@@ -1281,11 +1283,11 @@ def test_a_bound_function_bound_anew_runs_in_a_warm_process(monkeypatch):
 
     monkeypatch.setattr(ledger_mod, "minkowski_bound", doubled)
     for _ in range(2):
-        assert final_bound(load_ledger(_minkowski(2))) == real(2) * fi(2)
+        assert final_bound(load_ledger(text)) == real(2) * fi(2)
     assert seen == [2]  # the function bound now runs, once
     monkeypatch.undo()
-    assert final_bound(load_ledger(_minkowski(2))) == real(2)
-    assert seen == [2]
+    assert final_bound(load_ledger(text)) == real(2)
+    assert seen == [2] and kept.nodes["m"]._leaf[0] is real
 
 
 def test_a_failing_leaf_stores_nothing_across_ledgers(monkeypatch):
@@ -1301,70 +1303,75 @@ def test_a_failing_leaf_stores_nothing_across_ledgers(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(ledger_mod, "minkowski_bound", flaky)
+    text = _minkowski(3)
+    kept = load_ledger(text)
     with pytest.raises(ArithmeticError):
-        final_bound(load_ledger(_minkowski(3)))
-    assert not any(entry[0] is flaky for entry in ledger_mod._leaf_factors.values())
+        final_bound(kept)
+    assert kept.nodes["m"]._leaf is None
     for _ in range(2):
-        assert final_bound(load_ledger(_minkowski(3))) == fi(48)
-    assert seen == [3, 3]
-    # A leaf past the invphi limit raises in every ledger and leaves no entry.
-    gl2 = doc(node("g", "Gl2", {}, args={"degree": 10**6 + 1}), root="g")
-    for _ in range(2):
+        assert final_bound(load_ledger(text)) == fi(48)
+    assert seen == [3, 3] and kept.nodes["m"]._leaf == (flaky, ((2, 4), (3, 1)))
+    # A leaf past the invphi limit raises in every ledger and keeps nothing.
+    gl2 = json.dumps(doc(node("g", "Gl2", {}, args={"degree": 10**6 + 1}), root="g"))
+    kept = load_ledger(gl2)
+    for ledger in (kept, load_ledger(gl2)):
         with pytest.raises(DomainError, match=r"^bound must be <= 1000000, got 1000001$"):
-            final_bound(load_ledger(gl2))
-    assert not any(key[:2] == ("Gl2", (("degree", 10**6 + 1),))
-                   for key in ledger_mod._leaf_factors)
+            final_bound(ledger)
+    assert kept.nodes["g"]._leaf is None
 
 
 def test_each_leaf_memo_hit_is_a_value_of_its_own_with_no_kept_int():
-    first = final_bound(load_ledger(_minkowski(4)))
+    text = _minkowski(4)
+    kept = load_ledger(text)
+    first = final_bound(kept)
     assert first.to_int() == 5760  # keeps its int
-    hits = [final_bound(load_ledger(_minkowski(4))) for _ in range(3)]
+    hits = [final_bound(load_ledger(text)) for _ in range(3)]
     assert all(hit == first for hit in hits)
     assert len({id(value) for value in [first, *hits]}) == 4
     assert all(hit._int is None for hit in hits)
 
 
-def test_the_leaf_memo_is_bounded_and_keeps_no_long_value(monkeypatch):
-    import glbounds.ledger as ledger_mod
+def test_the_leaf_memo_is_bounded_and_keeps_no_long_value():
     from glbounds.bounds import minkowski_bound
     from glbounds.exactnum import _STR_BITS, _bits_bound
 
-    _clear_ledger_caches()
-    monkeypatch.setattr(ledger_mod, "_CACHE_SIZE", 4)
-    for n in range(1, 11):
-        assert final_bound(load_ledger(_minkowski(n))) == minkowski_bound(n)
-    assert [key[1] for key in ledger_mod._leaf_factors] == [(("n", n),) for n in range(7, 11)]
+    # A value lives on its node, which dies with the last ledger holding it.
+    ledgers = [load_ledger(_minkowski(n)) for n in range(1, 11)]
+    assert [final_bound(ledger) for ledger in ledgers] == [minkowski_bound(n) for n in range(1, 11)]
+    refs = [weakref.ref(ledger.nodes["m"]) for ledger in ledgers]
+    assert all(ref()._leaf is not None for ref in refs)
+    del ledgers
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 10
     # minkowski_bound(10000) has some 13 000 digits: evaluated, never kept.
-    ledger_mod._leaf_factors.clear()
-    big = final_bound(load_ledger(_minkowski(10000)))
+    kept = load_ledger(_minkowski(10000))
+    big = final_bound(kept)
     assert big == minkowski_bound(10000) and _bits_bound(big) > _STR_BITS
-    assert len(ledger_mod._leaf_factors) == 0
+    assert kept.nodes["m"]._leaf is None
 
 
 def test_evaluations_in_several_threads_keep_the_leaf_memo_bounded(monkeypatch):
     import glbounds.ledger as ledger_mod
     from glbounds.bounds import minkowski_bound
 
-    class Slow(OrderedDict):
-        """Gives up the interpreter between the size check and each store,
-        so a store that is not guarded overfills the memo."""
+    set_leaf = ledger_mod._set_leaf
 
-        def __setitem__(self, key, value):
-            time.sleep(0.0005)
-            super().__setitem__(key, value)
+    def slow(node_, entry):
+        """Gives up the interpreter before each store, so that evaluations
+        of one node in other threads run while a store waits."""
+        time.sleep(0.0005)
+        set_leaf(node_, entry)
 
-    _clear_ledger_caches()
-    monkeypatch.setattr(ledger_mod, "_CACHE_SIZE", 4)
-    monkeypatch.setattr(ledger_mod, "_leaf_factors", Slow())
-    documents = [_minkowski(n) for n in range(1, 25)]
+    monkeypatch.setattr(ledger_mod, "_set_leaf", slow)
+    texts = [_minkowski(n, "m%d" % n) for n in range(1, 25)]
     want = [minkowski_bound(n) for n in range(1, 25)]
+    kept = [load_ledger(text) for text in texts]  # each load below takes their nodes
     wrong = []
 
     def work(offset):
         for i in range(20):
             k = (offset + i) % 24
-            if final_bound(load_ledger(documents[k])) != want[k]:
+            if final_bound(load_ledger(texts[k])) != want[k]:
                 wrong.append(k + 1)
 
     threads = [threading.Thread(target=work, args=(k * 5,)) for k in range(6)]
@@ -1373,9 +1380,14 @@ def test_evaluations_in_several_threads_keep_the_leaf_memo_bounded(monkeypatch):
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
-    assert wrong == [] and len(ledger_mod._leaf_factors) <= 4
-    assert all(entry[1] == want[dict(key[1])["n"] - 1].factors
-               for key, entry in ledger_mod._leaf_factors.items())
+    assert wrong == []
+    leaves = [ledger.nodes[ledger.root] for ledger in kept]
+    assert [leaf._leaf for leaf in leaves] == [(minkowski_bound, v.factors) for v in want]
+    # Nothing but the ledgers holds the nodes and their values.
+    refs = [weakref.ref(leaf) for leaf in leaves]
+    del kept, leaves
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 24
 
 
 def test_rebound_functions_leave_one_memo_entry_per_leaf_and_pin_no_wrapper(monkeypatch):
@@ -1383,10 +1395,13 @@ def test_rebound_functions_leave_one_memo_entry_per_leaf_and_pin_no_wrapper(monk
 
     names = sorted({spec.bound for spec in ledger_mod.KINDS.values() if spec.bound})
     assert len(names) == 6
-    document = json.loads(dumps_ledger(paper_ledger()))
+    text = dumps_ledger(paper_ledger())
+    kept = load_ledger(text)  # every audit below takes its nodes
+    leaves = [n for n in kept.nodes.values() if KINDS[n.kind].bound]
+    assert len(leaves) == 104
 
     def audit():
-        ledger = load_ledger(document)
+        ledger = load_ledger(text)
         verify_ledger(ledger)
         assert final_bound(ledger) == fi(24103053950976000)
 
@@ -1401,32 +1416,58 @@ def test_rebound_functions_leave_one_memo_entry_per_leaf_and_pin_no_wrapper(monk
             refs.append(weakref.ref(wrapper))
         return refs
 
-    _clear_ledger_caches()
     for _ in range(6):
         refs = rebind()
         audit()
         monkeypatch.undo()
         audit()
-        # The packaged ledger's 102 distinct recomputed leaves, each computed
+        # Each of the packaged ledger's 104 recomputed leaves was computed
         # last by the function bound now.
-        assert len(ledger_mod._leaf_factors) == 102
-        assert all(entry[0] is getattr(ledger_mod, KINDS[kind].bound)
-                   for (kind, _), entry in ledger_mod._leaf_factors.items())
+        assert all(n._leaf[0] is getattr(ledger_mod, KINDS[n.kind].bound) for n in leaves)
         gc.collect()
         assert [ref() for ref in refs] == [None] * 6
 
 
-def test_keeping_a_kept_key_in_a_full_map_evicts_nothing():
+def test_a_leaf_value_lives_as_long_as_its_node(monkeypatch):
+    # A ledger loaded from the same text as a live one takes its nodes and
+    # their values; a ledger with nodes of its own computes its own leaves;
+    # a node that outlives the ledger that evaluated it keeps its value for
+    # the next ledger that holds it.
     import glbounds.ledger as ledger_mod
 
-    size = ledger_mod._CACHE_SIZE
-    kept = OrderedDict()
-    for key in range(size):
-        ledger_mod._keep(kept, key, key)
-    ledger_mod._keep(kept, 7, "again")
-    assert list(kept) == list(range(size)) and kept[7] == "again"
-    ledger_mod._keep(kept, size, size)  # a new key drops the oldest
-    assert list(kept) == list(range(1, size + 1))
+    names = sorted({spec.bound for spec in ledger_mod.KINDS.values() if spec.bound})
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _real=getattr(ledger_mod, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(ledger_mod, name, counting)
+
+    def audit(ledger):
+        verify_ledger(ledger)
+        assert final_bound(ledger) == fi(24103053950976000)
+        return sum(calls.values())
+
+    _clear_ledger_caches()
+    text = _packaged_text()
+    first = load_ledger(text)
+    per_kind = {name: sum(KINDS[n.kind].bound == name for n in first.nodes.values())
+                for name in names}
+    assert audit(first) == sum(per_kind.values()) == 104 and calls == per_kind
+    # The same text while first lives: its nodes, so no bound function runs.
+    assert audit(load_ledger(text)) == 104
+    # A Mapping's nodes are its own: each leaf runs once.
+    assert audit(load_ledger(json.loads(text))) == 2 * 104
+    # A node held past its ledger keeps its value for the next one.
+    leaf = first.nodes["pgl2-q"]
+    del first
+    gc.collect()
+    again = Ledger(1, "pgl2-q", (), {"pgl2-q": leaf})
+    assert final_bound(again) == leaf.declared and sum(calls.values()) == 2 * 104
+    # Once nothing holds the nodes, a load of the text builds and computes anew.
+    del again, leaf
+    gc.collect()
+    assert audit(load_ledger(text)) == 3 * 104
 
 
 def test_clearing_the_ledger_caches_empties_every_process_wide_table():
@@ -1445,8 +1486,7 @@ def test_clearing_the_ledger_caches_empties_every_process_wide_table():
               if callable(getattr(obj, "cache_clear", None)) or isinstance(obj, OrderedDict)
               or type(obj) is dict and obj
               and all(type(ref) is weakref.ref for ref in obj.values())}
-    assert sorted(tables) == ["_constraints", "_factor_small", "_leaf_factors", "_live_nodes",
-                              "_rendered"]
+    assert sorted(tables) == ["_factor_small", "_live_nodes"]
     assert all(size(table) for table in tables.values())
     _clear_ledger_caches()
     assert {name: size(table) for name, table in tables.items()} == dict.fromkeys(tables, 0)
@@ -1612,7 +1652,7 @@ def test_constraints_may_be_a_list_or_a_tuple():
     assert str(info.value) == "e: constraints must be a list of tag strings"
 
 
-def test_each_distinct_leaf_bound_is_computed_once_per_process(monkeypatch):
+def test_each_live_leaf_node_is_computed_once(monkeypatch):
     import glbounds.ledger as ledger_mod
 
     calls = []
@@ -1622,7 +1662,7 @@ def test_each_distinct_leaf_bound_is_computed_once_per_process(monkeypatch):
         calls.append((p, n, d))
         return real(p, n, d, *rest, **kw)
 
-    # A function bound anew finds no entry, however warm the leaf memo is.
+    # A function bound anew finds no kept value, however warm the nodes are.
     monkeypatch.setattr(ledger_mod, "max_schur_exponent", counting)
     fresh = paper_ledger()
     cases = [nid for nid in fresh.order if fresh.nodes[nid].kind == "EquationCase"]
@@ -1631,14 +1671,14 @@ def test_each_distinct_leaf_bound_is_computed_once_per_process(monkeypatch):
     assert final_bound(fresh, {"g10": 0}) == fi(735746457600)
     final_bound(fresh, {cases[0]: 1})
     final_bound(fresh, {"theorem-cr3": 6})
-    # One solve per distinct arg set: two of the 74 cases share theirs.
+    # One solve per node, also for the two cases that share their args.
     distinct = {tuple(fresh.nodes[nid].args.items()) for nid in cases}
-    assert len(cases) == 74 and len(calls) == len(distinct) == 73
-    # A second fresh ledger solves nothing and gives the same rows.
+    assert len(cases) == len(calls) == 74 and len(distinct) == 73
+    # A second ledger takes the live nodes, solves nothing and gives the same rows.
     again = paper_ledger()
     assert verify_ledger(again) == verify_ledger(fresh)
     assert final_bound(again) == fi(24103053950976000)
-    assert len(calls) == 73
+    assert len(calls) == 74
 
 
 def test_paper_ledger_eval_is_deterministic(ledger):

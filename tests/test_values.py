@@ -2,10 +2,11 @@
 
 Each type is built from its constructor arguments, cannot be changed after
 construction, compares and hashes by its fields, never equals an instance
-of another class, and has a Name(field=value, ...) repr.  Ledger's leaf memo
-and a FactoredInteger's kept int are the slots outside that contract.  Every
-type stores its slots through the one `_fill` that Value generates for it,
-and no library module stores a slot any other way.
+of another class, and has a Name(field=value, ...) repr.  Private slots,
+such as Ledger's memo, a LedgerNode's leaf value or a FactoredInteger's kept
+int, are outside that contract.  Every type stores its slots through the
+one `_fill` that Value generates for it, and no library module stores a
+slot any other way.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ LIBRARY = ("exactnum", "cyclotomic", "bounds", "diophantine", "ledger")
 # slots that are no constructor argument, by class
 PRIVATE_SLOTS = {
     "FactoredInteger": ("_int",),
-    "LedgerNode": ("_parsed", "_source", "_text", "__weakref__"),
+    "LedgerNode": ("_parsed", "_source", "_text", "_leaf", "__weakref__"),
     "Ledger": ("node_values", "_parents"),
     "SolutionConstraints": ("_preds",),
 }
@@ -182,8 +183,8 @@ def test_import_generates_only_the_fills_of_the_values_it_builds():
 
 
 # The one named setter of each slot a value fills lazily, once it is built:
-# FactoredInteger's `_int` and LedgerNode's `_text`.
-LAZY_SETTERS = ("_set_int", "_set_text")
+# FactoredInteger's `_int` and LedgerNode's `_text` and `_leaf`.
+LAZY_SETTERS = ("_set_int", "_set_text", "_set_leaf")
 
 
 def _slot_stores(source: str) -> list[tuple[int, str]]:
