@@ -11,6 +11,17 @@ stdout at once, so a command that fails writes nothing there.  Every value
 becomes text through exactnum's fi_to_decimal, which refuses one of more
 than 10^6 digits with a DomainError before rendering it; that covers every
 value any subcommand prints, ledger values and declared values too.
+
+main flushes stdout before it returns, so a stdout that cannot take the
+output (a full device, a closed pipe, a closed fd 1) is one error: line and
+exit status 1, whatever the output's size; statuses 1, 2 and 3 hold for any
+output size.  run, the process entry behind `python -m glbounds`, this
+module run as a script and the installed console script, calls main,
+flushes stdout and stderr and ends the process with os._exit, skipping
+interpreter teardown: glbounds starts no thread and registers no atexit
+handler, and every file it writes is closed by then.  So atexit hooks that
+site or other tools register (coverage's subprocess support, say) do not
+run in a glbounds process; call main to keep them.
 """
 
 from __future__ import annotations
@@ -413,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status, without exiting."""
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -424,7 +436,12 @@ def main(argv=None) -> int:
         # status too, so an error leaves stdout empty.
         out = ns.func(ns)
         text, status = out if isinstance(out, tuple) else (out, EXIT_OK)
-        sys.stdout.write(text)
+        if sys.stdout is not None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full device or a closed pipe fails here
+        elif text:  # fd 1 closed, as by >&-
+            print("error: cannot write the output: stdout is closed", file=sys.stderr)
+            return EXIT_DOMAIN
         return status
     except UnicodeEncodeError as exc:  # text the output stream cannot encode
         print("error: cannot write the output: %s" % exc, file=sys.stderr)
@@ -434,5 +451,27 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+def run():
+    """The process entry, which never returns: main's status through
+    os._exit once stdout and stderr are flushed.  --help and argparse's
+    usage errors write before main returns, so their flush happens here; a
+    failure main has reported (status 1) is not reported again.  An
+    exception that escapes main takes Python's normal path."""
+    status = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if status != EXIT_DOMAIN:
+            print("error: %s" % exc, file=sys.stderr)
+            status = EXIT_DOMAIN
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:  # nowhere left to report it
+        pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -133,7 +134,9 @@ def test_bad_constraint_constant_is_a_clean_error(capsys, tmp_path):
         "error: e: constraint tag 'e = x' needs a plain decimal constant\n")
 
 
-def test_verify_exit_three_on_new_mismatch(capsys, tmp_path):
+@pytest.fixture
+def tampered_ledger(tmp_path):
+    """The packaged ledger with one unwhitelisted mismatch, at mink-gl3-q."""
     doc = to_document(paper_ledger())
     for node in doc["nodes"]:
         if node["id"] == "mink-gl3-q":
@@ -141,8 +144,12 @@ def test_verify_exit_three_on_new_mismatch(capsys, tmp_path):
             node["decimal"] = "16"
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["ledger", "verify", "--file", str(bad)]) == 3
-    assert main(["ledger", "verify", "--file", str(bad), "--format", "json"]) == 3
+    return bad
+
+
+def test_verify_exit_three_on_new_mismatch(capsys, tampered_ledger):
+    assert main(["ledger", "verify", "--file", str(tampered_ledger)]) == 3
+    assert main(["ledger", "verify", "--file", str(tampered_ledger), "--format", "json"]) == 3
     out = capsys.readouterr().out
     assert "mink-gl3-q" in out
 
@@ -175,12 +182,16 @@ def test_ledger_export_round_trip(capsys, tmp_path):
     assert text_only.getvalue() == out
 
 
-def _glbounds(*argv, encoding):
-    """python -m glbounds argv, with stdin, stdout and stderr in encoding."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-               PYTHONIOENCODING=encoding)
-    return subprocess.run([sys.executable, "-m", "glbounds", *argv], env=env,
-                          capture_output=True, timeout=60)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _glbounds(*argv, encoding="utf-8", module="glbounds", stdout=subprocess.PIPE):
+    """python -m module argv, with stdin, stdout and stderr in encoding and
+    stdout block-buffered, as a terminal user runs it without a terminal."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING=encoding)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
 
 
 @pytest.fixture
@@ -214,6 +225,88 @@ def test_text_the_stream_cannot_encode_is_a_clean_error(non_ascii_ledger):
         "error: cannot write the output: 'ascii' codec can't encode character '\\xe9' "
         "in position %d: ordinal not in range(128)\n"
         % explain(load_ledger(non_ascii_ledger), nid).index("\u00e9"))
+
+
+@pytest.mark.parametrize("module", ["glbounds", "glbounds.cli"])
+@pytest.mark.parametrize("name", ["minkowski_n12.txt", "schur_n3_c12.json",
+                                  "ledger_final_g10_zero.txt"])
+def test_a_child_process_reproduces_the_goldens(module, name):
+    done = _glbounds(*CASES[name], module=module)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / name).read_bytes()
+
+
+def test_a_child_process_keeps_the_usage_and_mismatch_statuses(tampered_ledger):
+    done = _glbounds("table", "-n", "x")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"usage: glbounds table")
+    done = _glbounds("--help")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"usage: glbounds")
+    done = _glbounds("ledger", "verify", "--file", str(tampered_ledger))
+    assert (done.returncode, done.stderr) == (3, b"")
+    assert b"mink-gl3-q" in done.stdout
+
+
+def test_a_child_process_writes_the_export_file_whole(tmp_path):
+    target = tmp_path / "copy.json"
+    done = _glbounds("ledger", "export", "-o", str(target))
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert target.read_bytes() == (SRC / "glbounds" / "data" / "paper_ledger.json").read_bytes()
+
+
+def _one_error_line(done, want):
+    """Status 1 and one error: line on stderr, holding want."""
+    err = done.stderr.decode("utf-8")
+    assert done.returncode == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert want in err, err
+
+
+# Short outputs stay in stdout's buffer until a flush; the export's 78 kB and
+# the help text's flush in run(), after main returned, take the other paths.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("minkowski", "-n", "12"), ("ledger", "export"), ("--help",)])
+def test_a_full_stdout_is_one_clean_error_whatever_the_output_size(argv):
+    with open("/dev/full", "wb") as full:
+        done = _glbounds(*argv, stdout=full)
+    _one_error_line(done, "[Errno 28]")
+
+
+def test_a_pipe_closed_before_the_write_is_one_clean_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so every write fails
+    try:
+        done = _glbounds("minkowski", "-n", "12", stdout=write_end)
+    finally:
+        os.close(write_end)
+    _one_error_line(done, "[Errno 32]")
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs sh")
+def test_a_closed_stdout_is_one_clean_error():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m glbounds minkowski -n 12 >&-', sys.executable],
+        env=env, stderr=subprocess.PIPE, timeout=60)
+    _one_error_line(done, "cannot write the output: stdout is closed")
+
+
+class _FullStream(io.StringIO):
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_main_reports_a_stdout_that_cannot_take_the_output(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert main(["minkowski", "-n", "12"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["minkowski", "-n", "12"]) == 1
+    assert capsys.readouterr().err == "error: cannot write the output: stdout is closed\n"
+    # a command that writes nothing on stdout needs none
+    assert main(["ledger", "export", "-o", str(tmp_path / "copy.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_lone_surrogate_is_a_clean_export_error_that_writes_no_file(capsys, tmp_path):
